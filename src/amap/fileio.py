@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,9 +25,9 @@ from .model import (
     Assignment,
     BayesianNetwork,
     Cpt,
-    CycleError,
     MapProblem,
     Variable,
+    check_table,
 )
 
 
@@ -169,12 +168,10 @@ def parse_network(text: str) -> BayesianNetwork:
                 parents.append(index[par_tok.text])
             if not parents:
                 raise p.error(p.peek(), "expected at least one parent after '|'")
-        brace = p.expect_punct("{")
+        p.expect_punct("{")
         rows: List[Tuple[float, ...]] = []
-        row_tok = brace
         while True:
             row: List[float] = []
-            row_tok = p.peek()
             while p.peek().kind == "number":
                 num = p.next()
                 try:
@@ -189,25 +186,12 @@ def parse_network(text: str) -> BayesianNetwork:
                 continue
             break
         p.expect_punct("}")
-        card = variables[child].cardinality
-        n_rows = 1
-        for par in parents:
-            n_rows *= variables[par].cardinality
-        if len(rows) != n_rows:
-            raise p.error(child_tok,
-                          f"cpt for {child_tok.text!r} has {len(rows)} rows, expected {n_rows}")
-        for i, row in enumerate(rows):
-            if len(row) != card:
-                raise p.error(child_tok,
-                              f"cpt for {child_tok.text!r}, row {i + 1}: "
-                              f"{len(row)} entries, expected {card}")
-            for v in row:
-                if not (0.0 <= v <= 1.0):
-                    raise p.error(child_tok, f"probability {v:g} outside [0, 1]")
-            s = math.fsum(row)
-            if abs(s - 1.0) > 1e-6:
-                raise p.error(row_tok, f"row sums to {s:.6g}")
-        cpts[child] = Cpt(child, tuple(parents), tuple(rows))
+        try:
+            cpt = Cpt(child, tuple(parents), tuple(rows))
+            check_table(cpt, variables)
+        except ValueError as exc:
+            raise p.error(child_tok, str(exc)) from None
+        cpts[child] = cpt
 
     tail = p.peek()
     if tail.kind != "eof":
@@ -217,8 +201,6 @@ def parse_network(text: str) -> BayesianNetwork:
         raise p.error(tail, f"missing cpt for {missing[0]!r}")
     try:
         return BayesianNetwork(net_name, variables, [cpts[i] for i in range(len(variables))])
-    except CycleError as exc:
-        raise ParseError(tail.line, tail.column, str(exc)) from None
     except ValueError as exc:
         raise ParseError(tail.line, tail.column, str(exc)) from None
 

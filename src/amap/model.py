@@ -61,6 +61,28 @@ class Cpt:
                     raise ValueError(f"cpt entry {p} outside [0, 1]")
 
 
+def check_table(cpt: Cpt, variables: Sequence[Variable]) -> None:
+    """Check a CPT's shape and rows against the variables it names: one row
+    per parent configuration, one entry per child state, each row summing
+    to 1 within ROW_SUM_TOL. (Cpt itself checks that entries lie in [0, 1].)
+    Raises ValueError."""
+    child = variables[cpt.child]
+    n_rows = 1
+    for p in cpt.parents:
+        n_rows *= variables[p].cardinality
+    if len(cpt.table) != n_rows:
+        raise ValueError(
+            f"cpt for {child.name!r} has {len(cpt.table)} rows, expected {n_rows}")
+    for i, row in enumerate(cpt.table):
+        if len(row) != child.cardinality:
+            raise ValueError(
+                f"cpt for {child.name!r}, row {i + 1}: {len(row)} entries, "
+                f"expected {child.cardinality}")
+        s = math.fsum(row)
+        if abs(s - 1.0) > ROW_SUM_TOL:
+            raise ValueError(f"cpt for {child.name!r}: row sums to {s:.6g}")
+
+
 class Assignment:
     """A partial or full mapping from variable id to state index.
 
@@ -153,26 +175,9 @@ class BayesianNetwork:
                     raise ValueError(f"cpt for {self.variables[cpt.child].name!r} references unknown parent {p}")
                 children[p].append(cpt.child)
         self._children = tuple(tuple(sorted(children[i])) for i in range(n))
-        self._validate_tables()
-        self._order = topological_order(self)
-
-    def _validate_tables(self) -> None:
         for cpt in self.cpts:
-            child = self.variables[cpt.child]
-            n_rows = 1
-            for p in cpt.parents:
-                n_rows *= self.variables[p].cardinality
-            if len(cpt.table) != n_rows:
-                raise ValueError(
-                    f"cpt for {child.name!r} has {len(cpt.table)} rows, expected {n_rows}")
-            for i, row in enumerate(cpt.table):
-                if len(row) != child.cardinality:
-                    raise ValueError(
-                        f"cpt for {child.name!r}, row {i + 1}: {len(row)} entries, "
-                        f"expected {child.cardinality}")
-                s = math.fsum(row)
-                if abs(s - 1.0) > ROW_SUM_TOL:
-                    raise ValueError(f"cpt for {child.name!r}: row sums to {s:.6g}")
+            check_table(cpt, self.variables)
+        self._order = topological_order(self)
 
     # -- lookups -----------------------------------------------------------
 

@@ -130,30 +130,37 @@ def reheat_temperature(c_b: float, t_at_max_ch: float, k: float, t0: float) -> f
     return min(t0, k * c_b + t_at_max_ch)
 
 
-# -- initialization ----------------------------------------------------------
+# -- the site update and initialization --------------------------------------
 
-def sequential_init(net: BayesianNetwork, problem: MapProblem,
-                    rng: Optional[random.Random] = None) -> Assignment:
+def _site(net: BayesianNetwork, j: int, x: Assignment,
+          evidence: Assignment) -> np.ndarray:
+    """The site update every solver shares: p(x_j | E, x without j), with
+    every variable outside E and x summed out. Raises ImpossibleContextError
+    when that context has probability zero."""
+    context = Assignment({v: s for v, s in evidence.merged(x).items() if v != j})
+    return conditional(net, j, context)
+
+
+def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
     """Greedy start: fix MAP variables in topological order, each to the most
-    probable state of its conditional given evidence and earlier choices."""
+    probable state of its site conditional given evidence and the choices
+    made so far (later MAP variables are still summed out)."""
     problem.validate_for(net)
     if eliminate(net, (), problem.evidence).total() <= 0.0:
         raise InconsistentEvidenceError("evidence has probability zero")
     out = Assignment()
-    context = problem.evidence.copy()
     map_set = set(problem.map_vars)
     for v in net.order():
         if v not in map_set:
             continue
         try:
-            dist = conditional(net, v, context)
+            dist = _site(net, v, out, problem.evidence)
             state = int(np.argmax(dist))  # argmax keeps the lowest index on ties
         except ImpossibleContextError:
             log.warning("impossible context while initializing %s; using state 0",
                         net.var(v).name)
             state = 0
         out.set(v, state)
-        context.set(v, state)
     return out
 
 
@@ -164,7 +171,7 @@ def _sample_index(dist: np.ndarray, rng: random.Random) -> int:
         acc += float(p)
         if u < acc:
             return i
-    return len(dist) - 1
+    return int(np.flatnonzero(dist)[-1])  # u reached the rounded total: last state with mass
 
 
 # -- the annealed sampler ----------------------------------------------------
@@ -193,15 +200,13 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
         improved = False
         costs: List[float] = []
         for j in problem.map_vars:
-            context = Assignment(
-                {v: s for v, s in evidence.merged(x).items() if v != j})
             u = rng.random()
             try:
-                dist = conditional(net, j, context)
+                dist = _site(net, j, x, evidence)
             except ImpossibleContextError:
                 # current neighborhood has probability zero: resample uniformly
                 x.set(j, rng.randrange(net.cardinality(j)))
-                logp = _safe_posterior(net, x, evidence, log_p_evidence)
+                logp = map_posterior(net, x, evidence, log_p_evidence)
                 costs.append(best_logp - logp)
                 continue
             cand = _sample_index(dist, rng)
@@ -211,7 +216,7 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
             if u < acceptance_probability(t, lp_new, lp_old) and cand != cur:
                 x.set(j, cand)
                 if lp_old == -math.inf or logp == -math.inf:
-                    logp = _safe_posterior(net, x, evidence, log_p_evidence)
+                    logp = map_posterior(net, x, evidence, log_p_evidence)
                 else:
                     logp = logp + lp_new - lp_old
             if logp > best_logp + IMPROVE_EPS:
@@ -232,7 +237,7 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
             trace.append(TraceRow(comp_index, restart, sweep_offset + sweep,
                                   t, logp, best_logp, ch))
         if debug_check:
-            exact = _safe_posterior(net, x, evidence, log_p_evidence)
+            exact = map_posterior(net, x, evidence, log_p_evidence)
             if not _close(logp, exact, TRACK_TOL):
                 raise TrackingError(
                     f"sweep {sweep_offset + sweep}: tracked {logp} vs exact {exact}")
@@ -249,15 +254,10 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
         else:
             t = geometric_cool(t, schedule.alpha, schedule.t_min)
 
-    exact = _safe_posterior(net, best, evidence, log_p_evidence)
+    exact = map_posterior(net, best, evidence, log_p_evidence)
     if not _close(best_logp, exact, TRACK_TOL):
         raise TrackingError(f"final: tracked {best_logp} vs exact {exact}")
     return best, exact, sweep, reheats, best_found
-
-
-def _safe_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
-                    log_p_evidence: float) -> float:
-    return map_posterior(net, x, evidence, log_p_evidence)
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -302,7 +302,7 @@ def annealed_map(net: BayesianNetwork, problem: MapProblem,
         comp_best_sweep = 0
         for r in range(restarts):
             if r == 0:
-                init = sequential_init(comp.net, comp.problem, rng)
+                init = sequential_init(comp.net, comp.problem)
             else:
                 sample = forward_sample(comp.net, rng)
                 init = sample.restricted(comp.problem.map_vars)
@@ -331,20 +331,15 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
     state tuples in map-variable order. Every proposal is accepted: the
     acceptance probability at temperature 1 is identically 1."""
     problem.validate_for(net)
-    x = sequential_init(net, problem, rng)
+    x = sequential_init(net, problem)
     out: List[Tuple[int, ...]] = []
-    evidence = problem.evidence
     for _ in range(sweeps):
         for j in problem.map_vars:
-            context = Assignment({v: s for v, s in evidence.merged(x).items() if v != j})
-            u = rng.random()
-            dist = conditional(net, j, context)
-            cand = _sample_index(dist, rng)
-            lp_new = math.log(dist[cand]) if dist[cand] > 0.0 else -math.inf
-            lp_old = math.log(dist[x[j]]) if dist[x[j]] > 0.0 else -math.inf
-            a = acceptance_probability(1.0, lp_new, lp_old)
-            if u < a:
-                x.set(j, cand)
+            # The acceptance variate is not needed at temperature 1, where
+            # every proposal is accepted; drawing it anyway keeps the random
+            # stream, and so every seeded chain, as it has always been.
+            rng.random()
+            x.set(j, _sample_index(_site(net, j, x, problem.evidence), rng))
         out.append(x.as_tuple(problem.map_vars))
     return out
 
@@ -384,40 +379,39 @@ def brute_force_map(net: BayesianNetwork, problem: MapProblem,
 # -- hill-climbing baseline --------------------------------------------------
 
 def hill_climb_map(net: BayesianNetwork, problem: MapProblem,
-                   rng: Optional[random.Random] = None,
                    max_steps: int = 1000) -> SolveReport:
     """Greedy local search from the sequential initialization: move to the
-    best strictly-improving single-variable change until a local maximum."""
+    best strictly-improving single-variable change until a local maximum.
+
+    All moves of variable j are scored from its one site conditional c_j,
+    by the identity ln p(x'|E) - ln p(x|E) = ln c_j(s) - ln c_j(x_j); ties
+    keep the first move in map-variable, then state, order. The final
+    assignment is re-scored exactly with map_posterior."""
     problem.validate_for(net)
     pruned = prune(net, problem)
     merged = Assignment()
     total_logp = 0.0
     total_steps = 0
     for comp in pruned.components:
-        log_pe = eliminate(comp.net, (), comp.problem.evidence).log_total()
-        if log_pe == -math.inf:
-            raise InconsistentEvidenceError("evidence has probability zero")
-        x = sequential_init(comp.net, comp.problem, rng)
-        cur = map_posterior(comp.net, x, comp.problem.evidence, log_pe)
+        evidence = comp.problem.evidence
+        x = sequential_init(comp.net, comp.problem)
         for _ in range(max_steps):
             best_move: Optional[Tuple[int, int]] = None
-            best_val = cur
+            best_gain = 0.0
             for j in comp.problem.map_vars:
-                for s in range(comp.net.cardinality(j)):
-                    if s == x[j]:
-                        continue
-                    trial = x.copy()
-                    trial.set(j, s)
-                    val = map_posterior(comp.net, trial, comp.problem.evidence, log_pe)
-                    if val > best_val:
-                        best_val = val
+                # p(x|E) > 0 throughout, so c_j(x_j) > 0
+                dist = _site(comp.net, j, x, evidence)
+                cur = math.log(dist[x[j]])
+                for s, p in enumerate(dist):
+                    gain = math.log(p) - cur if p > 0.0 else -math.inf
+                    if gain > best_gain:  # s == x[j] has gain 0 and never wins
+                        best_gain = gain
                         best_move = (j, s)
             if best_move is None:
                 break
             x.set(*best_move)
-            cur = best_val
             total_steps += 1
         merged = merged.merged(comp.to_original(x))
-        total_logp += cur
+        total_logp += map_posterior(comp.net, x, evidence)
     return SolveReport(best=merged, logp=total_logp, sweeps=total_steps,
                        restarts_used=1)

@@ -1,10 +1,11 @@
 import csv
 import io
 import random
+import time
 
 import pytest
 
-from amap import parse_network, parse_problem
+from amap import parse_network, parse_problem, solver
 from amap.cli import generate_problem, main, _mix_seed
 from conftest import SPRINKLER_TEXT, SPRINKLER_PROBLEM_TEXT
 from netgen import random_network
@@ -160,6 +161,37 @@ class TestBenchCommand:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 2
         assert all(r["matches_oracle"] == "" for r in rows)
+
+    def test_oracle_wall_ms_times_the_oracle(self, net_file, tmp_path, capsys,
+                                             monkeypatch):
+        real = solver.brute_force_map
+
+        def slow_oracle(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "brute_force_map", slow_oracle)
+        text = self.run_bench(tmp_path, net_file, "r.csv", ("--algos", "oracle"))
+        capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 3
+        assert all(float(r["wall_ms"]) >= 50.0 for r in rows)
+
+    def test_unknown_algorithm_rejected_before_any_case(self, net_file, tmp_path,
+                                                        capsys, monkeypatch):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(solver, "annealed_map", no_case)
+        monkeypatch.setattr(solver, "brute_force_map", no_case)
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--net", net_file, "--cases", "1",
+                     "--map-count", "1", "--evid-count", "1",
+                     "--algos", "anneal,bogus", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bogus" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestSeedMixing:

@@ -61,6 +61,20 @@ class TestParseNetwork:
         else:
             pytest.fail("expected ParseError")
 
+    def test_table_error_at_its_own_cpt_line(self):
+        text = ("network n\nvar A { t, f }\nvar B { t, f }\n"
+                "cpt B | A {\n  0.5 0.6 ;\n  0.5 0.5\n}\n"
+                "cpt A { 0.8 0.2 }\n")
+        with pytest.raises(ParseError, match="row sums to 1.1") as info:
+            parse_network(text)
+        assert info.value.line == 4
+
+    def test_entry_outside_unit_interval(self):
+        text = "network n\nvar A { t, f }\ncpt A { 1.5 -0.5 }\n"
+        with pytest.raises(ParseError, match="outside") as info:
+            parse_network(text)
+        assert info.value.line == 3
+
     def test_comments_and_scientific_notation(self):
         text = "# header\nnetwork n  # trailing\nvar A { t, f }\ncpt A { 8e-1 2e-1 }\n"
         net = parse_network(text)

@@ -19,6 +19,7 @@ from amap import (
     hill_climb_map,
     map_posterior,
     parse_network,
+    prune,
     reheat_temperature,
     sequential_init,
     specific_heat,
@@ -273,6 +274,29 @@ class TestHillClimb:
         oracle = brute_force_map(sprinkler, sprinkler_problem)
         assert r.best.as_tuple(sprinkler_problem.map_vars) == \
             oracle.best.as_tuple(sprinkler_problem.map_vars)
+
+    def test_local_maximum_under_exact_scoring(self):
+        # moves are ranked from site conditionals; the answer must still be
+        # a local maximum of exact ln p(x|E) and report its exact score
+        rng = random.Random(808)
+        for _ in range(20):
+            net = random_network(rng, rng.randint(6, 10), max_parents=2)
+            problem = random_problem(rng, net)
+            r = hill_climb_map(net, problem)
+            here = map_posterior(net, r.best, problem.evidence)
+            for j in problem.map_vars:
+                for s in range(net.cardinality(j)):
+                    if s != r.best[j]:
+                        flip = r.best.copy()
+                        flip.set(j, s)
+                        assert map_posterior(net, flip, problem.evidence) <= here
+            exact = 0.0
+            for comp in prune(net, problem).components:
+                sub = Assignment({v: r.best[comp.orig_ids[v]]
+                                  for v in comp.problem.map_vars})
+                exact += map_posterior(comp.net, sub, comp.problem.evidence)
+            assert r.logp == exact
+            assert r.logp == pytest.approx(here, abs=1e-9)
 
 
 class TestLocalOptimumInstance:
