@@ -8,6 +8,7 @@ from .engine import (
     ImpossibleContextError,
     InconsistentEvidenceError,
     PrunedNetwork,
+    WidthCapError,
     conditional,
     eliminate,
     forward_sample,

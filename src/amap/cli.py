@@ -50,7 +50,20 @@ def generate_problem(net: BayesianNetwork, n_map: int, n_evid: int,
 
 def _oracle_cap() -> int:
     raw = os.environ.get(ORACLE_CAP_ENV)
-    return int(raw) if raw else solver.DEFAULT_ORACLE_CAP
+    if not raw:
+        return solver.DEFAULT_ORACLE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{ORACLE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _pool_size(workers: int, cases: int) -> int:
+    """Worker processes for a bench sweep: never more than cases or CPUs."""
+    return min(workers, cases, os.cpu_count() or 1)
 
 
 def _schedule_from_args(args: argparse.Namespace) -> AnnealSchedule:
@@ -148,6 +161,8 @@ class BenchConfig:
             raise ValueError("cases must be >= 1")
         if self.map_count < 1 or self.evid_count < 0:
             raise ValueError("map-count must be >= 1 and evid-count >= 0")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
@@ -198,8 +213,9 @@ def run_bench(config: BenchConfig) -> List[ReportRow]:
             seeds = [_mix_seed(config.seed, case, ai) for ai in range(len(config.algos))]
             jobs.append((net_text, ptext, config.algos, config.schedule,
                          config.restarts, seeds))
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        workers = _pool_size(config.workers, config.cases)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_bench_case_star, jobs))
         else:
             results = [_bench_case(*job) for job in jobs]

@@ -1,6 +1,10 @@
 """Exact inference: variable elimination with evidence-based pruning,
 plus prior forward sampling.
 
+Each elimination is compiled once per network, kept variables and set of
+bound variables into a plan; later calls with new bound values only
+evaluate it.
+
 Factor products and sums run in linear domain; a separate log scale is
 carried and folded in only at the boundary, so deep products on large
 components cannot overflow or underflow.
@@ -8,10 +12,11 @@ components cannot overflow or underflow.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -19,6 +24,9 @@ from .model import Assignment, BayesianNetwork, Cpt, MapProblem, Variable
 
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
+MAX_TABLE_ENTRIES = 2 ** 27  # 1 GiB of float64
+_CPT_ARRAYS = "cpt arrays"   # key of a network's CPT arrays among its plans
+_ALL = slice(None)
 
 
 class ImpossibleContextError(ValueError):
@@ -27,6 +35,10 @@ class ImpossibleContextError(ValueError):
 
 class InconsistentEvidenceError(ValueError):
     """p(E) = 0: no assignment is compatible with the evidence."""
+
+
+class WidthCapError(ValueError):
+    """An elimination would build a table of more than MAX_TABLE_ENTRIES."""
 
 
 @dataclass
@@ -49,60 +61,30 @@ class Factor:
         return -math.inf if t == 0.0 else math.log(t) + self.log_scale
 
 
-def _cpt_factor(net: BayesianNetwork, var_id: int, evidence: Assignment) -> Factor:
-    """CPT of `var_id` as a factor, with evidence axes selected out."""
-    cpt = net.cpts[var_id]
-    scope = list(cpt.parents) + [var_id]
-    shape = tuple(net.cardinality(v) for v in scope)
-    values = np.asarray(cpt.table, dtype=float).reshape(shape)
-    kept: List[int] = []
-    index: List[object] = []
-    for v in scope:
-        if v in evidence:
-            index.append(evidence[v])
-        else:
-            index.append(slice(None))
-            kept.append(v)
-    return Factor(tuple(kept), values[tuple(index)])
+@dataclass(frozen=True)
+class _Step:
+    """Multiply the factors in `slots` into a table of `shape`, each input
+    transposed by `perms[i]` and reshaped by `shapes[i]` (None where that
+    is a no-op), then sum out `axis` (None for the final product)."""
+
+    slots: Tuple[int, ...]
+    perms: Tuple[Optional[Tuple[int, ...]], ...]
+    shapes: Tuple[Optional[Tuple[int, ...]], ...]
+    shape: Tuple[int, ...]
+    axis: Optional[int]
 
 
-def _align(factor: Factor, scope: Tuple[int, ...], cards: Dict[int, int]) -> np.ndarray:
-    """View of factor.values broadcastable to the axis order of `scope`."""
-    present = [v for v in scope if v in factor.scope]
-    perm = [factor.scope.index(v) for v in present]
-    arr = np.transpose(factor.values, perm)
-    shape = tuple(cards[v] if v in factor.scope else 1 for v in scope)
-    return arr.reshape(shape)
+@dataclass(frozen=True)
+class _Plan:
+    """A compiled elimination. Slot i < len(net) holds CPT i with its bound
+    axes selected; step k writes slot len(net) + k; the last step is the
+    final product, whose axes `perm` puts into keep order."""
 
-
-def _product(factors: Sequence[Factor], cards: Dict[int, int]) -> Factor:
-    scope: List[int] = []
-    for f in factors:
-        for v in f.scope:
-            if v not in scope:
-                scope.append(v)
-    scope_t = tuple(scope)
-    out = np.ones(tuple(cards[v] for v in scope_t), dtype=float)
-    log_scale = 0.0
-    for f in factors:
-        out = out * _align(f, scope_t, cards)
-        log_scale += f.log_scale
-    result = Factor(scope_t, out, log_scale)
-    _rescale(result)
-    return result
-
-
-def _rescale(f: Factor) -> None:
-    m = float(f.values.max()) if f.values.size else 0.0
-    if m > _RESCALE_HI or (0.0 < m < _RESCALE_LO):
-        f.values = f.values / m
-        f.log_scale += math.log(m)
-
-
-def _sum_out(f: Factor, var: int) -> Factor:
-    axis = f.scope.index(var)
-    return Factor(tuple(v for v in f.scope if v != var),
-                  f.values.sum(axis=axis), f.log_scale)
+    arrays: Tuple[np.ndarray, ...]  # the network's CPTs, shared by its plans
+    select: Tuple[Optional[Tuple[int, ...]], ...]  # per CPT axis: bound id or -1
+    order: Tuple[int, ...]
+    steps: Tuple[_Step, ...]
+    perm: Tuple[int, ...]
 
 
 def _min_fill_order(scopes: Iterable[Tuple[int, ...]], elim: Set[int],
@@ -110,41 +92,123 @@ def _min_fill_order(scopes: Iterable[Tuple[int, ...]], elim: Set[int],
     """Elimination order over `elim` by the min-fill heuristic.
 
     tie_break "low" picks the lowest variable id among equals; "high" the
-    highest (used only to check order-independence of results).
+    highest (used only to check order-independence of results). Each fill
+    score is computed once. Eliminating v changes only the scores of its
+    neighbours and of the vertices next to a new fill edge, so only those
+    are recomputed.
     """
-    adjacency: Dict[int, Set[int]] = {}
+    adjacency: Dict[int, Set[int]] = {v: set() for v in elim}
     for scope in scopes:
         for v in scope:
-            adjacency.setdefault(v, set())
-        for a in scope:
-            for b in scope:
-                if a != b:
-                    adjacency[a].add(b)
+            adjacency.setdefault(v, set()).update(scope)
+    for v, nbrs in adjacency.items():
+        nbrs.discard(v)
+
+    def fill(v: int) -> int:
+        # each missing edge among the neighbours is counted from both ends,
+        # and each neighbour also counts itself
+        nbrs = adjacency[v]
+        missing = sum(map(len, map(nbrs.difference, map(adjacency.__getitem__, nbrs))))
+        return (missing - len(nbrs)) // 2
+
+    sign = -1 if tie_break == "high" else 1
+    score = {v: fill(v) for v in elim}
+    heap = [(f, sign * v, v) for v, f in score.items()]
+    heapq.heapify(heap)
     remaining = set(elim)
     order: List[int] = []
-    while remaining:
-        best_v, best_fill = -1, None
-        candidates = sorted(remaining, reverse=(tie_break == "high"))
-        for v in candidates:
-            nbrs = [u for u in adjacency.get(v, ()) if u in adjacency]
-            fill = 0
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    if nbrs[j] not in adjacency[nbrs[i]]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        order.append(best_v)
-        nbrs = [u for u in adjacency.get(best_v, ()) if u in adjacency]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adjacency[nbrs[i]].add(nbrs[j])
-                adjacency[nbrs[j]].add(nbrs[i])
+    while heap:
+        f, _, v = heapq.heappop(heap)
+        if v not in remaining or score[v] != f:
+            continue  # stale entry
+        order.append(v)
+        remaining.discard(v)
+        nbrs = adjacency.pop(v)
+        touched = set(nbrs)
         for u in nbrs:
-            adjacency[u].discard(best_v)
-        adjacency.pop(best_v, None)
-        remaining.discard(best_v)
+            adj_u = adjacency[u]
+            adj_u.discard(v)
+            degree = len(adj_u)
+            adj_u.update(nbrs)
+            adj_u.discard(u)
+            if len(adj_u) > degree:  # u gained fill edges
+                touched |= adj_u
+        for u in touched & remaining:
+            f = fill(u)
+            if f != score[u]:
+                score[u] = f
+                heapq.heappush(heap, (f, sign * u, u))
     return order
+
+
+def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
+          tie_break: str) -> _Plan:
+    """The network's compiled plan for eliminating all but `keep` with the
+    variables in `bound` fixed, compiled on first use. Raises WidthCapError,
+    before any array is built, if a table would exceed MAX_TABLE_ENTRIES."""
+    key = (keep, bound, tie_break)
+    plan = net._plans.get(key)
+    if plan is not None:
+        return plan
+    cards = [v.cardinality for v in net.variables]
+    scopes: List[Tuple[int, ...]] = []
+    select: List[Optional[Tuple[int, ...]]] = []
+    for cpt in net.cpts:
+        full = cpt.parents + (cpt.child,)
+        scopes.append(tuple(v for v in full if v not in bound))
+        select.append(tuple(v if v in bound else -1 for v in full)
+                      if len(scopes[-1]) < len(full) else None)
+    elim = set(range(len(cards))) - set(keep) - bound
+    order = _min_fill_order(scopes, elim, tie_break)
+
+    live = list(range(len(scopes)))  # current factors' slots, in product order
+    steps: List[_Step] = []
+    max_entries = 1
+    scope: List[int] = []
+    for v in order + [None]:
+        if v is None:
+            related, live = live, []
+        else:
+            related = [s for s in live if v in scopes[s]]
+            live = [s for s in live if v not in scopes[s]]
+            if not related:
+                continue
+        scope = []
+        for s in related:
+            scope.extend(u for u in scopes[s] if u not in scope)
+        perms: List[Optional[Tuple[int, ...]]] = []
+        shapes: List[Optional[Tuple[int, ...]]] = []
+        for s in related:
+            present = [u for u in scope if u in scopes[s]]
+            perm = tuple(scopes[s].index(u) for u in present)
+            perms.append(None if perm == tuple(range(len(perm))) else perm)
+            shape = tuple(cards[u] if u in scopes[s] else 1 for u in scope)
+            # broadcasting already supplies leading unit axes
+            lead = next((i for i, u in enumerate(scope) if u in scopes[s]), len(scope))
+            shapes.append(None if shape[lead:] == tuple(cards[u] for u in present)
+                          else shape)
+        shape = tuple(cards[u] for u in scope)
+        max_entries = max(max_entries, math.prod(shape))
+        axis = None if v is None else scope.index(v)
+        steps.append(_Step(tuple(related), tuple(perms), tuple(shapes), shape, axis))
+        if v is not None:
+            live.append(len(scopes))
+            scopes.append(tuple(u for u in scope if u != v))
+    if max_entries > MAX_TABLE_ENTRIES:
+        raise WidthCapError(
+            f"elimination needs a table of {max_entries} entries "
+            f"(2^{math.log2(max_entries):.1f}), cap is {MAX_TABLE_ENTRIES}")
+
+    arrays = net._plans.get(_CPT_ARRAYS)
+    if arrays is None:
+        arrays = net._plans[_CPT_ARRAYS] = tuple(
+            np.asarray(cpt.table, dtype=float).reshape(
+                tuple(cards[v] for v in cpt.parents + (cpt.child,)))
+            for cpt in net.cpts)
+    plan = _Plan(arrays, tuple(select), tuple(order), tuple(steps),
+                 tuple(scope.index(v) for v in keep))
+    net._plans[key] = plan
+    return plan
 
 
 def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
@@ -152,26 +216,36 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
     """Unnormalized f(keep) = sum over the rest of the CPT product, with
     evidence rows selected. Scope order of the result follows `keep`."""
     keep_t = tuple(keep)
-    overlap = set(keep_t) & set(evidence.keys())
-    if overlap:
-        raise ValueError(f"keep and evidence overlap on {sorted(overlap)}")
-    cards = {v.id: v.cardinality for v in net.variables}
-    factors = [_cpt_factor(net, v.id, evidence) for v in net.variables]
-    elim = set(cards) - set(keep_t) - set(evidence.keys())
-    order = _min_fill_order((f.scope for f in factors), elim, tie_break)
-    for v in order:
-        related = [f for f in factors if v in f.scope]
-        factors = [f for f in factors if v not in f.scope]
-        if not related:
-            continue
-        factors.append(_sum_out(_product(related, cards), v))
-    result = _product(factors, cards) if factors else Factor((), np.float64(1.0))
-    # reorder axes to the requested keep order
-    perm = [result.scope.index(v) for v in keep_t]
-    values = np.transpose(result.values, perm) if keep_t else result.values
-    if not keep_t:
-        values = np.asarray(values, dtype=float).reshape(())
-    return Factor(keep_t, np.ascontiguousarray(values), result.log_scale)
+    bound = frozenset(evidence.keys())
+    if not bound.isdisjoint(keep_t):
+        raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep_t))}")
+    plan = _plan(net, keep_t, bound, tie_break)
+    values: List[Optional[np.ndarray]] = [
+        a if sel is None else a[tuple(_ALL if v < 0 else evidence[v] for v in sel)]
+        for a, sel in zip(plan.arrays, plan.select)]
+    scales = [0.0] * len(values)
+    for step in plan.steps:
+        out = np.ones(step.shape)
+        log_scale = 0.0
+        for s, perm, shape in zip(step.slots, step.perms, step.shapes):
+            a = values[s]
+            values[s] = None  # every slot is read once
+            if perm is not None:
+                a = a.transpose(perm)
+            if shape is not None:
+                a = a.reshape(shape)
+            out = out * a
+            log_scale += scales[s]
+        m = float(out.max())
+        if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
+            out = out / m
+            log_scale += math.log(m)
+        if step.axis is not None:
+            out = out.sum(axis=step.axis)
+        values.append(out)
+        scales.append(log_scale)
+    return Factor(keep_t, np.ascontiguousarray(out.transpose(plan.perm) if keep_t else out),
+                  log_scale)
 
 
 def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.ndarray:

@@ -178,6 +178,8 @@ class BayesianNetwork:
         for cpt in self.cpts:
             check_table(cpt, self.variables)
         self._order = topological_order(self)
+        # engine's compiled elimination plans and the CPT arrays they share
+        self._plans: Dict[object, object] = {}
 
     # -- lookups -----------------------------------------------------------
 

@@ -37,10 +37,12 @@ DEFAULT_ORACLE_CAP = 2 ** 20
 
 
 class OracleCapError(ValueError):
-    """The exhaustive oracle refuses: MAP state space exceeds the cap."""
+    """The exhaustive oracle refuses: a pruned component's MAP state space
+    exceeds the cap."""
 
     def __init__(self, size: int, cap: int) -> None:
-        super().__init__(f"MAP state space has {size} configurations, cap is {cap}")
+        super().__init__(f"a component's MAP state space has {size} configurations, "
+                         f"cap is {cap}")
         self.size = size
         self.cap = cap
 
@@ -348,16 +350,15 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
 
 def brute_force_map(net: BayesianNetwork, problem: MapProblem,
                     cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
-    """Exhaustive MAP: enumerates every configuration of the MAP set on the
-    pruned components. Ties resolve to the lexicographically lowest
-    assignment in map-variable order."""
-    problem.validate_for(net)
-    size = 1
-    for v in problem.map_vars:
-        size *= net.cardinality(v)
-    if size > cap:
-        raise OracleCapError(size, cap)
+    """Exhaustive MAP: enumerates every configuration of the MAP set on
+    each pruned component. Ties resolve to the lexicographically lowest
+    assignment in map-variable order. Raises OracleCapError, before any
+    elimination, if a component's MAP state space exceeds `cap`."""
     pruned = prune(net, problem)
+    for comp in pruned.components:
+        size = math.prod(comp.net.cardinality(v) for v in comp.problem.map_vars)
+        if size > cap:
+            raise OracleCapError(size, cap)
     merged = Assignment()
     total_logp = 0.0
     for comp in pruned.components:

@@ -6,10 +6,10 @@ import time
 import pytest
 
 from amap import parse_network, parse_problem, solver
-from amap.cli import generate_problem, main, _mix_seed
+from amap.cli import generate_problem, main, _mix_seed, _pool_size
 from conftest import SPRINKLER_TEXT, SPRINKLER_PROBLEM_TEXT
 from netgen import random_network
-from amap.fileio import serialize_network
+from amap.fileio import serialize_network, serialize_problem
 
 
 @pytest.fixture
@@ -90,6 +90,21 @@ class TestSolveCommand:
         lines = trace.read_text().splitlines()
         assert lines[0].startswith("component,restart,sweep,temperature")
         assert len(lines) > 1
+
+    def test_table_size_cap(self, tmp_path, capsys):
+        # largest pruned component needs a 2^38.7-entry table for ln p(E);
+        # the plan is refused when compiled, before anything is allocated
+        net = random_network(random.Random(7), 300, max_parents=4)
+        problem = generate_problem(net, 20, 20, random.Random(0))
+        net_path, prob_path = tmp_path / "wide.bnet", tmp_path / "wide.prob"
+        net_path.write_text(serialize_network(net))
+        prob_path.write_text(serialize_problem(problem, net))
+        code = main(["solve", "--net", str(net_path), "--problem", str(prob_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "entries" in lines[0]
 
 
 class TestGenCommand:
@@ -192,6 +207,37 @@ class TestBenchCommand:
         assert code == 1
         assert "bogus" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_workers_below_one_rejected(self, net_file, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--net", net_file, "--cases", "1",
+                     "--map-count", "1", "--evid-count", "1",
+                     "--workers", "0", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "workers" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_pool_size_capped(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert _pool_size(1, 10) == 1
+        assert _pool_size(3, 10) == 3
+        assert _pool_size(64, 10) == 4
+        assert _pool_size(64, 2) == 2
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _pool_size(8, 10) == 1
+
+    @pytest.mark.parametrize("raw", ["lots", "2.5", "0", "-3"])
+    def test_bad_oracle_cap_env(self, raw, net_file, tmp_path, capsys,
+                                monkeypatch):
+        monkeypatch.setenv("AMAP_ORACLE_CAP", raw)
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--net", net_file, "--cases", "1",
+                     "--map-count", "1", "--evid-count", "1", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "AMAP_ORACLE_CAP" in err and repr(raw) in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSeedMixing:

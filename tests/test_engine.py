@@ -12,6 +12,7 @@ from amap import (
     InconsistentEvidenceError,
     MapProblem,
     Variable,
+    WidthCapError,
     conditional,
     eliminate,
     forward_sample,
@@ -19,6 +20,8 @@ from amap import (
     parse_network,
     prune,
 )
+from amap.cli import generate_problem
+from amap.engine import MAX_TABLE_ENTRIES, _min_fill_order
 from netgen import (
     enum_conditional,
     enum_factor,
@@ -93,6 +96,113 @@ class TestEliminate:
             f_low = eliminate(net, keep, Assignment(), tie_break="low")
             f_high = eliminate(net, keep, Assignment(), tie_break="high")
             np.testing.assert_allclose(f_low.values, f_high.values, rtol=1e-12)
+
+
+def _quadratic_min_fill_order(scopes, elim, tie_break):
+    """Reference min-fill that rescans every remaining vertex at every step
+    (the engine's implementation before fill scores were kept)."""
+    adjacency = {}
+    for scope in scopes:
+        for v in scope:
+            adjacency.setdefault(v, set())
+        for a in scope:
+            for b in scope:
+                if a != b:
+                    adjacency[a].add(b)
+    remaining = set(elim)
+    order = []
+    while remaining:
+        best_v, best_fill = -1, None
+        candidates = sorted(remaining, reverse=(tie_break == "high"))
+        for v in candidates:
+            nbrs = [u for u in adjacency.get(v, ()) if u in adjacency]
+            fill = 0
+            for i in range(len(nbrs)):
+                for j in range(i + 1, len(nbrs)):
+                    if nbrs[j] not in adjacency[nbrs[i]]:
+                        fill += 1
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        order.append(best_v)
+        nbrs = [u for u in adjacency.get(best_v, ()) if u in adjacency]
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adjacency[nbrs[i]].add(nbrs[j])
+                adjacency[nbrs[j]].add(nbrs[i])
+        for u in nbrs:
+            adjacency[u].discard(best_v)
+        adjacency.pop(best_v, None)
+        remaining.discard(best_v)
+    return order
+
+
+def _wide_instance():
+    """Largest pruned component of a 300-variable net under the paper's
+    protocol: its ln p(E) elimination needs a table of 2^38.7 entries."""
+    net = random_network(random.Random(7), 300, max_parents=4)
+    problem = generate_problem(net, 20, 20, random.Random(0))
+    return net, problem
+
+
+class TestPlans:
+    def test_one_bound_set_many_evidence_values(self):
+        rng = random.Random(41)
+        checked = 0
+        while checked < 15:
+            net = random_network(rng, rng.randint(3, 8))
+            if joint_size(net) > 4096:
+                continue
+            checked += 1
+            keep = (rng.randrange(len(net)),)
+            bound = rng.sample([v for v in range(len(net)) if v not in keep],
+                               rng.randint(1, min(3, len(net) - 1)))
+            for _ in range(6):
+                evidence = Assignment({v: rng.randrange(net.cardinality(v))
+                                       for v in bound})
+                f = eliminate(net, keep, evidence)
+                again = eliminate(net, keep, evidence)
+                assert again.values.tobytes() == f.values.tobytes()
+                assert again.log_scale == f.log_scale
+                for combo, val in enum_factor(net, keep, evidence).items():
+                    got = float(f.values[combo]) * math.exp(f.log_scale)
+                    assert got == pytest.approx(val, rel=1e-9, abs=1e-300)
+
+    def test_same_structure_different_cpts_share_no_plan(self, sprinkler):
+        flipped = BayesianNetwork(
+            "flipped", sprinkler.variables,
+            [Cpt(c.child, c.parents, tuple(tuple(reversed(r)) for r in c.table))
+             for c in sprinkler.cpts])
+        ev = Assignment({2: 0})
+        a = eliminate(sprinkler, (0,), ev)
+        b = eliminate(flipped, (0,), ev)
+        assert sprinkler._plans and flipped._plans
+        assert not ({id(p) for p in sprinkler._plans.values()}
+                    & {id(p) for p in flipped._plans.values()})
+        assert a.values == pytest.approx(SPRINKLER_F_R, rel=1e-12)
+        assert not np.allclose(a.values, b.values)
+
+    def test_min_fill_matches_quadratic_reference(self):
+        rng = random.Random(8)
+        for _ in range(400):
+            n = rng.randint(1, 20)
+            scopes = [tuple(rng.sample(range(n), rng.randint(0, min(4, n))))
+                      for _ in range(rng.randint(0, 20))]
+            elim = set(rng.sample(range(n), rng.randint(0, n)))
+            for tie_break in ("low", "high"):
+                assert _min_fill_order(scopes, set(elim), tie_break) == \
+                    _quadratic_min_fill_order(scopes, set(elim), tie_break)
+
+    def test_width_cap_raised_before_allocating(self):
+        net, problem = _wide_instance()
+        comp = max(prune(net, problem).components, key=lambda c: len(c.net))
+        j, *rest = comp.problem.map_vars
+        x = Assignment({v: 0 for v in comp.problem.map_vars})
+        context = comp.problem.evidence.merged(Assignment({v: 0 for v in rest}))
+        with pytest.raises(WidthCapError, match=f"cap is {MAX_TABLE_ENTRIES}"):
+            conditional(comp.net, j, context)
+        with pytest.raises(WidthCapError):
+            map_posterior(comp.net, x, comp.problem.evidence)
+        assert not comp.net._plans
 
 
 class TestConditional:

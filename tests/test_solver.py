@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from amap import (
     AnnealSchedule,
     Assignment,
+    BayesianNetwork,
+    Cpt,
     InconsistentEvidenceError,
     MapProblem,
     OracleCapError,
@@ -23,6 +25,7 @@ from amap import (
     reheat_temperature,
     sequential_init,
     specific_heat,
+    Variable,
 )
 from netgen import enum_best, joint_size, random_network, random_problem
 
@@ -152,6 +155,28 @@ class TestBruteForce:
     def test_cap(self, sprinkler, sprinkler_problem):
         with pytest.raises(OracleCapError, match="cap is 2"):
             brute_force_map(sprinkler, sprinkler_problem, cap=2)
+
+    def test_cap_applies_per_component(self):
+        # two disconnected components, each with 3 binary MAP roots and one
+        # observed child: 2^3 = 8 configurations each, 64 in all
+        rng = random.Random(3)
+        variables, cpts = [], []
+        for base in (0, 4):
+            for i in range(base, base + 3):
+                variables.append(Variable(i, f"m{i}", ("t", "f")))
+                p = rng.uniform(0.2, 0.8)
+                cpts.append(Cpt(i, (), ((p, 1.0 - p),)))
+            variables.append(Variable(base + 3, f"e{base}", ("t", "f")))
+            rows = [(p, 1.0 - p) for p in (rng.uniform(0.05, 0.95) for _ in range(8))]
+            cpts.append(Cpt(base + 3, (base, base + 1, base + 2), tuple(rows)))
+        net = BayesianNetwork("two", variables, cpts)
+        problem = MapProblem((0, 1, 2, 4, 5, 6), Assignment({3: 0, 7: 1}))
+        report = brute_force_map(net, problem, cap=8)
+        want_states, want_lp = enum_best(net, problem)
+        assert report.best.as_tuple(problem.map_vars) == want_states
+        assert report.logp == pytest.approx(want_lp, abs=1e-9)
+        with pytest.raises(OracleCapError, match="has 8 configurations, cap is 7"):
+            brute_force_map(net, problem, cap=7)
 
     def test_agrees_with_full_enumeration(self):
         rng = random.Random(101)
