@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import fileio, solver
-from .engine import forward_sample
+from .engine import WidthCapError, forward_sample
 from .fileio import ParseError, ReportRow
 from .model import Assignment, BayesianNetwork, MapProblem
 from .solver import AnnealSchedule, OracleCapError, SolveReport
@@ -166,9 +166,12 @@ class BenchConfig:
 
 
 def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
-                schedule: AnnealSchedule, restarts: int,
-                seeds: Sequence[int]) -> List[Tuple[str, float, int, int, int, int, float, Optional[bool]]]:
-    """Run one case; returns per-algorithm summaries plus oracle matching.
+                schedule: AnnealSchedule, restarts: int, seeds: Sequence[int]
+                ) -> Tuple[List[Tuple[str, float, int, int, int, int, float, Optional[bool]]],
+                           List[Tuple[str, str]]]:
+    """Run one case; returns per-algorithm summaries plus oracle matching,
+    and the (algorithm, reason) of each algorithm skipped because an
+    elimination would exceed the table-size cap.
 
     Re-parses inputs so the job is picklable for worker processes.
     """
@@ -178,10 +181,11 @@ def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
     start = time.perf_counter()
     try:
         oracle = solver.brute_force_map(net, problem, cap=_oracle_cap())
-    except OracleCapError:
+    except (OracleCapError, WidthCapError):
         oracle = None
     oracle_ms = (time.perf_counter() - start) * 1000.0
     results = []
+    skipped = []
     for algo, seed in zip(algos, seeds):
         if algo == "oracle":
             if oracle is None:
@@ -189,7 +193,11 @@ def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
             report, wall_ms = oracle, oracle_ms
         else:
             start = time.perf_counter()
-            report = _run_algo(algo, net, problem, schedule, seed, restarts)
+            try:
+                report = _run_algo(algo, net, problem, schedule, seed, restarts)
+            except WidthCapError as exc:
+                skipped.append((algo, str(exc)))
+                continue
             wall_ms = (time.perf_counter() - start) * 1000.0
         matches: Optional[bool] = None
         if oracle is not None:
@@ -197,7 +205,7 @@ def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
                 oracle.best.as_tuple(problem.map_vars)
         results.append((algo, report.logp, report.sweeps, report.restarts_used,
                         report.best_found_sweep, report.reheats, wall_ms, matches))
-    return results
+    return results, skipped
 
 
 def run_bench(config: BenchConfig) -> List[ReportRow]:
@@ -223,7 +231,10 @@ def run_bench(config: BenchConfig) -> List[ReportRow]:
         optimal = 0
         oracle_cases = 0
         mismatch_ratios: List[float] = []
-        for case, case_results in enumerate(results):
+        for case, (case_results, skipped) in enumerate(results):
+            for algo, reason in skipped:
+                print(f"skipped: network={net.name} case={case} algorithm={algo}: {reason}",
+                      file=sys.stderr)
             oracle_logp = next((lp for a, lp, *_ in case_results if a == "oracle"), None)
             for (algo, logp, sweeps, restarts_used, found, reheats,
                  wall_ms, matches) in case_results:

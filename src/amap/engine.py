@@ -3,7 +3,8 @@ plus prior forward sampling.
 
 Each elimination is compiled once per network, kept variables and set of
 bound variables into a plan; later calls with new bound values only
-evaluate it.
+evaluate it, and once a plan has been evaluated twice they re-run only the
+steps that read a bound variable whose value changed.
 
 Factor products and sums run in linear domain; a separate log scale is
 carried and folded in only at the boundary, so deep products on large
@@ -25,7 +26,7 @@ from .model import Assignment, BayesianNetwork, Cpt, MapProblem, Variable
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
 MAX_TABLE_ENTRIES = 2 ** 27  # 1 GiB of float64
-_CPT_ARRAYS = "cpt arrays"   # key of a network's CPT arrays among its plans
+_CPTS = "cpts"  # key of a network's _Cpts among its plans
 _ALL = slice(None)
 
 
@@ -45,8 +46,9 @@ class WidthCapError(ValueError):
 class Factor:
     """Nonnegative table over `scope`; true values are `values * exp(log_scale)`.
 
-    `values` is shaped by the scope variables' cardinalities in scope order,
-    so the flat (C-order) layout has the last scope variable varying fastest.
+    `values` is shaped by the scope variables' cardinalities in scope order
+    (shape () for the empty scope), so the flat (C-order) layout has the
+    last scope variable varying fastest.
     """
 
     scope: Tuple[int, ...]
@@ -65,26 +67,62 @@ class Factor:
 class _Step:
     """Multiply the factors in `slots` into a table of `shape`, each input
     transposed by `perms[i]` and reshaped by `shapes[i]` (None where that
-    is a no-op), then sum out `axis` (None for the final product)."""
+    is a no-op), then sum out `axis` (None for the final product). Bit i
+    of `mask` is set when the output depends on the value of the plan's
+    i-th bound variable."""
 
     slots: Tuple[int, ...]
     perms: Tuple[Optional[Tuple[int, ...]], ...]
     shapes: Tuple[Optional[Tuple[int, ...]], ...]
     shape: Tuple[int, ...]
     axis: Optional[int]
+    mask: int
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
+class _Cpts:
+    """A network's CPT arrays, shared by its plans, and the number of table
+    entries those plans retain between evaluations (at most
+    MAX_TABLE_ENTRIES)."""
+
+    arrays: Tuple[np.ndarray, ...]
+    retained: int = 0
+
+
+@dataclass(eq=False)
 class _Plan:
     """A compiled elimination. Slot i < len(net) holds CPT i with its bound
     axes selected; step k writes slot len(net) + k; the last step is the
-    final product, whose axes `perm` puts into keep order."""
+    final product, whose axes `perm` puts into keep order.
 
-    arrays: Tuple[np.ndarray, ...]  # the network's CPTs, shared by its plans
+    `runs` counts completed evaluations. From its third evaluation on, a
+    plan whose step outputs (`entries` in all) fit in the network's budget
+    keeps them, read-only, in `outputs` and `scales`; `last` holds the bound
+    values (in `bound` order) they are valid for, and is None while an
+    evaluation runs. Plans evaluated once or twice, such as those of
+    sequential initialization and of a hill climb of at most one step, keep
+    nothing."""
+
+    cpts: _Cpts
     select: Tuple[Optional[Tuple[int, ...]], ...]  # per CPT axis: bound id or -1
-    order: Tuple[int, ...]
+    bound: Tuple[int, ...]  # the bound variables, sorted
     steps: Tuple[_Step, ...]
     perm: Tuple[int, ...]
+    entries: int
+    runs: int = 0
+    last: Optional[Tuple[int, ...]] = None
+    outputs: Optional[List[np.ndarray]] = None
+    scales: Optional[List[float]] = None
+
+    def retain(self) -> bool:
+        """Start keeping the step outputs, if they fit in the network's
+        budget."""
+        if self.cpts.retained + self.entries > MAX_TABLE_ENTRIES:
+            return False
+        self.cpts.retained += self.entries
+        self.outputs = [None] * len(self.steps)
+        self.scales = [0.0] * len(self.steps)
+        return True
 
 
 def _min_fill_order(scopes: Iterable[Tuple[int, ...]], elim: Set[int],
@@ -151,19 +189,25 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
     if plan is not None:
         return plan
     cards = [v.cardinality for v in net.variables]
+    bits = {v: 1 << i for i, v in enumerate(sorted(bound))}
+    bits[-1] = 0  # an unbound axis in `select`
     scopes: List[Tuple[int, ...]] = []
+    masks: List[int] = []  # per slot, as _Step.mask
     select: List[Optional[Tuple[int, ...]]] = []
     for cpt in net.cpts:
         full = cpt.parents + (cpt.child,)
         scopes.append(tuple(v for v in full if v not in bound))
-        select.append(tuple(v if v in bound else -1 for v in full)
-                      if len(scopes[-1]) < len(full) else None)
+        sel = (tuple(v if v in bound else -1 for v in full)
+               if len(scopes[-1]) < len(full) else None)
+        select.append(sel)
+        masks.append(0 if sel is None else sum(map(bits.__getitem__, sel)))
     elim = set(range(len(cards))) - set(keep) - bound
     order = _min_fill_order(scopes, elim, tie_break)
 
     live = list(range(len(scopes)))  # current factors' slots, in product order
     steps: List[_Step] = []
     max_entries = 1
+    entries = 0
     scope: List[int] = []
     for v in order + [None]:
         if v is None:
@@ -174,8 +218,10 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             if not related:
                 continue
         scope = []
+        mask = 0
         for s in related:
             scope.extend(u for u in scopes[s] if u not in scope)
+            mask |= masks[s]
         perms: List[Optional[Tuple[int, ...]]] = []
         shapes: List[Optional[Tuple[int, ...]]] = []
         for s in related:
@@ -188,9 +234,12 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             shapes.append(None if shape[lead:] == tuple(cards[u] for u in present)
                           else shape)
         shape = tuple(cards[u] for u in scope)
-        max_entries = max(max_entries, math.prod(shape))
+        size = math.prod(shape)
+        max_entries = max(max_entries, size)
+        entries += size // (1 if v is None else cards[v])
         axis = None if v is None else scope.index(v)
-        steps.append(_Step(tuple(related), tuple(perms), tuple(shapes), shape, axis))
+        masks.append(mask)
+        steps.append(_Step(tuple(related), tuple(perms), tuple(shapes), shape, axis, mask))
         if v is not None:
             live.append(len(scopes))
             scopes.append(tuple(u for u in scope if u != v))
@@ -199,14 +248,14 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             f"elimination needs a table of {max_entries} entries "
             f"(2^{math.log2(max_entries):.1f}), cap is {MAX_TABLE_ENTRIES}")
 
-    arrays = net._plans.get(_CPT_ARRAYS)
-    if arrays is None:
-        arrays = net._plans[_CPT_ARRAYS] = tuple(
+    cpts = net._plans.get(_CPTS)
+    if cpts is None:
+        cpts = net._plans[_CPTS] = _Cpts(tuple(
             np.asarray(cpt.table, dtype=float).reshape(
                 tuple(cards[v] for v in cpt.parents + (cpt.child,)))
-            for cpt in net.cpts)
-    plan = _Plan(arrays, tuple(select), tuple(order), tuple(steps),
-                 tuple(scope.index(v) for v in keep))
+            for cpt in net.cpts))
+    plan = _Plan(cpts, tuple(select), tuple(sorted(bound)), tuple(steps),
+                 tuple(scope.index(v) for v in keep), entries)
     net._plans[key] = plan
     return plan
 
@@ -214,38 +263,68 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
 def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
               tie_break: str = "low") -> Factor:
     """Unnormalized f(keep) = sum over the rest of the CPT product, with
-    evidence rows selected. Scope order of the result follows `keep`."""
+    evidence rows selected. Scope order of the result follows `keep`.
+
+    A plan that retains its step outputs re-runs only the steps whose mask
+    holds a bound variable with another value than at its last evaluation;
+    the others keep the outputs and log scales that re-running them would
+    give, bit for bit."""
     keep_t = tuple(keep)
     bound = frozenset(evidence.keys())
     if not bound.isdisjoint(keep_t):
         raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep_t))}")
     plan = _plan(net, keep_t, bound, tie_break)
-    values: List[Optional[np.ndarray]] = [
-        a if sel is None else a[tuple(_ALL if v < 0 else evidence[v] for v in sel)]
-        for a, sel in zip(plan.arrays, plan.select)]
-    scales = [0.0] * len(values)
-    for step in plan.steps:
+    last, plan.last = plan.last, None  # nothing kept is valid until this evaluation ends
+    retain = plan.outputs is not None or (plan.runs >= 2 and plan.retain())
+    todo: Sequence[int] = range(len(plan.steps))  # the steps to run
+    if retain:
+        state = evidence.as_tuple(plan.bound)
+        if last is not None:
+            todo = ()
+            if state != last:
+                changed = sum(1 << i for i, (a, b) in enumerate(zip(state, last)) if a != b)
+                todo = [k for k, step in enumerate(plan.steps) if step.mask & changed]
+    outputs = plan.outputs if retain else [None] * len(plan.steps)
+    scales = plan.scales if retain else [0.0] * len(plan.steps)
+    arrays, select = plan.cpts.arrays, plan.select
+    n = len(arrays)
+    for k in todo:
+        step = plan.steps[k]
         out = np.ones(step.shape)
         log_scale = 0.0
         for s, perm, shape in zip(step.slots, step.perms, step.shapes):
-            a = values[s]
-            values[s] = None  # every slot is read once
+            if s < n:
+                a, sel = arrays[s], select[s]
+                if sel is not None:
+                    a = a[tuple(_ALL if v < 0 else evidence[v] for v in sel)]
+            else:
+                a = outputs[s - n]
+                log_scale += scales[s - n]
+                if not retain:
+                    outputs[s - n] = None  # every slot is read once
             if perm is not None:
                 a = a.transpose(perm)
             if shape is not None:
                 a = a.reshape(shape)
             out = out * a
-            log_scale += scales[s]
         m = float(out.max())
         if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
             out = out / m
             log_scale += math.log(m)
         if step.axis is not None:
             out = out.sum(axis=step.axis)
-        values.append(out)
-        scales.append(log_scale)
-    return Factor(keep_t, np.ascontiguousarray(out.transpose(plan.perm) if keep_t else out),
-                  log_scale)
+        if retain and isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        outputs[k] = out
+        scales[k] = log_scale
+    plan.runs += 1
+    if retain:
+        plan.last = state
+    out = outputs[-1]
+    # a C-ordered array of its own, of shape () for the empty scope: a
+    # retained output is copied, one that is not is only made contiguous
+    return Factor(keep_t, (np.array if retain else np.asarray)(
+        out.transpose(plan.perm) if keep_t else out, order="C"), scales[-1])
 
 
 def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import resource
 import time
 
 import pytest
@@ -9,7 +10,7 @@ from amap import parse_network, parse_problem, solver
 from amap.cli import generate_problem, main, _mix_seed, _pool_size
 from conftest import SPRINKLER_TEXT, SPRINKLER_PROBLEM_TEXT
 from netgen import random_network
-from amap.fileio import serialize_network, serialize_problem
+from amap.fileio import REPORT_COLUMNS, serialize_network, serialize_problem
 
 
 @pytest.fixture
@@ -176,6 +177,29 @@ class TestBenchCommand:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 2
         assert all(r["matches_oracle"] == "" for r in rows)
+
+    def test_width_cap_skips_the_algorithm(self, tmp_path, capsys):
+        # Both cases' largest pruned component needs a table of more than
+        # 2^37 entries: the oracle is left out and each solver's row is
+        # skipped with a reason, when its first plan is compiled.
+        net = random_network(random.Random(7), 300, max_parents=4)
+        path = tmp_path / "wide.bnet"
+        path.write_text(serialize_network(net))
+        out = tmp_path / "r.csv"
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        code = main(["bench", "--net", str(path), "--cases", "2",
+                     "--algos", "anneal,hillclimb", "-o", str(out)])
+        grown_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kib
+        captured = capsys.readouterr()
+        assert code == 0
+        assert grown_kib < 256 * 1024
+        assert out.read_text().splitlines() == [",".join(REPORT_COLUMNS)]
+        skipped = captured.err.splitlines()
+        assert [line.split(": ")[1] for line in skipped] == [
+            f"network={net.name} case={case} algorithm={algo}"
+            for case in (0, 1) for algo in ("anneal", "hillclimb")]
+        assert all("entries" in line for line in skipped)
+        assert "anneal_optimal=0/0" in captured.out
 
     def test_oracle_wall_ms_times_the_oracle(self, net_file, tmp_path, capsys,
                                              monkeypatch):

@@ -20,6 +20,7 @@ from amap import (
     parse_network,
     prune,
 )
+from amap import engine, solver
 from amap.cli import generate_problem
 from amap.engine import MAX_TABLE_ENTRIES, _min_fill_order
 from netgen import (
@@ -203,6 +204,157 @@ class TestPlans:
         with pytest.raises(WidthCapError):
             map_posterior(comp.net, x, comp.problem.evidence)
         assert not comp.net._plans
+
+
+def _rebuilt(net):
+    """The same network built again: the same CPTs and no compiled plans."""
+    return BayesianNetwork(net.name, net.variables, net.cpts)
+
+
+def _sharpened(net):
+    """`net` with state 0 of every variable made 1e-40 times as likely, so
+    that a product of three CPT rows with their child in state 0 falls below
+    the rescaling threshold."""
+    cpts = []
+    for c in net.cpts:
+        rows = []
+        for row in c.table:
+            raw = (row[0] * 1e-40,) + row[1:]
+            rows.append(tuple(p / sum(raw) for p in raw))
+        cpts.append(Cpt(c.child, c.parents, tuple(rows)))
+    return BayesianNetwork(net.name, net.variables, cpts)
+
+
+def _same_bits(got, want):
+    assert got.scope == want.scope
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.log_scale.hex() == want.log_scale.hex()
+
+
+class TestStepReuse:
+    """A plan evaluated more than twice re-runs only the steps that read a
+    bound variable whose value changed; every result must have the bits of
+    the same call on a network that has never evaluated the plan."""
+
+    @pytest.mark.parametrize("sharpen", [False, True])
+    def test_matches_rebuilt_network(self, sharpen):
+        rng = random.Random(83)
+        scales = []
+        for _ in range(10):
+            net = random_network(rng, rng.randint(8, 25))
+            if sharpen:
+                net = _sharpened(net)
+            n = len(net)
+            keep = tuple(rng.sample(range(n), rng.randint(0, 2)))
+            others = [v for v in range(n) if v not in keep]
+            bound = rng.sample(others, rng.randint(1, len(others)))
+            for tie_break in ("low", "high"):
+                ev = {v: rng.randrange(net.cardinality(v)) for v in bound}
+                for _ in range(12):
+                    move = rng.choice(("one", "none", "all"))
+                    if move == "one":
+                        v = rng.choice(bound)
+                        ev[v] = (ev[v] + 1) % net.cardinality(v)
+                    elif move == "all":
+                        ev = {v: rng.randrange(net.cardinality(v)) for v in bound}
+                    got = eliminate(net, keep, Assignment(ev), tie_break)
+                    want = eliminate(_rebuilt(net), keep, Assignment(ev), tie_break)
+                    _same_bits(got, want)
+                    scales.append(got.log_scale)
+                plan = net._plans[(keep, frozenset(bound), tie_break)]
+                assert plan.outputs is not None
+        # the sharpened nets go through the rescaling path
+        assert any(scales) == sharpen
+
+    def test_writing_into_a_result_changes_no_later_result(self):
+        net = random_network(random.Random(97), 12)
+        for keep in ((), (3,), (5, 1)):
+            ev = Assignment({v: 0 for v in range(8, 12)})
+            want = eliminate(_rebuilt(net), keep, ev)
+            for _ in range(5):
+                f = eliminate(net, keep, ev)
+                _same_bits(f, want)
+                f.values[...] = 7.0
+            kept = net._plans[(keep, frozenset(ev.keys()), "low")].outputs
+            assert not any(isinstance(a, np.ndarray) and a.flags.writeable for a in kept)
+
+    def test_failed_evaluation_leaves_no_stale_output(self):
+        # An out-of-range state fails part-way, after the steps before it
+        # have been re-run for the other changed values; the next call
+        # changes only that variable back to a valid state.
+        base = random_network(random.Random(103), 10)
+        bound = tuple(range(4, 10))
+        for bad in bound:
+            net = _rebuilt(base)
+            for _ in range(3):
+                eliminate(net, (), Assignment({v: 0 for v in bound}))
+            with pytest.raises(IndexError):
+                eliminate(net, (), Assignment({v: 9 if v == bad else 1 for v in bound}))
+            ev = Assignment({v: 1 if v == bad else 0 for v in bound})
+            _same_bits(eliminate(net, (), ev), eliminate(base, (), ev))
+
+    def test_retained_entries_stay_within_budget(self, monkeypatch):
+        budget = 40
+        monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", budget)
+        net = random_network(random.Random(101), 14, cards=(2,))
+        rng = random.Random(5)
+        for _ in range(4):
+            for j in range(len(net)):
+                ev = Assignment({v: rng.randrange(2) for v in range(1, len(net), 2)
+                                 if v != j})
+                _same_bits(eliminate(net, (j,), ev), eliminate(_rebuilt(net), (j,), ev))
+        plans = [p for p in net._plans.values() if isinstance(p, engine._Plan)]
+        kept = [p for p in plans if p.outputs is not None]
+        assert 0 < len(kept) < len(plans)
+        assert sum(p.entries for p in kept) == net._plans[engine._CPTS].retained <= budget
+
+    def test_budget_applies_per_component_network(self, monkeypatch):
+        # Each network pruning makes has a budget of its own, so one solve of
+        # two components can keep more than the budget in all.
+        halves = [random_network(random.Random(seed), 12, cards=(2,)) for seed in (107, 109)]
+        variables, cpts = [], []
+        for offset, half in ((0, halves[0]), (12, halves[1])):
+            variables += [Variable(v.id + offset, f"v{v.id + offset}", v.states)
+                          for v in half.variables]
+            cpts += [Cpt(c.child + offset, tuple(p + offset for p in c.parents), c.table)
+                     for c in half.cpts]
+        net = BayesianNetwork("two", variables, cpts)
+        problem = MapProblem(tuple(range(0, 24, 2)),
+                             Assignment({v: 0 for v in range(1, 24, 4)}))
+        schedule = solver.AnnealSchedule(wait=3, stop=6)
+        want = solver.annealed_map(net, problem, schedule, random.Random(3))
+
+        budget = 16
+        monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", budget)
+        pruned = []
+        monkeypatch.setattr(solver, "prune",
+                            lambda n, p: pruned.append(prune(n, p)) or pruned[-1])
+        got = solver.annealed_map(_rebuilt(net), problem, schedule, random.Random(3))
+        assert got.best == want.best
+        assert got.logp.hex() == want.logp.hex()
+        retained = [c.net._plans[engine._CPTS].retained for c in pruned[0].components]
+        assert len(retained) == 2
+        assert all(0 < r <= budget for r in retained)
+        assert sum(retained) > budget
+
+    def test_empty_scope(self, sprinkler):
+        # total() and log_total() as float.hex, as they were when the
+        # empty-scope result had shape (1,)
+        cases = [
+            (sprinkler, {2: 0}, "0x1.cb242070b8cfep-2", "-0x1.9aaeb61afaa0ep-1"),
+            (sprinkler, {}, "0x1.0000000000000p+0", "0x0.0p+0"),
+            (sprinkler, {0: 1, 2: 0}, "0x1.26e978d4fdf3cp-2", "-0x1.3eaadf3746795p+0"),
+            (random_network(random.Random(5), 20),
+             {2: 0, 9: 1, 11: 2, 12: 1, 13: 0, 14: 0},
+             "0x1.9de404410dcbcp-7", "-0x1.17c863b538865p+2"),
+        ]
+        for net, ev, total, log_total in cases:
+            for _ in range(4):  # the fourth call reuses the final step
+                f = eliminate(net, (), Assignment(ev))
+                assert f.values.shape == ()
+                assert f.total().hex() == total
+                assert f.log_total().hex() == log_total
 
 
 class TestConditional:
