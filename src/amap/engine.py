@@ -17,7 +17,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -125,57 +125,79 @@ class _Plan:
         return True
 
 
-def _min_fill_order(scopes: Iterable[Tuple[int, ...]], elim: Set[int],
+def _bits(b: int) -> Iterator[int]:
+    """The positions of the set bits of `b`, lowest first."""
+    while b:
+        low = b & -b
+        yield low.bit_length() - 1
+        b ^= low
+
+
+def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
                     tie_break: str) -> List[int]:
     """Elimination order over `elim` by the min-fill heuristic.
 
     tie_break "low" picks the lowest variable id among equals; "high" the
-    highest (used only to check order-independence of results). Each fill
-    score is computed once. Eliminating v changes only the scores of its
-    neighbours and of the vertices next to a new fill edge, so only those
-    are recomputed.
+    highest (used only to check order-independence of results). Vertices
+    are renumbered 0.. in id order and each neighbourhood is an int bitset.
+    Each fill score is computed in full once, and again only for the
+    neighbours N(v) of an eliminated v. No other vertex gains or loses a
+    neighbour, so its score falls by exactly one per new fill edge with both
+    ends among its neighbours: that is applied as a delta to the common
+    neighbours, outside N(v), of each fill edge's ends.
     """
-    adjacency: Dict[int, Set[int]] = {v: set() for v in elim}
+    ids = sorted(elim.union(*scopes))
+    local = {v: i for i, v in enumerate(ids)}
+    adj = [0] * len(ids)
     for scope in scopes:
+        clique = sum(1 << local[v] for v in scope)
         for v in scope:
-            adjacency.setdefault(v, set()).update(scope)
-    for v, nbrs in adjacency.items():
-        nbrs.discard(v)
+            adj[local[v]] |= clique
+    for i in range(len(adj)):
+        adj[i] &= ~(1 << i)
 
-    def fill(v: int) -> int:
-        # each missing edge among the neighbours is counted from both ends,
-        # and each neighbour also counts itself
-        nbrs = adjacency[v]
-        missing = sum(map(len, map(nbrs.difference, map(adjacency.__getitem__, nbrs))))
-        return (missing - len(nbrs)) // 2
+    def fill(i: int) -> int:
+        # each edge among the neighbours is counted from both ends; the bit
+        # loop is _bits inlined, as this is min-fill's innermost loop
+        nbrs = b = adj[i]
+        present = 0
+        while b:
+            low = b & -b
+            present += (adj[low.bit_length() - 1] & nbrs).bit_count()
+            b ^= low
+        d = nbrs.bit_count()
+        return (d * (d - 1) - present) // 2
 
     sign = -1 if tie_break == "high" else 1
-    score = {v: fill(v) for v in elim}
-    heap = [(f, sign * v, v) for v, f in score.items()]
+    score = {i: fill(i) for i in map(local.__getitem__, elim)}
+    heap = [(f, sign * i, i) for i, f in score.items()]
     heapq.heapify(heap)
-    remaining = set(elim)
     order: List[int] = []
     while heap:
-        f, _, v = heapq.heappop(heap)
-        if v not in remaining or score[v] != f:
-            continue  # stale entry
-        order.append(v)
-        remaining.discard(v)
-        nbrs = adjacency.pop(v)
-        touched = set(nbrs)
-        for u in nbrs:
-            adj_u = adjacency[u]
-            adj_u.discard(v)
-            degree = len(adj_u)
-            adj_u.update(nbrs)
-            adj_u.discard(u)
-            if len(adj_u) > degree:  # u gained fill edges
-                touched |= adj_u
-        for u in touched & remaining:
-            f = fill(u)
-            if f != score[u]:
-                score[u] = f
-                heapq.heappush(heap, (f, sign * u, u))
+        f, _, i = heapq.heappop(heap)
+        if score.get(i) != f:
+            continue  # stale entry, or i already eliminated
+        order.append(ids[i])
+        del score[i]
+        nbrs = adj[i]
+        outside = ~(nbrs | (1 << i))
+        delta: Dict[int, int] = {}
+        for a in _bits(nbrs):
+            new = nbrs & ~adj[a] & ~(1 << a)  # fill edges at a
+            for b in _bits(new & ~((2 << a) - 1)):  # each edge once, as a < b
+                for w in _bits(adj[a] & adj[b] & outside):
+                    delta[w] = delta.get(w, 0) + 1
+            adj[a] = (adj[a] | new) & ~(1 << i)
+        for w, d in delta.items():
+            if w in score:
+                score[w] -= d
+                heapq.heappush(heap, (score[w], sign * w, w))
+        for u in _bits(nbrs):
+            if u in score:
+                f = fill(u)
+                if f != score[u]:
+                    score[u] = f
+                    heapq.heappush(heap, (f, sign * u, u))
     return order
 
 
@@ -183,11 +205,14 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
           tie_break: str) -> _Plan:
     """The network's compiled plan for eliminating all but `keep` with the
     variables in `bound` fixed, compiled on first use. Raises WidthCapError,
-    before any array is built, if a table would exceed MAX_TABLE_ENTRIES."""
+    before any array is built, if a table would exceed MAX_TABLE_ENTRIES,
+    and ValueError for a tie_break other than "low" or "high"."""
     key = (keep, bound, tie_break)
     plan = net._plans.get(key)
     if plan is not None:
         return plan
+    if tie_break not in ("low", "high"):
+        raise ValueError(f"tie_break must be 'low' or 'high', not {tie_break!r}")
     cards = [v.cardinality for v in net.variables]
     bits = {v: 1 << i for i, v in enumerate(sorted(bound))}
     bits[-1] = 0  # an unbound axis in `select`
@@ -196,53 +221,68 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
     select: List[Optional[Tuple[int, ...]]] = []
     for cpt in net.cpts:
         full = cpt.parents + (cpt.child,)
-        scopes.append(tuple(v for v in full if v not in bound))
-        sel = (tuple(v if v in bound else -1 for v in full)
-               if len(scopes[-1]) < len(full) else None)
+        sel = None if bound.isdisjoint(full) else tuple(v if v in bound else -1 for v in full)
+        scopes.append(full if sel is None else tuple(v for v in full if v not in bound))
         select.append(sel)
         masks.append(0 if sel is None else sum(map(bits.__getitem__, sel)))
     elim = set(range(len(cards))) - set(keep) - bound
     order = _min_fill_order(scopes, elim, tie_break)
 
-    live = list(range(len(scopes)))  # current factors' slots, in product order
+    # holders[u]: the slots whose scope holds u, in slot order (the product
+    # order); a slot stays listed once a step has consumed it, so `live`
+    # tells which are left
+    holders: List[List[int]] = [[] for _ in cards]
+    for s, sc in enumerate(scopes):
+        for u in sc:
+            holders[u].append(s)
+    live = [True] * len(scopes)
     steps: List[_Step] = []
     max_entries = 1
     entries = 0
-    scope: List[int] = []
+    pos: Dict[int, int] = {}
     for v in order + [None]:
         if v is None:
-            related, live = live, []
+            related = [s for s, alive in enumerate(live) if alive]
         else:
-            related = [s for s in live if v in scopes[s]]
-            live = [s for s in live if v not in scopes[s]]
+            related = [s for s in holders[v] if live[s]]
             if not related:
                 continue
-        scope = []
+        pos = {}  # each output variable's axis, in order of first appearance
         mask = 0
         for s in related:
-            scope.extend(u for u in scopes[s] if u not in scope)
+            live[s] = False
             mask |= masks[s]
+            for u in scopes[s]:
+                pos.setdefault(u, len(pos))
+        shape = tuple(map(cards.__getitem__, pos))
         perms: List[Optional[Tuple[int, ...]]] = []
         shapes: List[Optional[Tuple[int, ...]]] = []
         for s in related:
-            present = [u for u in scope if u in scopes[s]]
-            perm = tuple(scopes[s].index(u) for u in present)
-            perms.append(None if perm == tuple(range(len(perm))) else perm)
-            shape = tuple(cards[u] if u in scopes[s] else 1 for u in scope)
-            # broadcasting already supplies leading unit axes
-            lead = next((i for i, u in enumerate(scope) if u in scopes[s]), len(scope))
-            shapes.append(None if shape[lead:] == tuple(cards[u] for u in present)
-                          else shape)
-        shape = tuple(cards[u] for u in scope)
+            axes = list(map(pos.__getitem__, scopes[s]))
+            ordered = sorted(axes)
+            perms.append(None if ordered == axes else tuple(map(axes.index, ordered)))
+            # broadcasting already supplies leading unit axes, so a reshape
+            # is needed only when the input's axes do not end the output's
+            if not axes or ordered[0] == len(shape) - len(axes):
+                shapes.append(None)
+            else:
+                padded = [1] * len(shape)
+                for a, u in zip(axes, scopes[s]):
+                    padded[a] = cards[u]
+                shapes.append(tuple(padded))
         size = math.prod(shape)
         max_entries = max(max_entries, size)
         entries += size // (1 if v is None else cards[v])
-        axis = None if v is None else scope.index(v)
+        axis = None if v is None else pos[v]
         masks.append(mask)
         steps.append(_Step(tuple(related), tuple(perms), tuple(shapes), shape, axis, mask))
         if v is not None:
-            live.append(len(scopes))
-            scopes.append(tuple(u for u in scope if u != v))
+            out = list(pos)
+            del out[axis]
+            for u in out:
+                holders[u].append(len(scopes))
+            live.append(True)
+            scopes.append(tuple(out))
     if max_entries > MAX_TABLE_ENTRIES:
         raise WidthCapError(
             f"elimination needs a table of {max_entries} entries "
@@ -255,7 +295,7 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
                 tuple(cards[v] for v in cpt.parents + (cpt.child,)))
             for cpt in net.cpts))
     plan = _Plan(cpts, tuple(select), tuple(sorted(bound)), tuple(steps),
-                 tuple(scope.index(v) for v in keep), entries)
+                 tuple(pos[v] for v in keep), entries)
     net._plans[key] = plan
     return plan
 

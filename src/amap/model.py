@@ -104,6 +104,9 @@ class Assignment:
     def set(self, var: int, state: int) -> None:
         self._bindings[var] = state
 
+    def discard(self, var: int) -> None:
+        self._bindings.pop(var, None)
+
     def copy(self) -> "Assignment":
         return Assignment(self._bindings)
 

@@ -139,7 +139,8 @@ def _site(net: BayesianNetwork, j: int, x: Assignment,
     """The site update every solver shares: p(x_j | E, x without j), with
     every variable outside E and x summed out. Raises ImpossibleContextError
     when that context has probability zero."""
-    context = Assignment({v: s for v, s in evidence.merged(x).items() if v != j})
+    context = evidence.merged(x)
+    context.discard(j)
     return conditional(net, j, context)
 
 

@@ -137,6 +137,90 @@ def _quadratic_min_fill_order(scopes, elim, tie_break):
     return order
 
 
+def _reference_plan(net, keep, bound, tie_break):
+    """(select, bound, steps, perm, entries) of the plan `engine._plan`
+    compiles, assembled as the engine did before it indexed live slots by
+    variable: two scans of every live slot per eliminated variable, and
+    each input's permutation and shape found by list searches."""
+    cards = [v.cardinality for v in net.variables]
+    bits = {v: 1 << i for i, v in enumerate(sorted(bound))}
+    bits[-1] = 0
+    scopes, masks, select = [], [], []
+    for cpt in net.cpts:
+        full = cpt.parents + (cpt.child,)
+        scopes.append(tuple(v for v in full if v not in bound))
+        sel = (tuple(v if v in bound else -1 for v in full)
+               if len(scopes[-1]) < len(full) else None)
+        select.append(sel)
+        masks.append(0 if sel is None else sum(map(bits.__getitem__, sel)))
+    elim = set(range(len(cards))) - set(keep) - bound
+    order = _min_fill_order(scopes, elim, tie_break)
+
+    live = list(range(len(scopes)))
+    steps = []
+    entries = 0
+    scope = []
+    for v in order + [None]:
+        if v is None:
+            related, live = live, []
+        else:
+            related = [s for s in live if v in scopes[s]]
+            live = [s for s in live if v not in scopes[s]]
+            if not related:
+                continue
+        scope = []
+        mask = 0
+        for s in related:
+            scope.extend(u for u in scopes[s] if u not in scope)
+            mask |= masks[s]
+        perms, shapes = [], []
+        for s in related:
+            present = [u for u in scope if u in scopes[s]]
+            perm = tuple(scopes[s].index(u) for u in present)
+            perms.append(None if perm == tuple(range(len(perm))) else perm)
+            shape = tuple(cards[u] if u in scopes[s] else 1 for u in scope)
+            lead = next((i for i, u in enumerate(scope) if u in scopes[s]), len(scope))
+            shapes.append(None if shape[lead:] == tuple(cards[u] for u in present)
+                          else shape)
+        shape = tuple(cards[u] for u in scope)
+        entries += math.prod(shape) // (1 if v is None else cards[v])
+        axis = None if v is None else scope.index(v)
+        masks.append(mask)
+        steps.append(engine._Step(tuple(related), tuple(perms), tuple(shapes), shape,
+                                  axis, mask))
+        if v is not None:
+            live.append(len(scopes))
+            scopes.append(tuple(u for u in scope if u != v))
+    return (tuple(select), tuple(sorted(bound)), tuple(steps),
+            tuple(scope.index(v) for v in keep), entries)
+
+
+def _fill_edges(scopes, order):
+    """Per eliminated vertex of `order`: the fill edges it adds, and the
+    number of (fill edge, vertex still to be eliminated outside the
+    neighbourhood) pairs where that vertex is next to both ends, that is,
+    how often a score outside N(v) must fall by one."""
+    adjacency = {}
+    for scope in scopes:
+        for v in scope:
+            adjacency.setdefault(v, set()).update(u for u in scope if u != v)
+    remaining = set(order)
+    out = []
+    for v in order:
+        remaining.discard(v)
+        nbrs = adjacency.pop(v, set())
+        added = [(a, b) for a in nbrs for b in nbrs if a < b and b not in adjacency[a]]
+        shared = sum(len((adjacency[a] & adjacency[b] & remaining) - nbrs)
+                     for a, b in added)
+        for a, b in added:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        for u in nbrs:
+            adjacency[u].discard(v)
+        out.append((len(added), shared))
+    return out
+
+
 def _wide_instance():
     """Largest pruned component of a 300-variable net under the paper's
     protocol: its ln p(E) elimination needs a table of 2^38.7 entries."""
@@ -192,6 +276,57 @@ class TestPlans:
             for tie_break in ("low", "high"):
                 assert _min_fill_order(scopes, set(elim), tie_break) == \
                     _quadratic_min_fill_order(scopes, set(elim), tie_break)
+
+    def test_min_fill_matches_quadratic_reference_on_wide_graphs(self):
+        # graphs the size of r120's pruned components, where one elimination
+        # adds several fill edges whose ends share neighbours outside N(v)
+        rng = random.Random(9)
+        several = shared = 0
+        for _ in range(24):
+            n = rng.randint(40, 80)
+            scopes = [tuple(rng.sample(range(n), rng.randint(2, 6)))
+                      for _ in range(rng.randint(n // 2, n))]
+            elim = set(rng.sample(range(n), rng.randint(n // 2, n)))
+            for tie_break in ("low", "high"):
+                order = _min_fill_order(scopes, set(elim), tie_break)
+                assert order == _quadratic_min_fill_order(scopes, set(elim), tie_break)
+                fills = _fill_edges(scopes, order)
+                several += sum(added >= 3 for added, _ in fills)
+                shared += sum(s for _, s in fills)
+        assert several >= 500 and shared >= 5000
+
+    def test_unknown_tie_break_rejected(self, sprinkler):
+        for tie_break in ("middle", "LOW", ""):
+            with pytest.raises(ValueError, match="tie_break"):
+                eliminate(sprinkler, (0,), Assignment(), tie_break=tie_break)
+        assert not sprinkler._plans
+
+    def test_plans_match_reference_assembly(self):
+        rng = random.Random(13)
+        nets = [random_network(rng, rng.randint(8, 40), max_parents=3) for _ in range(8)]
+        cases = []
+        for net in nets:
+            for _ in range(3):
+                keep = tuple(rng.sample(range(len(net)), rng.randint(0, 3)))
+                others = [v for v in range(len(net)) if v not in keep]
+                cases.append((net, keep, frozenset(rng.sample(others, rng.randint(0, len(others))))))
+        for seed in (7, 11):
+            net = random_network(random.Random(seed), 120, max_parents=3, cards=(2, 3))
+            problem = generate_problem(net, 20, 20, random.Random(seed))
+            for comp in prune(net, problem).components:
+                ev = set(comp.problem.evidence.keys())
+                map_vars = comp.problem.map_vars
+                cases.append((comp.net, (), frozenset(ev)))
+                for k, j in enumerate(map_vars[:4]):
+                    site = frozenset(ev | set(map_vars)) - {j}
+                    prefix = frozenset(ev | set(map_vars[:k]))
+                    cases += [(comp.net, (j,), site), (comp.net, (j,), prefix)]
+        assert len(cases) > 50
+        for net, keep, bound in cases:
+            for tie_break in ("low", "high"):
+                plan = engine._plan(net, keep, bound, tie_break)
+                got = (plan.select, plan.bound, plan.steps, plan.perm, plan.entries)
+                assert got == _reference_plan(net, keep, bound, tie_break)
 
     def test_width_cap_raised_before_allocating(self):
         net, problem = _wide_instance()
