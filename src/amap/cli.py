@@ -112,6 +112,9 @@ def _write_trace(path: str, trace: List[solver.TraceRow]) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.trace and args.algo != "anneal":
+        raise SystemExit(f"error: --trace records annealing sweeps; "
+                         f"algorithm {args.algo!r} has none")
     net = fileio.parse_network(_read(args.net))
     problem = fileio.parse_problem(_read(args.problem), net)
     schedule = _schedule_from_args(args)
@@ -126,7 +129,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"log10_p = {log10:.12g}")
     print(f"sweeps = {report.sweeps}")
     print(f"reheats = {report.reheats}")
-    if args.trace and report.trace is not None:
+    if args.trace:
         _write_trace(args.trace, report.trace)
     return 0
 
@@ -269,6 +272,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if unknown:
         raise SystemExit(f"error: unknown algorithm {unknown[0]!r} in --algos "
                          f"(choose from {', '.join(ALGOS)})")
+    repeated = [a for i, a in enumerate(args.algos) if a in args.algos[:i]]
+    if repeated:
+        raise SystemExit(f"error: algorithm {repeated[0]!r} appears twice in --algos")
     config = BenchConfig(
         net_paths=args.net, cases=args.cases, map_count=args.map_count,
         evid_count=args.evid_count, algos=args.algos, seed=args.seed,

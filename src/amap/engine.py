@@ -2,9 +2,10 @@
 plus prior forward sampling.
 
 Each elimination is compiled once per network, kept variables and set of
-bound variables into a plan; later calls with new bound values only
-evaluate it, and once a plan has been evaluated twice they re-run only the
-steps that read a bound variable whose value changed.
+bound variables into a plan of steps. Identical steps of all of a
+network's plans are one node, which keeps its output while the bound
+variables that output depends on keep their values, so a call runs only
+the steps whose output is not already held for the current values.
 
 Factor products and sums run in linear domain; a separate log scale is
 carried and folded in only at the boundary, so deep products on large
@@ -67,62 +68,58 @@ class Factor:
 class _Step:
     """Multiply the factors in `slots` into a table of `shape`, each input
     transposed by `perms[i]` and reshaped by `shapes[i]` (None where that
-    is a no-op), then sum out `axis` (None for the final product). Bit i
-    of `mask` is set when the output depends on the value of the plan's
-    i-th bound variable."""
+    is a no-op), then sum out `axis` (None for the final product)."""
 
     slots: Tuple[int, ...]
     perms: Tuple[Optional[Tuple[int, ...]], ...]
     shapes: Tuple[Optional[Tuple[int, ...]], ...]
     shape: Tuple[int, ...]
     axis: Optional[int]
-    mask: int
+
+
+@dataclass(eq=False)
+class _Node:
+    """The output of a step, one object for every plan of the network that
+    runs an identical step. It depends only on the values of `support`, the
+    bound variables that the step's subtree selects on. A node that `keeps`
+    (its `entries` fit in the network's budget) holds its output read-only
+    and its log scale, valid while its support has the values in `values`
+    (None until an evaluation completes). Any other node holds an output
+    only until the step that reads it has run."""
+
+    support: Tuple[int, ...]
+    entries: int
+    keeps: bool
+    output: Optional[np.ndarray] = None
+    scale: float = 0.0
+    values: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(eq=False)
 class _Cpts:
-    """A network's CPT arrays, shared by its plans, and the number of table
-    entries those plans retain between evaluations (at most
-    MAX_TABLE_ENTRIES)."""
+    """A network's CPT arrays and step nodes, shared by its plans, and the
+    number of table entries those nodes keep (at most MAX_TABLE_ENTRIES).
+    A node's key is its step's inputs in product order, a CPT by its index
+    and selection pattern and a step by its node, plus the step's `perms`,
+    `shapes`, `shape` and `axis`."""
 
     arrays: Tuple[np.ndarray, ...]
+    nodes: Dict[tuple, _Node] = field(default_factory=dict)
     retained: int = 0
 
 
 @dataclass(eq=False)
 class _Plan:
     """A compiled elimination. Slot i < len(net) holds CPT i with its bound
-    axes selected; step k writes slot len(net) + k; the last step is the
-    final product, whose axes `perm` puts into keep order.
-
-    `runs` counts completed evaluations. From its third evaluation on, a
-    plan whose step outputs (`entries` in all) fit in the network's budget
-    keeps them, read-only, in `outputs` and `scales`; `last` holds the bound
-    values (in `bound` order) they are valid for, and is None while an
-    evaluation runs. Plans evaluated once or twice, such as those of
-    sequential initialization and of a hill climb of at most one step, keep
-    nothing."""
+    axes selected; step k writes slot len(net) + k, whose output lives in
+    `nodes[k]`; the last step is the final product, whose axes `perm` puts
+    into keep order."""
 
     cpts: _Cpts
     select: Tuple[Optional[Tuple[int, ...]], ...]  # per CPT axis: bound id or -1
-    bound: Tuple[int, ...]  # the bound variables, sorted
     steps: Tuple[_Step, ...]
+    nodes: Tuple[_Node, ...]
     perm: Tuple[int, ...]
-    entries: int
-    runs: int = 0
-    last: Optional[Tuple[int, ...]] = None
-    outputs: Optional[List[np.ndarray]] = None
-    scales: Optional[List[float]] = None
-
-    def retain(self) -> bool:
-        """Start keeping the step outputs, if they fit in the network's
-        budget."""
-        if self.cpts.retained + self.entries > MAX_TABLE_ENTRIES:
-            return False
-        self.cpts.retained += self.entries
-        self.outputs = [None] * len(self.steps)
-        self.scales = [0.0] * len(self.steps)
-        return True
 
 
 def _bits(b: int) -> Iterator[int]:
@@ -214,17 +211,13 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
     if tie_break not in ("low", "high"):
         raise ValueError(f"tie_break must be 'low' or 'high', not {tie_break!r}")
     cards = [v.cardinality for v in net.variables]
-    bits = {v: 1 << i for i, v in enumerate(sorted(bound))}
-    bits[-1] = 0  # an unbound axis in `select`
     scopes: List[Tuple[int, ...]] = []
-    masks: List[int] = []  # per slot, as _Step.mask
     select: List[Optional[Tuple[int, ...]]] = []
     for cpt in net.cpts:
         full = cpt.parents + (cpt.child,)
         sel = None if bound.isdisjoint(full) else tuple(v if v in bound else -1 for v in full)
         scopes.append(full if sel is None else tuple(v for v in full if v not in bound))
         select.append(sel)
-        masks.append(0 if sel is None else sum(map(bits.__getitem__, sel)))
     elim = set(range(len(cards))) - set(keep) - bound
     order = _min_fill_order(scopes, elim, tie_break)
 
@@ -237,8 +230,8 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             holders[u].append(s)
     live = [True] * len(scopes)
     steps: List[_Step] = []
+    sizes: List[int] = []  # per step, the entries of its output
     max_entries = 1
-    entries = 0
     pos: Dict[int, int] = {}
     for v in order + [None]:
         if v is None:
@@ -248,10 +241,8 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             if not related:
                 continue
         pos = {}  # each output variable's axis, in order of first appearance
-        mask = 0
         for s in related:
             live[s] = False
-            mask |= masks[s]
             for u in scopes[s]:
                 pos.setdefault(u, len(pos))
         shape = tuple(map(cards.__getitem__, pos))
@@ -272,10 +263,9 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
                 shapes.append(tuple(padded))
         size = math.prod(shape)
         max_entries = max(max_entries, size)
-        entries += size // (1 if v is None else cards[v])
+        sizes.append(size // (1 if v is None else cards[v]))
         axis = None if v is None else pos[v]
-        masks.append(mask)
-        steps.append(_Step(tuple(related), tuple(perms), tuple(shapes), shape, axis, mask))
+        steps.append(_Step(tuple(related), tuple(perms), tuple(shapes), shape, axis))
         if v is not None:
             out = list(pos)
             del out[axis]
@@ -294,8 +284,28 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             np.asarray(cpt.table, dtype=float).reshape(
                 tuple(cards[v] for v in cpt.parents + (cpt.child,)))
             for cpt in net.cpts))
-    plan = _Plan(cpts, tuple(select), tuple(sorted(bound)), tuple(steps),
-                 tuple(pos[v] for v in keep), entries)
+    # intern each step as a node; keys[s] is slot s's part of a node key
+    keys: List[object] = list(enumerate(select))
+    n = len(select)
+    nodes: List[_Node] = []
+    for step, size in zip(steps, sizes):
+        node_key = (tuple(map(keys.__getitem__, step.slots)),
+                    step.perms, step.shapes, step.shape, step.axis)
+        node = cpts.nodes.get(node_key)
+        if node is None:
+            support: Set[int] = set()
+            for s in step.slots:
+                if s >= n:
+                    support.update(nodes[s - n].support)
+                elif select[s] is not None:
+                    support.update(v for v in select[s] if v >= 0)
+            keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
+            cpts.retained += size if keeps else 0
+            node = cpts.nodes[node_key] = _Node(tuple(sorted(support)), size, keeps)
+        keys.append(node)
+        nodes.append(node)
+    plan = _Plan(cpts, tuple(select), tuple(steps), tuple(nodes),
+                 tuple(pos[v] for v in keep))
     net._plans[key] = plan
     return plan
 
@@ -305,31 +315,46 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
     """Unnormalized f(keep) = sum over the rest of the CPT product, with
     evidence rows selected. Scope order of the result follows `keep`.
 
-    A plan that retains its step outputs re-runs only the steps whose mask
-    holds a bound variable with another value than at its last evaluation;
-    the others keep the outputs and log scales that re-running them would
-    give, bit for bit."""
+    Only the steps whose node holds no output for the current values of its
+    support are run; every other node's output and log scale are the ones
+    running its step would give, bit for bit."""
     keep_t = tuple(keep)
     bound = frozenset(evidence.keys())
     if not bound.isdisjoint(keep_t):
         raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep_t))}")
     plan = _plan(net, keep_t, bound, tie_break)
-    last, plan.last = plan.last, None  # nothing kept is valid until this evaluation ends
-    retain = plan.outputs is not None or (plan.runs >= 2 and plan.retain())
-    todo: Sequence[int] = range(len(plan.steps))  # the steps to run
-    if retain:
-        state = evidence.as_tuple(plan.bound)
-        if last is not None:
-            todo = ()
-            if state != last:
-                changed = sum(1 << i for i, (a, b) in enumerate(zip(state, last)) if a != b)
-                todo = [k for k, step in enumerate(plan.steps) if step.mask & changed]
-    outputs = plan.outputs if retain else [None] * len(plan.steps)
-    scales = plan.scales if retain else [0.0] * len(plan.steps)
-    arrays, select = plan.cpts.arrays, plan.select
+    final = plan.nodes[-1]
+    values = evidence.as_tuple(final.support)
+    if values != final.values:
+        _run(plan, evidence, values)
+    out = final.output
+    if not final.keeps:
+        final.output = None
+    # a C-ordered array of its own, of shape () for the empty scope: a kept
+    # output is copied, one that is not is only made contiguous
+    return Factor(keep_t, (np.array if final.keeps else np.asarray)(
+        out.transpose(plan.perm) if keep_t else out, order="C"), final.scale)
+
+
+def _run(plan: _Plan, evidence: Assignment, values: Tuple[int, ...]) -> None:
+    """Bring the plan's final node, which holds no output for `values`, up to
+    date: from it down, each such node's step inputs are checked in turn,
+    and then the steps found are run in plan order. A node's values are set
+    only once its output is, so a failed evaluation leaves nothing stale."""
+    steps, nodes, select = plan.steps, plan.nodes, plan.select
+    arrays = plan.cpts.arrays
     n = len(arrays)
-    for k in todo:
-        step = plan.steps[k]
+    todo = [(len(steps) - 1, values)]
+    stack = [s - n for s in steps[-1].slots if s >= n]
+    while stack:
+        k = stack.pop()
+        values = evidence.as_tuple(nodes[k].support)
+        if values != nodes[k].values:
+            todo.append((k, values))
+            stack.extend(s - n for s in steps[k].slots if s >= n)
+    todo.sort()
+    for k, values in todo:
+        step, node = steps[k], nodes[k]
         out = np.ones(step.shape)
         log_scale = 0.0
         for s, perm, shape in zip(step.slots, step.perms, step.shapes):
@@ -338,10 +363,11 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
                 if sel is not None:
                     a = a[tuple(_ALL if v < 0 else evidence[v] for v in sel)]
             else:
-                a = outputs[s - n]
-                log_scale += scales[s - n]
-                if not retain:
-                    outputs[s - n] = None  # every slot is read once
+                kid = nodes[s - n]
+                a = kid.output
+                log_scale += kid.scale
+                if not kid.keeps:
+                    kid.output = None  # read once
             if perm is not None:
                 a = a.transpose(perm)
             if shape is not None:
@@ -353,18 +379,11 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
             log_scale += math.log(m)
         if step.axis is not None:
             out = out.sum(axis=step.axis)
-        if retain and isinstance(out, np.ndarray):
-            out.setflags(write=False)
-        outputs[k] = out
-        scales[k] = log_scale
-    plan.runs += 1
-    if retain:
-        plan.last = state
-    out = outputs[-1]
-    # a C-ordered array of its own, of shape () for the empty scope: a
-    # retained output is copied, one that is not is only made contiguous
-    return Factor(keep_t, (np.array if retain else np.asarray)(
-        out.transpose(plan.perm) if keep_t else out, order="C"), scales[-1])
+        node.output, node.scale = out, log_scale
+        if node.keeps:
+            if isinstance(out, np.ndarray):
+                out.setflags(write=False)
+            node.values = values
 
 
 def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.ndarray:

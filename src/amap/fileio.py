@@ -45,45 +45,37 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
+    (?P<comment>\#[^\n]*)
   | (?P<newline>\n)
   | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
   | (?P<punct>[{},;|=])
+  | (?P<bad>[^ \t\r])
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "number" | "punct" | "eof"
-    text: str
-    line: int
-    column: int
+# (kind, text, line, column); kind is "ident", "number", "punct" or "eof"
+_Token = Tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """One scan of `text`. Blanks (space, tab, carriage return) match no
+    group, so the scan steps over them; any other character that starts no
+    token is `bad`."""
     tokens: List[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
+    line, start = 1, 0  # start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        raw = m.group()
         if kind == "newline":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(raw)
-        else:
-            tokens.append(_Token(kind, raw, line, col))
-            col += len(raw)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            start = m.end()
+        elif kind == "bad":
+            raise ParseError(line, m.start() - start + 1,
+                             f"unexpected character {m.group()!r}")
+        elif kind != "comment":
+            tokens.append((kind, m.group(), line, m.start() - start + 1))
+    tokens.append(("eof", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -95,97 +87,95 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
+    def at(self, kind: str, text: Optional[str] = None) -> bool:
+        """Whether the next token is a `kind` token, reading `text` if given."""
+        tok = self.tokens[self.pos]
+        return tok[0] == kind and (text is None or tok[1] == text)
+
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def error(self, tok: _Token, message: str) -> ParseError:
-        return ParseError(tok.line, tok.column, message)
+        return ParseError(tok[2], tok[3], message)
 
-    def expect_ident(self, what: str) -> _Token:
+    def expect(self, kind: str, text: str = "", what: str = "") -> _Token:
+        """The next token, which must be a `kind` token reading `text` if
+        given; the error names it as `what`, by default `text` quoted."""
         tok = self.next()
-        if tok.kind != "ident":
-            raise self.error(tok, f"expected {what}, got {tok.text!r}" if tok.text else f"expected {what}, got end of input")
+        if tok[0] != kind or (text and tok[1] != text):
+            got = repr(tok[1]) if tok[1] else "end of input"
+            raise self.error(tok, f"expected {what or repr(text)}, got {got}")
         return tok
 
-    def expect_punct(self, char: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != char:
-            got = repr(tok.text) if tok.text else "end of input"
-            raise self.error(tok, f"expected {char!r}, got {got}")
-        return tok
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "ident" or tok.text != word:
-            got = repr(tok.text) if tok.text else "end of input"
-            raise self.error(tok, f"expected {word!r}, got {got}")
-        return tok
+    def expect_ident(self, what: str) -> str:
+        return self.expect("ident", what=what)[1]
 
 
 def parse_network(text: str) -> BayesianNetwork:
     """Parse BNET text; raises ParseError on any malformed input."""
     p = _Parser(text)
-    p.expect_keyword("network")
-    net_name = p.expect_ident("network name").text
+    p.expect("ident", "network")
+    net_name = p.expect_ident("network name")
 
     variables: List[Variable] = []
     index: Dict[str, int] = {}
-    while p.peek().kind == "ident" and p.peek().text == "var":
+    while p.at("ident", "var"):
         p.next()
-        name_tok = p.expect_ident("variable name")
-        if name_tok.text in index:
-            raise p.error(name_tok, f"duplicate variable {name_tok.text!r}")
-        p.expect_punct("{")
-        states = [p.expect_ident("state name").text]
-        while p.peek().kind == "punct" and p.peek().text == ",":
+        name_tok = p.expect("ident", what="variable name")
+        name = name_tok[1]
+        if name in index:
+            raise p.error(name_tok, f"duplicate variable {name!r}")
+        p.expect("punct", "{")
+        states = [p.expect_ident("state name")]
+        while p.at("punct", ","):
             p.next()
-            states.append(p.expect_ident("state name").text)
-        p.expect_punct("}")
+            states.append(p.expect_ident("state name"))
+        p.expect("punct", "}")
         if len(set(states)) != len(states):
-            raise p.error(name_tok, f"duplicate state name in variable {name_tok.text!r}")
-        index[name_tok.text] = len(variables)
-        variables.append(Variable(len(variables), name_tok.text, tuple(states)))
+            raise p.error(name_tok, f"duplicate state name in variable {name!r}")
+        index[name] = len(variables)
+        variables.append(Variable(len(variables), name, tuple(states)))
 
     cpts: Dict[int, Cpt] = {}
-    while p.peek().kind == "ident" and p.peek().text == "cpt":
+    while p.at("ident", "cpt"):
         p.next()
-        child_tok = p.expect_ident("variable name")
-        if child_tok.text not in index:
-            raise p.error(child_tok, f"unknown variable {child_tok.text!r}")
-        child = index[child_tok.text]
+        child_tok = p.expect("ident", what="variable name")
+        if child_tok[1] not in index:
+            raise p.error(child_tok, f"unknown variable {child_tok[1]!r}")
+        child = index[child_tok[1]]
         if child in cpts:
-            raise p.error(child_tok, f"duplicate cpt for {child_tok.text!r}")
+            raise p.error(child_tok, f"duplicate cpt for {child_tok[1]!r}")
         parents: List[int] = []
-        if p.peek().kind == "punct" and p.peek().text == "|":
+        if p.at("punct", "|"):
             p.next()
-            while p.peek().kind == "ident":
+            while p.at("ident"):
                 par_tok = p.next()
-                if par_tok.text not in index:
-                    raise p.error(par_tok, f"unknown parent {par_tok.text!r}")
-                parents.append(index[par_tok.text])
+                if par_tok[1] not in index:
+                    raise p.error(par_tok, f"unknown parent {par_tok[1]!r}")
+                parents.append(index[par_tok[1]])
             if not parents:
                 raise p.error(p.peek(), "expected at least one parent after '|'")
-        p.expect_punct("{")
+        p.expect("punct", "{")
         rows: List[Tuple[float, ...]] = []
         while True:
             row: List[float] = []
-            while p.peek().kind == "number":
+            while p.at("number"):
                 num = p.next()
                 try:
-                    row.append(float(num.text))
+                    row.append(float(num[1]))
                 except ValueError:
-                    raise p.error(num, f"bad number {num.text!r}")
+                    raise p.error(num, f"bad number {num[1]!r}")
             if not row:
                 raise p.error(p.peek(), "expected a probability")
             rows.append(tuple(row))
-            if p.peek().kind == "punct" and p.peek().text == ";":
+            if p.at("punct", ";"):
                 p.next()
                 continue
             break
-        p.expect_punct("}")
+        p.expect("punct", "}")
         try:
             cpt = Cpt(child, tuple(parents), tuple(rows))
             check_table(cpt, variables)
@@ -194,15 +184,15 @@ def parse_network(text: str) -> BayesianNetwork:
         cpts[child] = cpt
 
     tail = p.peek()
-    if tail.kind != "eof":
-        raise p.error(tail, f"unexpected {tail.text!r}")
+    if tail[0] != "eof":
+        raise p.error(tail, f"unexpected {tail[1]!r}")
     missing = [v.name for v in variables if v.id not in cpts]
     if missing:
         raise p.error(tail, f"missing cpt for {missing[0]!r}")
     try:
         return BayesianNetwork(net_name, variables, [cpts[i] for i in range(len(variables))])
     except ValueError as exc:
-        raise ParseError(tail.line, tail.column, str(exc)) from None
+        raise p.error(tail, str(exc)) from None
 
 
 def _fmt(x: float) -> str:

@@ -126,7 +126,7 @@ class Assignment:
         return self._bindings.keys()
 
     def as_tuple(self, order: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(self._bindings[v] for v in order)
+        return tuple(map(self._bindings.__getitem__, order))
 
     def __getitem__(self, var: int) -> int:
         return self._bindings[var]
@@ -181,7 +181,8 @@ class BayesianNetwork:
         for cpt in self.cpts:
             check_table(cpt, self.variables)
         self._order = topological_order(self)
-        # engine's compiled elimination plans and the CPT arrays they share
+        # engine's compiled elimination plans, and the CPT arrays and step
+        # nodes they share
         self._plans: Dict[object, object] = {}
 
     # -- lookups -----------------------------------------------------------

@@ -92,6 +92,18 @@ class TestSolveCommand:
         assert lines[0].startswith("component,restart,sweep,temperature")
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("algo", ["hillclimb", "oracle"])
+    def test_trace_rejected_for_algorithm_without_sweeps(self, algo, net_file,
+                                                         problem_file, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = main(["solve", "--net", net_file, "--problem", problem_file,
+                     "--algo", algo, "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and repr(algo) in lines[0]
+        assert not trace.exists()
+
     def test_table_size_cap(self, tmp_path, capsys):
         # largest pruned component needs a 2^38.7-entry table for ln p(E);
         # the plan is refused when compiled, before anything is allocated
@@ -230,6 +242,22 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "bogus" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_repeated_algorithm_rejected_before_any_case(self, net_file, tmp_path,
+                                                         capsys, monkeypatch):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(solver, "annealed_map", no_case)
+        monkeypatch.setattr(solver, "brute_force_map", no_case)
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--net", net_file, "--cases", "2",
+                     "--map-count", "1", "--evid-count", "1",
+                     "--algos", "anneal,anneal,oracle", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'anneal'" in err and "twice" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_workers_below_one_rejected(self, net_file, tmp_path, capsys):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amap import (
     Assignment,
@@ -143,16 +145,12 @@ def _reference_plan(net, keep, bound, tie_break):
     variable: two scans of every live slot per eliminated variable, and
     each input's permutation and shape found by list searches."""
     cards = [v.cardinality for v in net.variables]
-    bits = {v: 1 << i for i, v in enumerate(sorted(bound))}
-    bits[-1] = 0
-    scopes, masks, select = [], [], []
+    scopes, select = [], []
     for cpt in net.cpts:
         full = cpt.parents + (cpt.child,)
         scopes.append(tuple(v for v in full if v not in bound))
-        sel = (tuple(v if v in bound else -1 for v in full)
-               if len(scopes[-1]) < len(full) else None)
-        select.append(sel)
-        masks.append(0 if sel is None else sum(map(bits.__getitem__, sel)))
+        select.append(tuple(v if v in bound else -1 for v in full)
+                      if len(scopes[-1]) < len(full) else None)
     elim = set(range(len(cards))) - set(keep) - bound
     order = _min_fill_order(scopes, elim, tie_break)
 
@@ -169,10 +167,8 @@ def _reference_plan(net, keep, bound, tie_break):
             if not related:
                 continue
         scope = []
-        mask = 0
         for s in related:
             scope.extend(u for u in scopes[s] if u not in scope)
-            mask |= masks[s]
         perms, shapes = [], []
         for s in related:
             present = [u for u in scope if u in scopes[s]]
@@ -185,9 +181,7 @@ def _reference_plan(net, keep, bound, tie_break):
         shape = tuple(cards[u] for u in scope)
         entries += math.prod(shape) // (1 if v is None else cards[v])
         axis = None if v is None else scope.index(v)
-        masks.append(mask)
-        steps.append(engine._Step(tuple(related), tuple(perms), tuple(shapes), shape,
-                                  axis, mask))
+        steps.append(engine._Step(tuple(related), tuple(perms), tuple(shapes), shape, axis))
         if v is not None:
             live.append(len(scopes))
             scopes.append(tuple(u for u in scope if u != v))
@@ -325,7 +319,10 @@ class TestPlans:
         for net, keep, bound in cases:
             for tie_break in ("low", "high"):
                 plan = engine._plan(net, keep, bound, tie_break)
-                got = (plan.select, plan.bound, plan.steps, plan.perm, plan.entries)
+                # the final node's support is the bound set; the nodes'
+                # entries add up to the plan's
+                got = (plan.select, plan.nodes[-1].support, plan.steps, plan.perm,
+                       sum(node.entries for node in plan.nodes))
                 assert got == _reference_plan(net, keep, bound, tie_break)
 
     def test_width_cap_raised_before_allocating(self):
@@ -368,9 +365,9 @@ def _same_bits(got, want):
 
 
 class TestStepReuse:
-    """A plan evaluated more than twice re-runs only the steps that read a
-    bound variable whose value changed; every result must have the bits of
-    the same call on a network that has never evaluated the plan."""
+    """A call runs only the steps whose node holds no output for the current
+    values of the bound variables it reads; every result must have the bits
+    of the same call on a network that has never evaluated the plan."""
 
     @pytest.mark.parametrize("sharpen", [False, True])
     def test_matches_rebuilt_network(self, sharpen):
@@ -398,7 +395,7 @@ class TestStepReuse:
                     _same_bits(got, want)
                     scales.append(got.log_scale)
                 plan = net._plans[(keep, frozenset(bound), tie_break)]
-                assert plan.outputs is not None
+                assert all(node.keeps and node.values is not None for node in plan.nodes)
         # the sharpened nets go through the rescaling path
         assert any(scales) == sharpen
 
@@ -411,7 +408,7 @@ class TestStepReuse:
                 f = eliminate(net, keep, ev)
                 _same_bits(f, want)
                 f.values[...] = 7.0
-            kept = net._plans[(keep, frozenset(ev.keys()), "low")].outputs
+            kept = [node.output for node in net._plans[(keep, frozenset(ev.keys()), "low")].nodes]
             assert not any(isinstance(a, np.ndarray) and a.flags.writeable for a in kept)
 
     def test_failed_evaluation_leaves_no_stale_output(self):
@@ -424,8 +421,9 @@ class TestStepReuse:
             net = _rebuilt(base)
             for _ in range(3):
                 eliminate(net, (), Assignment({v: 0 for v in bound}))
-            with pytest.raises(IndexError):
-                eliminate(net, (), Assignment({v: 9 if v == bad else 1 for v in bound}))
+            for _ in range(2):  # nothing is kept for the failed values either
+                with pytest.raises(IndexError):
+                    eliminate(net, (), Assignment({v: 9 if v == bad else 1 for v in bound}))
             ev = Assignment({v: 1 if v == bad else 0 for v in bound})
             _same_bits(eliminate(net, (), ev), eliminate(base, (), ev))
 
@@ -439,10 +437,11 @@ class TestStepReuse:
                 ev = Assignment({v: rng.randrange(2) for v in range(1, len(net), 2)
                                  if v != j})
                 _same_bits(eliminate(net, (j,), ev), eliminate(_rebuilt(net), (j,), ev))
-        plans = [p for p in net._plans.values() if isinstance(p, engine._Plan)]
-        kept = [p for p in plans if p.outputs is not None]
-        assert 0 < len(kept) < len(plans)
-        assert sum(p.entries for p in kept) == net._plans[engine._CPTS].retained <= budget
+        nodes = list(net._plans[engine._CPTS].nodes.values())
+        kept = [node for node in nodes if node.keeps]
+        assert 0 < len(kept) < len(nodes)
+        assert sum(node.entries for node in kept) == net._plans[engine._CPTS].retained <= budget
+        assert all(node.output is None for node in nodes if not node.keeps)
 
     def test_budget_applies_per_component_network(self, monkeypatch):
         # Each network pruning makes has a budget of its own, so one solve of
@@ -473,6 +472,76 @@ class TestStepReuse:
         assert all(0 < r <= budget for r in retained)
         assert sum(retained) > budget
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 7), st.sampled_from(("none", "one", "all", "bad")),
+                              st.integers(0, 2 ** 32)), min_size=1, max_size=25))
+    def test_interleaved_plans_match_rebuilt_network(self, seed, sharpen, calls):
+        # the plans of a solve on one network: ln p(E), site conditionals,
+        # a sequential-init prefix and ln p(x, E), called in any order, with
+        # calls that fail part-way on an out-of-range state in between
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(6, 16))
+        if sharpen:
+            net = _sharpened(net)
+        ev = rng.sample(range(len(net)), len(net) // 3)
+        map_vars = rng.sample([v for v in range(len(net)) if v not in ev], 4)
+        plans = [((), frozenset(ev)), ((map_vars[2],), frozenset(ev + map_vars[:2])),
+                 ((), frozenset(ev + map_vars))]
+        plans += [((j,), frozenset(ev + map_vars) - {j}) for j in map_vars]
+        state = {v: rng.randrange(net.cardinality(v)) for v in ev + map_vars}
+        for pick, move, r in calls:
+            keep, bound = plans[pick % len(plans)]
+            draw = random.Random(r)
+            if move == "one":
+                v = draw.choice(map_vars)
+                state[v] = (state[v] + 1) % net.cardinality(v)
+            elif move == "all":
+                state.update({v: draw.randrange(net.cardinality(v)) for v in map_vars})
+            ev_call = Assignment({v: state[v] for v in bound})
+            if move == "bad":
+                v = draw.choice(sorted(bound))
+                ev_call.set(v, net.cardinality(v) + draw.randrange(3))
+                for target in (net, _rebuilt(net)):
+                    with pytest.raises(IndexError):
+                        eliminate(target, keep, ev_call)
+                continue
+            _same_bits(eliminate(net, keep, ev_call), eliminate(_rebuilt(net), keep, ev_call))
+
+    def test_site_plans_share_nodes(self):
+        net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
+        problem = generate_problem(net, 20, 20, random.Random(7))
+        comp = max(prune(net, problem).components, key=lambda c: len(c.net))
+        x = Assignment({v: 0 for v in comp.problem.map_vars})
+        contexts, plans = {}, []
+        for j in comp.problem.map_vars:
+            contexts[j] = comp.problem.evidence.merged(x)
+            contexts[j].discard(j)
+            plan = engine._plan(comp.net, (j,), frozenset(contexts[j].keys()), "low")
+            # every site plan after the first finds nodes held by the others
+            held = sum(node.values is not None for node in plan.nodes)
+            assert (held > 0) == bool(plans)
+            conditional(comp.net, j, contexts[j])
+            plans.append(plan)
+        steps = sum(len(plan.nodes) for plan in plans)
+        assert 2 * len(comp.net._plans[engine._CPTS].nodes) < steps
+        # a repeat call at unchanged values recomputes no node
+        outputs = [[node.output for node in plan.nodes] for plan in plans]
+        for j, plan, before in zip(contexts, plans, outputs):
+            want = conditional(_rebuilt(comp.net), j, contexts[j])
+            assert conditional(comp.net, j, contexts[j]).tobytes() == want.tobytes()
+            assert all(node.output is out for node, out in zip(plan.nodes, before))
+        # after one MAP variable changes, only nodes that read it run again
+        m, j = comp.problem.map_vars[:2]
+        contexts[j].set(m, 1)
+        plan = plans[1]
+        before = [node.output for node in plan.nodes]
+        want = conditional(_rebuilt(comp.net), j, contexts[j])
+        assert conditional(comp.net, j, contexts[j]).tobytes() == want.tobytes()
+        rerun = [node.output is not out for node, out in zip(plan.nodes, before)]
+        assert 0 < sum(rerun) < len(rerun)
+        assert all(m in node.support for node, r in zip(plan.nodes, rerun) if r)
+
     def test_empty_scope(self, sprinkler):
         # total() and log_total() as float.hex, as they were when the
         # empty-scope result had shape (1,)
@@ -485,7 +554,7 @@ class TestStepReuse:
              "0x1.9de404410dcbcp-7", "-0x1.17c863b538865p+2"),
         ]
         for net, ev, total, log_total in cases:
-            for _ in range(4):  # the fourth call reuses the final step
+            for _ in range(4):  # later calls reuse the final node
                 f = eliminate(net, (), Assignment(ev))
                 assert f.values.shape == ()
                 assert f.total().hex() == total

@@ -61,6 +61,16 @@ class TestParseNetwork:
         else:
             pytest.fail("expected ParseError")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("network n  # a comment\nvar A { t, f }  # another\n \t@ cpt A { 0.8 0.2 }\n", 3, 3),
+        ("# only a comment\r\nnetwork n\nvar A { t, f }$\n", 3, 15),
+        ("network n\n#\n#\n\t\t!", 4, 3),
+    ])
+    def test_unexpected_character_position(self, text, line, column):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_network(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
     def test_table_error_at_its_own_cpt_line(self):
         text = ("network n\nvar A { t, f }\nvar B { t, f }\n"
                 "cpt B | A {\n  0.5 0.6 ;\n  0.5 0.5\n}\n"
