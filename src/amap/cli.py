@@ -11,7 +11,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import fileio, solver
@@ -168,13 +168,11 @@ class BenchConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
-def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
-                schedule: AnnealSchedule, restarts: int, seeds: Sequence[int]
-                ) -> Tuple[List[Tuple[str, float, int, int, int, int, float, Optional[bool]]],
-                           List[Tuple[str, str]]]:
-    """Run one case; returns per-algorithm summaries plus oracle matching,
-    and the (algorithm, reason) of each algorithm skipped because an
-    elimination would exceed the table-size cap.
+def _bench_case(config: BenchConfig, net_text: str, problem_text: str, case: int
+                ) -> Tuple[List[ReportRow], List[Tuple[str, str]]]:
+    """Run one case; returns its report rows, and the (algorithm, reason)
+    of each algorithm skipped because an elimination would exceed the
+    table-size cap.
 
     Re-parses inputs so the job is picklable for worker processes.
     """
@@ -187,9 +185,10 @@ def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
     except (OracleCapError, WidthCapError):
         oracle = None
     oracle_ms = (time.perf_counter() - start) * 1000.0
-    results = []
+    rows = []
     skipped = []
-    for algo, seed in zip(algos, seeds):
+    for ai, algo in enumerate(config.algos):
+        seed = _mix_seed(config.seed, case, ai)
         if algo == "oracle":
             if oracle is None:
                 continue
@@ -197,7 +196,8 @@ def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
         else:
             start = time.perf_counter()
             try:
-                report = _run_algo(algo, net, problem, schedule, seed, restarts)
+                report = _run_algo(algo, net, problem, config.schedule, seed,
+                                   config.restarts)
             except WidthCapError as exc:
                 skipped.append((algo, str(exc)))
                 continue
@@ -206,9 +206,13 @@ def _bench_case(net_text: str, problem_text: str, algos: Sequence[str],
         if oracle is not None:
             matches = report.best.as_tuple(problem.map_vars) == \
                 oracle.best.as_tuple(problem.map_vars)
-        results.append((algo, report.logp, report.sweeps, report.restarts_used,
-                        report.best_found_sweep, report.reheats, wall_ms, matches))
-    return results, skipped
+        rows.append(ReportRow(
+            network=net.name, case_id=case, algorithm=algo, seed=seed,
+            log10_prob=report.logp / math.log(10.0), prob=math.exp(report.logp),
+            sweeps=report.sweeps, restarts_used=report.restarts_used,
+            best_found_sweep=report.best_found_sweep, reheats=report.reheats,
+            wall_ms=wall_ms, matches_oracle=matches))
+    return rows, skipped
 
 
 def run_bench(config: BenchConfig) -> List[ReportRow]:
@@ -220,10 +224,7 @@ def run_bench(config: BenchConfig) -> List[ReportRow]:
         for case in range(config.cases):
             gen_rng = random.Random(_mix_seed(config.seed, net_index, case))
             problem = generate_problem(net, config.map_count, config.evid_count, gen_rng)
-            ptext = fileio.serialize_problem(problem, net)
-            seeds = [_mix_seed(config.seed, case, ai) for ai in range(len(config.algos))]
-            jobs.append((net_text, ptext, config.algos, config.schedule,
-                         config.restarts, seeds))
+            jobs.append((config, net_text, fileio.serialize_problem(problem, net), case))
         workers = _pool_size(config.workers, config.cases)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -234,26 +235,19 @@ def run_bench(config: BenchConfig) -> List[ReportRow]:
         optimal = 0
         oracle_cases = 0
         mismatch_ratios: List[float] = []
-        for case, (case_results, skipped) in enumerate(results):
+        for case, (case_rows, skipped) in enumerate(results):
             for algo, reason in skipped:
                 print(f"skipped: network={net.name} case={case} algorithm={algo}: {reason}",
                       file=sys.stderr)
-            oracle_logp = next((lp for a, lp, *_ in case_results if a == "oracle"), None)
-            for (algo, logp, sweeps, restarts_used, found, reheats,
-                 wall_ms, matches) in case_results:
-                seed = _mix_seed(config.seed, case, config.algos.index(algo))
-                rows.append(ReportRow(
-                    network=net.name, case_id=case, algorithm=algo, seed=seed,
-                    log10_prob=logp / math.log(10.0), prob=math.exp(logp),
-                    sweeps=sweeps, restarts_used=restarts_used,
-                    best_found_sweep=found, reheats=reheats, wall_ms=wall_ms,
-                    matches_oracle=matches))
-                if algo == "anneal" and matches is not None:
+            rows += case_rows
+            oracle = next((r for r in case_rows if r.algorithm == "oracle"), None)
+            for row in case_rows:
+                if row.algorithm == "anneal" and row.matches_oracle is not None:
                     oracle_cases += 1
-                    if matches:
+                    if row.matches_oracle:
                         optimal += 1
-                    elif oracle_logp is not None:
-                        mismatch_ratios.append(math.exp(logp - oracle_logp))
+                    elif oracle is not None:
+                        mismatch_ratios.append(10.0 ** (row.log10_prob - oracle.log10_prob))
         summary = (f"network={net.name} cases={config.cases} "
                    f"anneal_optimal={optimal}/{oracle_cases}")
         if mismatch_ratios:

@@ -416,20 +416,24 @@ def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
     return joint - log_p_evidence
 
 
+def _sample_index(dist: Sequence[float], rng: random.Random) -> int:
+    """One draw from the distribution `dist` with one rng variate. Rows may
+    sum to slightly less than 1; a variate past the rounded total falls to
+    the last state with mass, never to a state of probability zero."""
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(dist):
+        acc += float(p)
+        if u < acc:
+            return i
+    return int(np.flatnonzero(dist)[-1])
+
+
 def forward_sample(net: BayesianNetwork, rng: random.Random) -> Assignment:
     """One draw from the network prior, sampling in topological order."""
     out = Assignment()
     for v in net.order():
-        row = net.cpts[v].table[net.row_index(v, out)]
-        u = rng.random()
-        acc = 0.0
-        state = len(row) - 1
-        for i, p in enumerate(row):
-            acc += p
-            if u < acc:
-                state = i
-                break
-        out.set(v, state)
+        out.set(v, _sample_index(net.cpts[v].table[net.row_index(v, out)], rng))
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 ROW_SUM_TOL = 1e-6
@@ -97,9 +97,6 @@ class Assignment:
     @property
     def bindings(self) -> Dict[int, int]:
         return dict(self._bindings)
-
-    def get(self, var: int, default: Optional[int] = None) -> Optional[int]:
-        return self._bindings.get(var, default)
 
     def set(self, var: int, state: int) -> None:
         self._bindings[var] = state

@@ -11,8 +11,8 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .engine import (
     Component,
     ImpossibleContextError,
     InconsistentEvidenceError,
+    PrunedNetwork,
+    _sample_index,
     conditional,
     eliminate,
     forward_sample,
@@ -34,6 +36,7 @@ IMPROVE_EPS = 1e-12   # best_logp must grow by more than this to count
 TRACK_TOL = 1e-6      # tracked vs recomputed ln p(x|E)
 
 DEFAULT_ORACLE_CAP = 2 ** 20
+_MAX_CLIMB_STEPS = 1000
 
 
 class OracleCapError(ValueError):
@@ -167,16 +170,6 @@ def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
     return out
 
 
-def _sample_index(dist: np.ndarray, rng: random.Random) -> int:
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(dist):
-        acc += float(p)
-        if u < acc:
-            return i
-    return int(np.flatnonzero(dist)[-1])  # u reached the rounded total: last state with mass
-
-
 # -- the annealed sampler ----------------------------------------------------
 
 def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
@@ -184,9 +177,9 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
                     init: Assignment, rng: random.Random,
                     log_p_evidence: float, sweep_offset: int,
                     trace: Optional[List[TraceRow]], debug_check: bool
-                    ) -> Tuple[Assignment, float, int, int, int]:
-    """One annealing run; returns (best, best_logp, sweeps, reheats,
-    best_found_sweep) with sweep counts offset by `sweep_offset`."""
+                    ) -> SolveReport:
+    """One annealing run on one component; its best_found_sweep and trace
+    rows count sweeps from `sweep_offset`."""
     evidence = problem.evidence
     x = init.copy()
     logp = map_posterior(net, x, evidence, log_p_evidence)
@@ -260,7 +253,8 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
     exact = map_posterior(net, best, evidence, log_p_evidence)
     if not _close(best_logp, exact, TRACK_TOL):
         raise TrackingError(f"final: tracked {best_logp} vs exact {exact}")
-    return best, exact, sweep, reheats, best_found
+    return SolveReport(best=best, logp=exact, sweeps=sweep, reheats=reheats,
+                       best_found_sweep=best_found)
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -269,6 +263,25 @@ def _close(a: float, b: float, tol: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return False
     return abs(a - b) <= tol
+
+
+def _solve_components(pruned: PrunedNetwork,
+                      solve: Callable[[int, Component, int], SolveReport]) -> SolveReport:
+    """The pipeline every MAP solver shares. `solve(index, component,
+    sweeps_before)` answers one pruned component, where `sweeps_before`
+    counts the sweeps of the components before it. Answers are mapped back
+    to original ids and merged; ln p(x|E), sweeps and reheats add up over
+    the components, and best_found_sweep is the largest of theirs."""
+    total = SolveReport(best=Assignment(), logp=0.0)
+    for index, comp in enumerate(pruned.components):
+        part = solve(index, comp, total.sweeps)
+        total.best = total.best.merged(comp.to_original(part.best))
+        total.logp += part.logp
+        total.sweeps += part.sweeps
+        total.reheats += part.reheats
+        total.best_found_sweep = max(total.best_found_sweep, part.best_found_sweep)
+        total.restarts_used = part.restarts_used  # the same on every component
+    return total
 
 
 def annealed_map(net: BayesianNetwork, problem: MapProblem,
@@ -288,43 +301,30 @@ def annealed_map(net: BayesianNetwork, problem: MapProblem,
         rng = random.Random(0)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    pruned = prune(net, problem)
     trace: Optional[List[TraceRow]] = [] if collect_trace else None
 
-    merged = Assignment()
-    total_logp = 0.0
-    total_sweeps = 0
-    total_reheats = 0
-    best_found = 0
-    for ci, comp in enumerate(pruned.components):
+    def anneal(index: int, comp: Component, sweeps_before: int) -> SolveReport:
+        # zero-probability evidence raises in sequential_init, on this plan
         log_pe = eliminate(comp.net, (), comp.problem.evidence).log_total()
-        if log_pe == -math.inf:
-            raise InconsistentEvidenceError("evidence has probability zero")
-        comp_best: Optional[Assignment] = None
-        comp_logp = -math.inf
-        comp_best_sweep = 0
+        best: Optional[SolveReport] = None
+        sweeps = reheats = 0
         for r in range(restarts):
             if r == 0:
                 init = sequential_init(comp.net, comp.problem)
             else:
-                sample = forward_sample(comp.net, rng)
-                init = sample.restricted(comp.problem.map_vars)
-            best, logp, sweeps, reheats, found = _anneal_restart(
-                ci, r, comp.net, comp.problem, schedule, init, rng,
-                log_pe, total_sweeps, trace, debug_check)
-            total_sweeps += sweeps
-            total_reheats += reheats
-            if logp > comp_logp:
-                comp_best, comp_logp = best, logp
-                comp_best_sweep = found
-        assert comp_best is not None
-        merged = merged.merged(comp.to_original(comp_best))
-        total_logp += comp_logp
-        best_found = max(best_found, comp_best_sweep)
+                init = forward_sample(comp.net, rng).restricted(comp.problem.map_vars)
+            run = _anneal_restart(index, r, comp.net, comp.problem, schedule, init, rng,
+                                  log_pe, sweeps_before + sweeps, trace, debug_check)
+            sweeps += run.sweeps
+            reheats += run.reheats
+            if best is None or run.logp > best.logp:
+                best = run
+        return replace(best, sweeps=sweeps, reheats=reheats,
+                       restarts_used=restarts)
 
-    return SolveReport(best=merged, logp=total_logp, sweeps=total_sweeps,
-                       reheats=total_reheats, best_found_sweep=best_found,
-                       restarts_used=restarts, trace=trace)
+    report = _solve_components(prune(net, problem), anneal)
+    report.trace = trace
+    return report
 
 
 def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
@@ -333,7 +333,6 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
     rule). Returns the visited MAP-set configuration after every sweep, as
     state tuples in map-variable order. Every proposal is accepted: the
     acceptance probability at temperature 1 is identically 1."""
-    problem.validate_for(net)
     x = sequential_init(net, problem)
     out: List[Tuple[int, ...]] = []
     for _ in range(sweeps):
@@ -360,28 +359,26 @@ def brute_force_map(net: BayesianNetwork, problem: MapProblem,
         size = math.prod(comp.net.cardinality(v) for v in comp.problem.map_vars)
         if size > cap:
             raise OracleCapError(size, cap)
-    merged = Assignment()
-    total_logp = 0.0
-    for comp in pruned.components:
-        f = eliminate(comp.net, comp.problem.map_vars, comp.problem.evidence)
-        total = f.total()
-        if total <= 0.0:
-            raise InconsistentEvidenceError("evidence has probability zero")
-        flat = f.values.reshape(-1)
-        idx = int(np.argmax(flat))  # first maximum = lexicographically lowest
-        best_val = float(flat[idx])
-        states = np.unravel_index(idx, f.values.shape) if f.values.ndim else ()
-        sub = Assignment({v: int(s) for v, s in zip(comp.problem.map_vars, states)})
-        merged = merged.merged(comp.to_original(sub))
-        total_logp += (-math.inf if best_val == 0.0
-                       else math.log(best_val) - math.log(total))
-    return SolveReport(best=merged, logp=total_logp, restarts_used=0)
+    return _solve_components(pruned, lambda _, comp, __: _brute_force(comp))
+
+
+def _brute_force(comp: Component) -> SolveReport:
+    f = eliminate(comp.net, comp.problem.map_vars, comp.problem.evidence)
+    total = f.total()
+    if total <= 0.0:
+        raise InconsistentEvidenceError("evidence has probability zero")
+    flat = f.values.reshape(-1)
+    idx = int(np.argmax(flat))  # first maximum = lexicographically lowest
+    best_val = float(flat[idx])
+    states = np.unravel_index(idx, f.values.shape) if f.values.ndim else ()
+    best = Assignment({v: int(s) for v, s in zip(comp.problem.map_vars, states)})
+    logp = -math.inf if best_val == 0.0 else math.log(best_val) - math.log(total)
+    return SolveReport(best=best, logp=logp, restarts_used=0)
 
 
 # -- hill-climbing baseline --------------------------------------------------
 
-def hill_climb_map(net: BayesianNetwork, problem: MapProblem,
-                   max_steps: int = 1000) -> SolveReport:
+def hill_climb_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
     """Greedy local search from the sequential initialization: move to the
     best strictly-improving single-variable change until a local maximum.
 
@@ -389,31 +386,27 @@ def hill_climb_map(net: BayesianNetwork, problem: MapProblem,
     by the identity ln p(x'|E) - ln p(x|E) = ln c_j(s) - ln c_j(x_j); ties
     keep the first move in map-variable, then state, order. The final
     assignment is re-scored exactly with map_posterior."""
-    problem.validate_for(net)
-    pruned = prune(net, problem)
-    merged = Assignment()
-    total_logp = 0.0
-    total_steps = 0
-    for comp in pruned.components:
-        evidence = comp.problem.evidence
-        x = sequential_init(comp.net, comp.problem)
-        for _ in range(max_steps):
-            best_move: Optional[Tuple[int, int]] = None
-            best_gain = 0.0
-            for j in comp.problem.map_vars:
-                # p(x|E) > 0 throughout, so c_j(x_j) > 0
-                dist = _site(comp.net, j, x, evidence)
-                cur = math.log(dist[x[j]])
-                for s, p in enumerate(dist):
-                    gain = math.log(p) - cur if p > 0.0 else -math.inf
-                    if gain > best_gain:  # s == x[j] has gain 0 and never wins
-                        best_gain = gain
-                        best_move = (j, s)
-            if best_move is None:
-                break
-            x.set(*best_move)
-            total_steps += 1
-        merged = merged.merged(comp.to_original(x))
-        total_logp += map_posterior(comp.net, x, evidence)
-    return SolveReport(best=merged, logp=total_logp, sweeps=total_steps,
-                       restarts_used=1)
+    return _solve_components(prune(net, problem), lambda _, comp, __: _climb(comp))
+
+
+def _climb(comp: Component) -> SolveReport:
+    net, evidence = comp.net, comp.problem.evidence
+    x = sequential_init(net, comp.problem)
+    steps = 0
+    for _ in range(_MAX_CLIMB_STEPS):
+        best_move: Optional[Tuple[int, int]] = None
+        best_gain = 0.0
+        for j in comp.problem.map_vars:
+            # p(x|E) > 0 throughout, so c_j(x_j) > 0
+            dist = _site(net, j, x, evidence)
+            cur = math.log(dist[x[j]])
+            for s, p in enumerate(dist):
+                gain = math.log(p) - cur if p > 0.0 else -math.inf
+                if gain > best_gain:  # s == x[j] has gain 0 and never wins
+                    best_gain = gain
+                    best_move = (j, s)
+        if best_move is None:
+            break
+        x.set(*best_move)
+        steps += 1
+    return SolveReport(best=x, logp=map_posterior(net, x, evidence), sweeps=steps)

@@ -32,6 +32,16 @@ def random_network(rng: random.Random, n_vars: int, max_parents: int = 2,
     return BayesianNetwork(name, variables, cpts)
 
 
+def disjoint_union(a: BayesianNetwork, b: BayesianNetwork) -> BayesianNetwork:
+    """The two networks side by side, with b's ids shifted past a's."""
+    n = len(a)
+    variables = list(a.variables) + [Variable(v.id + n, f"v{v.id + n}", v.states)
+                                     for v in b.variables]
+    cpts = list(a.cpts) + [Cpt(c.child + n, tuple(p + n for p in c.parents), c.table)
+                           for c in b.cpts]
+    return BayesianNetwork("union", variables, cpts)
+
+
 def joint_size(net: BayesianNetwork) -> int:
     size = 1
     for v in net.variables:

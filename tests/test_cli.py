@@ -163,6 +163,8 @@ class TestBenchCommand:
         rows = list(csv.DictReader(io.StringIO(text)))
         # cases x algorithms (anneal + oracle by default)
         assert len(rows) == 3 * 2
+        assert [int(row["seed"]) for row in rows] == [
+            _mix_seed(11, case, ai) for case in range(3) for ai in range(2)]
         for row in rows:
             assert row["matches_oracle"] in ("0", "1")
             float(row["prob"])
@@ -174,6 +176,18 @@ class TestBenchCommand:
         b = self.run_bench(tmp_path, net_file, "b.csv")
         capsys.readouterr()
         assert self.mask_wall(a) == self.mask_wall(b)
+
+    def test_workers_do_not_change_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        path = tmp_path / "small.bnet"
+        path.write_text(serialize_network(random_network(random.Random(5), 10, name="small")))
+        extra = ("--map-count", "2", "--evid-count", "2",
+                 "--algos", "anneal,oracle,hillclimb", "--workers")
+        serial = self.run_bench(tmp_path, str(path), "one.csv", (*extra, "1"))
+        serial_out = capsys.readouterr().out
+        pooled = self.run_bench(tmp_path, str(path), "two.csv", (*extra, "2"))
+        assert self.mask_wall(pooled) == self.mask_wall(serial)
+        assert capsys.readouterr().out == serial_out
 
     def test_oracle_cap_blank(self, tmp_path, capsys, monkeypatch):
         rng = random.Random(4)

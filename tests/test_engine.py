@@ -13,7 +13,6 @@ from amap import (
     ImpossibleContextError,
     InconsistentEvidenceError,
     MapProblem,
-    Variable,
     WidthCapError,
     conditional,
     eliminate,
@@ -26,6 +25,7 @@ from amap import engine, solver
 from amap.cli import generate_problem
 from amap.engine import MAX_TABLE_ENTRIES, _min_fill_order
 from netgen import (
+    disjoint_union,
     enum_conditional,
     enum_factor,
     enum_map_posterior,
@@ -446,14 +446,8 @@ class TestStepReuse:
     def test_budget_applies_per_component_network(self, monkeypatch):
         # Each network pruning makes has a budget of its own, so one solve of
         # two components can keep more than the budget in all.
-        halves = [random_network(random.Random(seed), 12, cards=(2,)) for seed in (107, 109)]
-        variables, cpts = [], []
-        for offset, half in ((0, halves[0]), (12, halves[1])):
-            variables += [Variable(v.id + offset, f"v{v.id + offset}", v.states)
-                          for v in half.variables]
-            cpts += [Cpt(c.child + offset, tuple(p + offset for p in c.parents), c.table)
-                     for c in half.cpts]
-        net = BayesianNetwork("two", variables, cpts)
+        net = disjoint_union(*(random_network(random.Random(seed), 12, cards=(2,))
+                               for seed in (107, 109)))
         problem = MapProblem(tuple(range(0, 24, 2)),
                              Assignment({v: 0 for v in range(1, 24, 4)}))
         schedule = solver.AnnealSchedule(wait=3, stop=6)
@@ -668,6 +662,22 @@ class TestForwardSample:
         b = [forward_sample(sprinkler, random.Random(7)).as_tuple((0, 1, 2))
              for _ in range(5)]
         assert a == b
+
+    def test_short_row_never_draws_impossible_state(self):
+        # the row sums to 1 - 5e-7: a variate past that total falls to the
+        # last state with mass, not to the last state, whose p is 0
+        net = parse_network("network n\nvar A { a, b, c }\ncpt A { 0.4999995 0.5 0.0 }\n")
+
+        class StubRng:
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return 0.9999999
+
+        rng = StubRng()
+        assert forward_sample(net, rng)[0] == 1
+        assert rng.draws == 1
 
 
 class TestPrune:

@@ -27,7 +27,7 @@ from amap import (
     specific_heat,
     Variable,
 )
-from netgen import enum_best, joint_size, random_network, random_problem
+from netgen import disjoint_union, enum_best, joint_size, random_network, random_problem
 
 
 class TestAcceptanceProbability:
@@ -322,6 +322,34 @@ class TestHillClimb:
                 exact += map_posterior(comp.net, sub, comp.problem.evidence)
             assert r.logp == exact
             assert r.logp == pytest.approx(here, abs=1e-9)
+
+
+class TestComponentPipeline:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_scores_add_up_over_components(self, seed, restarts):
+        rng = random.Random(seed)
+        net = disjoint_union(*(random_network(rng, rng.randint(2, 4)) for _ in range(2)))
+        problem = random_problem(rng, net)
+        components = prune(net, problem).components
+        assert len(components) >= 2
+
+        def parts(best):
+            return [map_posterior(c.net, Assignment({v: best[c.orig_ids[v]]
+                                                     for v in c.problem.map_vars}),
+                                  c.problem.evidence)
+                    for c in components]
+
+        oracle = brute_force_map(net, problem)
+        want, want_logp = enum_best(net, problem)
+        assert oracle.best.as_tuple(problem.map_vars) == want
+        assert oracle.logp == pytest.approx(want_logp, abs=1e-9)
+        # the oracle scores from its kept table, not with map_posterior
+        assert oracle.logp == pytest.approx(sum(parts(oracle.best)), abs=1e-9)
+        for r in (annealed_map(net, problem, rng=random.Random(seed), restarts=restarts),
+                  hill_climb_map(net, problem)):
+            assert r.logp == sum(parts(r.best))
+            assert r.logp <= oracle.logp + 1e-9
 
 
 class TestLocalOptimumInstance:
