@@ -12,7 +12,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, TextIO, Tuple
 
 from . import fileio, solver
 from .engine import WidthCapError, forward_sample
@@ -36,6 +36,7 @@ def generate_problem(net: BayesianNetwork, n_map: int, n_evid: int,
     """Random problem in the style of the benchmark protocol: MAP variables
     drawn from the roots, evidence drawn from the leaves and set from one
     prior forward sample."""
+    _check_counts(n_map, n_evid)
     roots = list(net.roots())
     if not roots:
         raise ValueError(f"network {net.name!r} has no root variables")
@@ -46,6 +47,11 @@ def generate_problem(net: BayesianNetwork, n_map: int, n_evid: int,
     sample = forward_sample(net, rng)
     evidence = Assignment({v: sample[v] for v in evid_vars})
     return MapProblem(tuple(map_vars), evidence)
+
+
+def _check_counts(n_map: int, n_evid: int) -> None:
+    if n_map < 1 or n_evid < 0:
+        raise ValueError("map-count must be >= 1 and evid-count >= 0")
 
 
 def _oracle_cap() -> int:
@@ -88,6 +94,14 @@ def _read(path: str) -> str:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
 
 
+def _create(path: str) -> TextIO:
+    """`path` opened for writing; an unwritable path ends the command."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror}")
+
+
 def _run_algo(algo: str, net: BayesianNetwork, problem: MapProblem,
               schedule: AnnealSchedule, seed: int, restarts: int,
               collect_trace: bool = False) -> SolveReport:
@@ -103,7 +117,7 @@ def _run_algo(algo: str, net: BayesianNetwork, problem: MapProblem,
 
 
 def _write_trace(path: str, trace: List[solver.TraceRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write("component,restart,sweep,temperature,current_logp,best_logp,specific_heat\n")
         for row in trace:
             fh.write(f"{row.component},{row.restart},{row.sweep},"
@@ -139,7 +153,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     problem = generate_problem(net, args.map_count, args.evid_count, rng)
     text = fileio.serialize_problem(problem, net)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _create(args.output) as fh:
         fh.write(text)
     print(f"wrote {args.output}: {len(problem.map_vars)} MAP variables, "
           f"{len(problem.evidence)} evidence variables")
@@ -162,8 +176,7 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.cases < 1:
             raise ValueError("cases must be >= 1")
-        if self.map_count < 1 or self.evid_count < 0:
-            raise ValueError("map-count must be >= 1 and evid-count >= 0")
+        _check_counts(self.map_count, self.evid_count)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -274,9 +287,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         evid_count=args.evid_count, algos=args.algos, seed=args.seed,
         schedule=_schedule_from_args(args), restarts=args.restarts,
         output=args.output, workers=args.workers)
-    rows = run_bench(config)
-    with open(config.output, "w", encoding="utf-8") as fh:
-        fh.write(fileio.write_report(rows))
+    with _create(config.output) as fh:  # before any case runs
+        fh.write(fileio.write_report(run_bench(config)))
     return 0
 
 

@@ -5,7 +5,10 @@ Each elimination is compiled once per network, kept variables and set of
 bound variables into a plan of steps. Identical steps of all of a
 network's plans are one node, which keeps its output while the bound
 variables that output depends on keep their values, so a call runs only
-the steps whose output is not already held for the current values.
+the steps whose output is not already held for the current values. A
+plan's final node that keeps its output also keeps the normalised
+conditional `conditional` made from it, so a repeated site update costs a
+plan lookup and a tuple compare.
 
 Factor products and sums run in linear domain; a separate log scale is
 carried and folded in only at the boundary, so deep products on large
@@ -84,8 +87,10 @@ class _Node:
     bound variables that the step's subtree selects on. A node that `keeps`
     (its `entries` fit in the network's budget) holds its output read-only
     and its log scale, valid while its support has the values in `values`
-    (None until an evaluation completes). Any other node holds an output
-    only until the step that reads it has run."""
+    (None until an evaluation completes), and `cond`, the output normalised
+    by `conditional` (None until then; cleared whenever the output is
+    replaced). Any other node holds an output only until the step that
+    reads it has run."""
 
     support: Tuple[int, ...]
     entries: int
@@ -93,6 +98,7 @@ class _Node:
     output: Optional[np.ndarray] = None
     scale: float = 0.0
     values: Optional[Tuple[int, ...]] = None
+    cond: Optional[np.ndarray] = None
 
 
 @dataclass(eq=False)
@@ -319,10 +325,22 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
     support are run; every other node's output and log scale are the ones
     running its step would give, bit for bit."""
     keep_t = tuple(keep)
+    plan, out = _evaluate(net, keep_t, evidence, tie_break)
+    final = plan.nodes[-1]
+    # a C-ordered array of its own, of shape () for the empty scope: a kept
+    # output is copied, one that is not is only made contiguous
+    return Factor(keep_t, (np.array if final.keeps else np.asarray)(
+        out.transpose(plan.perm) if keep_t else out, order="C"), final.scale)
+
+
+def _evaluate(net: BayesianNetwork, keep: Tuple[int, ...], evidence: Assignment,
+              tie_break: str) -> Tuple[_Plan, np.ndarray]:
+    """The plan for `keep` under `evidence` and its final output for the
+    evidence's values, which the final node keeps only if it `keeps`."""
     bound = frozenset(evidence.keys())
-    if not bound.isdisjoint(keep_t):
-        raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep_t))}")
-    plan = _plan(net, keep_t, bound, tie_break)
+    if not bound.isdisjoint(keep):
+        raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep))}")
+    plan = _plan(net, keep, bound, tie_break)
     final = plan.nodes[-1]
     values = evidence.as_tuple(final.support)
     if values != final.values:
@@ -330,10 +348,7 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
     out = final.output
     if not final.keeps:
         final.output = None
-    # a C-ordered array of its own, of shape () for the empty scope: a kept
-    # output is copied, one that is not is only made contiguous
-    return Factor(keep_t, (np.array if final.keeps else np.asarray)(
-        out.transpose(plan.perm) if keep_t else out, order="C"), final.scale)
+    return plan, out
 
 
 def _run(plan: _Plan, evidence: Assignment, values: Tuple[int, ...]) -> None:
@@ -379,7 +394,7 @@ def _run(plan: _Plan, evidence: Assignment, values: Tuple[int, ...]) -> None:
             log_scale += math.log(m)
         if step.axis is not None:
             out = out.sum(axis=step.axis)
-        node.output, node.scale = out, log_scale
+        node.output, node.scale, node.cond = out, log_scale, None
         if node.keeps:
             if isinstance(out, np.ndarray):
                 out.setflags(write=False)
@@ -387,18 +402,27 @@ def _run(plan: _Plan, evidence: Assignment, values: Tuple[int, ...]) -> None:
 
 
 def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.ndarray:
-    """Normalized p(target | context), marginalizing everything else.
+    """Normalized p(target | context), marginalizing everything else, as a
+    read-only array; a repeat for the same context values returns the array
+    kept with the plan's final node.
 
     Raises ImpossibleContextError when p(context) = 0.
     """
     if target in context:
         raise ValueError(f"target variable {target} is bound in the context")
-    f = eliminate(net, (target,), context)
-    total = f.total()
+    plan, out = _evaluate(net, (target,), context, "low")
+    final = plan.nodes[-1]
+    if final.cond is not None:
+        return final.cond
+    total = float(out.sum())
     if total <= 0.0:
         raise ImpossibleContextError(
             f"context has probability zero (variable {net.var(target).name!r})")
-    return f.values / total
+    cond = out / total
+    cond.setflags(write=False)
+    if final.keeps:
+        final.cond = cond
+    return cond
 
 
 def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
@@ -417,13 +441,14 @@ def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
 
 
 def _sample_index(dist: Sequence[float], rng: random.Random) -> int:
-    """One draw from the distribution `dist` with one rng variate. Rows may
-    sum to slightly less than 1; a variate past the rounded total falls to
-    the last state with mass, never to a state of probability zero."""
+    """One draw from the distribution `dist`, a sequence of Python floats,
+    with one rng variate. Rows may sum to slightly less than 1; a variate
+    past the rounded total falls to the last state with mass, never to a
+    state of probability zero."""
     u = rng.random()
     acc = 0.0
     for i, p in enumerate(dist):
-        acc += float(p)
+        acc += p
         if u < acc:
             return i
     return int(np.flatnonzero(dist)[-1])

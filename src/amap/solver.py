@@ -137,14 +137,15 @@ def reheat_temperature(c_b: float, t_at_max_ch: float, k: float, t0: float) -> f
 
 # -- the site update and initialization --------------------------------------
 
-def _site(net: BayesianNetwork, j: int, x: Assignment,
-          evidence: Assignment) -> np.ndarray:
-    """The site update every solver shares: p(x_j | E, x without j), with
-    every variable outside E and x summed out. Raises ImpossibleContextError
-    when that context has probability zero."""
-    context = evidence.merged(x)
+def _site(net: BayesianNetwork, j: int, context: Assignment) -> List[float]:
+    """The site update every solver shares: p(x_j | context without j), with
+    every variable outside the context summed out, as a list of floats.
+    `context` is E together with the current assignment x, which the caller
+    keeps in step with x: this call unbinds j, and the caller binds it again
+    to x_j's next state. Raises ImpossibleContextError when the context has
+    probability zero."""
     context.discard(j)
-    return conditional(net, j, context)
+    return conditional(net, j, context).tolist()
 
 
 def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
@@ -154,20 +155,20 @@ def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
     problem.validate_for(net)
     if eliminate(net, (), problem.evidence).total() <= 0.0:
         raise InconsistentEvidenceError("evidence has probability zero")
-    out = Assignment()
+    context = problem.evidence.copy()
     map_set = set(problem.map_vars)
     for v in net.order():
         if v not in map_set:
             continue
         try:
-            dist = _site(net, v, out, problem.evidence)
-            state = int(np.argmax(dist))  # argmax keeps the lowest index on ties
+            dist = _site(net, v, context)
+            state = dist.index(max(dist))  # the lowest index on ties
         except ImpossibleContextError:
             log.warning("impossible context while initializing %s; using state 0",
                         net.var(v).name)
             state = 0
-        out.set(v, state)
-    return out
+        context.set(v, state)
+    return context.restricted(problem.map_vars)
 
 
 # -- the annealed sampler ----------------------------------------------------
@@ -181,9 +182,9 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
     """One annealing run on one component; its best_found_sweep and trace
     rows count sweeps from `sweep_offset`."""
     evidence = problem.evidence
-    x = init.copy()
-    logp = map_posterior(net, x, evidence, log_p_evidence)
-    best, best_logp = x.copy(), logp
+    context = evidence.merged(init)  # E and the current assignment x
+    logp = map_posterior(net, init, evidence, log_p_evidence)
+    best, best_logp = init.copy(), logp
     best_found = sweep_offset
     t = schedule.t0
     no_improve = 0
@@ -197,26 +198,27 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
         costs: List[float] = []
         for j in problem.map_vars:
             u = rng.random()
+            cur = context[j]
             try:
-                dist = _site(net, j, x, evidence)
+                dist = _site(net, j, context)
             except ImpossibleContextError:
                 # current neighborhood has probability zero: resample uniformly
-                x.set(j, rng.randrange(net.cardinality(j)))
-                logp = map_posterior(net, x, evidence, log_p_evidence)
+                context.set(j, rng.randrange(net.cardinality(j)))
+                logp = map_posterior(net, context, evidence, log_p_evidence)
                 costs.append(best_logp - logp)
                 continue
             cand = _sample_index(dist, rng)
-            cur = x[j]
             lp_new = math.log(dist[cand]) if dist[cand] > 0.0 else -math.inf
             lp_old = math.log(dist[cur]) if dist[cur] > 0.0 else -math.inf
-            if u < acceptance_probability(t, lp_new, lp_old) and cand != cur:
-                x.set(j, cand)
+            accept = u < acceptance_probability(t, lp_new, lp_old) and cand != cur
+            context.set(j, cand if accept else cur)
+            if accept:
                 if lp_old == -math.inf or logp == -math.inf:
-                    logp = map_posterior(net, x, evidence, log_p_evidence)
+                    logp = map_posterior(net, context, evidence, log_p_evidence)
                 else:
                     logp = logp + lp_new - lp_old
             if logp > best_logp + IMPROVE_EPS:
-                best, best_logp = x.copy(), logp
+                best, best_logp = context.restricted(problem.map_vars), logp
                 best_found = sweep_offset + sweep + 1
                 improved = True
             costs.append(best_logp - logp)
@@ -233,7 +235,7 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
             trace.append(TraceRow(comp_index, restart, sweep_offset + sweep,
                                   t, logp, best_logp, ch))
         if debug_check:
-            exact = map_posterior(net, x, evidence, log_p_evidence)
+            exact = map_posterior(net, context, evidence, log_p_evidence)
             if not _close(logp, exact, TRACK_TOL):
                 raise TrackingError(
                     f"sweep {sweep_offset + sweep}: tracked {logp} vs exact {exact}")
@@ -333,7 +335,7 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
     rule). Returns the visited MAP-set configuration after every sweep, as
     state tuples in map-variable order. Every proposal is accepted: the
     acceptance probability at temperature 1 is identically 1."""
-    x = sequential_init(net, problem)
+    context = problem.evidence.merged(sequential_init(net, problem))
     out: List[Tuple[int, ...]] = []
     for _ in range(sweeps):
         for j in problem.map_vars:
@@ -341,8 +343,8 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
             # every proposal is accepted; drawing it anyway keeps the random
             # stream, and so every seeded chain, as it has always been.
             rng.random()
-            x.set(j, _sample_index(_site(net, j, x, problem.evidence), rng))
-        out.append(x.as_tuple(problem.map_vars))
+            context.set(j, _sample_index(_site(net, j, context), rng))
+        out.append(context.as_tuple(problem.map_vars))
     return out
 
 
@@ -390,23 +392,26 @@ def hill_climb_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
 
 
 def _climb(comp: Component) -> SolveReport:
-    net, evidence = comp.net, comp.problem.evidence
-    x = sequential_init(net, comp.problem)
+    net, problem = comp.net, comp.problem
+    context = problem.evidence.merged(sequential_init(net, problem))
     steps = 0
     for _ in range(_MAX_CLIMB_STEPS):
         best_move: Optional[Tuple[int, int]] = None
         best_gain = 0.0
-        for j in comp.problem.map_vars:
+        for j in problem.map_vars:
+            state = context[j]
+            dist = _site(net, j, context)
+            context.set(j, state)
             # p(x|E) > 0 throughout, so c_j(x_j) > 0
-            dist = _site(net, j, x, evidence)
-            cur = math.log(dist[x[j]])
+            cur = math.log(dist[state])
             for s, p in enumerate(dist):
                 gain = math.log(p) - cur if p > 0.0 else -math.inf
-                if gain > best_gain:  # s == x[j] has gain 0 and never wins
+                if gain > best_gain:  # s == x_j has gain 0 and never wins
                     best_gain = gain
                     best_move = (j, s)
         if best_move is None:
             break
-        x.set(*best_move)
+        context.set(*best_move)
         steps += 1
-    return SolveReport(best=x, logp=map_posterior(net, x, evidence), sweeps=steps)
+    x = context.restricted(problem.map_vars)
+    return SolveReport(best=x, logp=map_posterior(net, x, problem.evidence), sweeps=steps)

@@ -13,6 +13,10 @@ from netgen import random_network
 from amap.fileio import REPORT_COLUMNS, serialize_network, serialize_problem
 
 
+def assert_one_error(err, line):
+    assert err.splitlines() == [line]
+
+
 @pytest.fixture
 def net_file(tmp_path):
     path = tmp_path / "sprinkler.bnet"
@@ -92,6 +96,14 @@ class TestSolveCommand:
         assert lines[0].startswith("component,restart,sweep,temperature")
         assert len(lines) > 1
 
+    def test_unwritable_trace(self, net_file, problem_file, tmp_path, capsys):
+        trace = tmp_path / "missing" / "trace.csv"
+        code = main(["solve", "--net", net_file, "--problem", problem_file,
+                     "--trace", str(trace)])
+        assert code == 1
+        assert_one_error(capsys.readouterr().err,
+                         f"error: cannot write {trace}: No such file or directory")
+
     @pytest.mark.parametrize("algo", ["hillclimb", "oracle"])
     def test_trace_rejected_for_algorithm_without_sweeps(self, algo, net_file,
                                                          problem_file, tmp_path, capsys):
@@ -139,6 +151,24 @@ class TestGenCommand:
             texts.append(out.read_text())
         capsys.readouterr()
         assert texts[0] == texts[1]
+
+    def test_unwritable_output(self, net_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.prob"
+        code = main(["gen", "--net", net_file, "--map-count", "1",
+                     "--evid-count", "1", "-o", str(out)])
+        assert code == 1
+        assert_one_error(capsys.readouterr().err,
+                         f"error: cannot write {out}: No such file or directory")
+
+    @pytest.mark.parametrize("counts", [("-1", "1"), ("0", "1"), ("1", "-1")])
+    def test_bad_counts_rejected(self, counts, net_file, tmp_path, capsys):
+        out = tmp_path / "g.prob"
+        code = main(["gen", "--net", net_file, "--map-count", counts[0],
+                     "--evid-count", counts[1], "-o", str(out)])
+        assert code == 1
+        assert_one_error(capsys.readouterr().err,
+                         "error: map-count must be >= 1 and evid-count >= 0")
+        assert not out.exists()
 
 
 class TestBenchCommand:
@@ -273,6 +303,20 @@ class TestBenchCommand:
         assert code == 1
         assert "'anneal'" in err and "twice" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_unwritable_output_rejected_before_any_case(self, net_file, tmp_path,
+                                                        capsys, monkeypatch):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(solver, "annealed_map", no_case)
+        monkeypatch.setattr(solver, "brute_force_map", no_case)
+        out = tmp_path / "missing" / "r.csv"
+        code = main(["bench", "--net", net_file, "--cases", "1",
+                     "--map-count", "1", "--evid-count", "1", "-o", str(out)])
+        assert code == 1
+        assert_one_error(capsys.readouterr().err,
+                         f"error: cannot write {out}: No such file or directory")
 
     def test_workers_below_one_rejected(self, net_file, tmp_path, capsys):
         out = tmp_path / "r.csv"

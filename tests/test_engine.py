@@ -573,6 +573,44 @@ class TestConditional:
         with pytest.raises(ImpossibleContextError):
             conditional(net, 0, Assignment({1: 1}))  # B=f has probability 0
 
+    def test_kept_conditional_follows_eliminate(self, sprinkler):
+        # eliminate and conditional share a site plan's final node, so an
+        # eliminate at other values must retire the kept conditional
+        rain, wet = sprinkler.by_name("Rain").id, sprinkler.by_name("WetGrass").id
+        cases = [(sprinkler, rain, Assignment({wet: 0}), Assignment({wet: 1}))]
+        rng = random.Random(4)
+        while len(cases) < 6:
+            net = random_network(rng, rng.randint(6, 12))
+            j = rng.randrange(len(net))
+            bound = rng.sample([v for v in range(len(net)) if v != j], 3)
+            a, b = (forward_sample(net, rng).restricted(bound) for _ in range(2))
+            if a != b:
+                cases.append((net, j, a, b))
+        for net, j, a, b in cases:
+            for ctx in (a, b, a, b):
+                _same_bits(eliminate(net, (j,), ctx), eliminate(_rebuilt(net), (j,), ctx))
+                got = conditional(net, j, ctx)
+                assert got.tobytes() == conditional(_rebuilt(net), j, ctx).tobytes()
+        assert conditional(sprinkler, rain, cases[0][2]).tobytes() != \
+            conditional(sprinkler, rain, cases[0][3]).tobytes()
+
+    def test_returns_read_only_array(self, sprinkler, sprinkler_problem):
+        rain = sprinkler.by_name("Rain").id
+        for _ in range(2):  # computed, then kept
+            dist = conditional(sprinkler, rain, sprinkler_problem.evidence)
+            assert not dist.flags.writeable
+            with pytest.raises(ValueError):
+                dist[0] = 1.0
+
+    def test_impossible_context_raises_on_every_repeat(self):
+        net = parse_network(
+            "network d\nvar A { t, f }\nvar B { t, f }\n"
+            "cpt A { 0.5 0.5 }\ncpt B | A { 1.0 0.0 ; 1.0 0.0 }\n")
+        for _ in range(3):
+            with pytest.raises(ImpossibleContextError):
+                conditional(net, 0, Assignment({1: 1}))
+            assert conditional(net, 0, Assignment({1: 0})).tolist() == [0.5, 0.5]
+
     def test_sums_to_one(self):
         rng = random.Random(13)
         for _ in range(30):

@@ -10,12 +10,14 @@ from amap import (
     Assignment,
     BayesianNetwork,
     Cpt,
+    ImpossibleContextError,
     InconsistentEvidenceError,
     MapProblem,
     OracleCapError,
     acceptance_probability,
     annealed_map,
     brute_force_map,
+    eliminate,
     geometric_cool,
     gibbs_chain,
     hill_climb_map,
@@ -27,7 +29,29 @@ from amap import (
     specific_heat,
     Variable,
 )
+from amap import solver
+from amap.engine import _sample_index
 from netgen import disjoint_union, enum_best, joint_size, random_network, random_problem
+
+
+def _reference_site(net, j, x, evidence):
+    """p(x_j | E, x without j) computed from scratch: E and x merged into a
+    new context, eliminated on a freshly built network, then normalised."""
+    context = evidence.merged(x)
+    context.discard(j)
+    f = eliminate(BayesianNetwork(net.name, net.variables, net.cpts), (j,), context)
+    if f.total() <= 0.0:
+        raise ImpossibleContextError("context has probability zero")
+    return f.values / f.total()
+
+
+def _reference_kernel(net, j, context):
+    """solver._site's contract on top of _reference_site: the caller's
+    context, E together with x, is copied, j is left unbound in it, and the
+    conditional comes back as a list."""
+    dist = _reference_site(net, j, context, Assignment())
+    context.discard(j)
+    return dist.tolist()
 
 
 class TestAcceptanceProbability:
@@ -286,6 +310,46 @@ class TestGibbsChain:
         assert len(chain) == 500
         # (S=f, R=f) has zero posterior mass given W=t and must never appear
         assert (1, 1) not in set(chain)
+
+    def test_same_chain_as_reference_sites(self, sprinkler, sprinkler_problem):
+        chain = gibbs_chain(sprinkler, sprinkler_problem, 300, random.Random(8))
+        rng = random.Random(8)
+        x = sequential_init(sprinkler, sprinkler_problem)
+        want = []
+        for _ in range(300):
+            for j in sprinkler_problem.map_vars:
+                rng.random()
+                dist = _reference_site(sprinkler, j, x, sprinkler_problem.evidence)
+                x.set(j, _sample_index(dist.tolist(), rng))
+            want.append(x.as_tuple(sprinkler_problem.map_vars))
+        assert chain == want
+
+
+class TestSiteContext:
+    """Solvers that keep their site context in step with x give the runs
+    that recomputing every site from scratch gives."""
+
+    def test_anneal_and_hill_climb_match_reference_kernel(self, monkeypatch):
+        rng = random.Random(21)
+        runs = []
+        for seed in range(4):
+            net = random_network(rng, rng.randint(8, 12), max_parents=3)
+            runs.append((net, random_problem(rng, net), seed))
+
+        def solve_all():
+            out = []
+            for net, problem, seed in runs:
+                # debug_check re-scores x exactly after every sweep
+                out.append(annealed_map(net, problem, rng=random.Random(seed), restarts=2,
+                                        collect_trace=True, debug_check=True))
+                out.append(hill_climb_map(net, problem))
+            return out
+
+        got = solve_all()
+        monkeypatch.setattr(solver, "_site", _reference_kernel)
+        want = solve_all()
+        assert got == want
+        assert all(r.trace for r in got[::2])
 
 
 class TestHillClimb:
