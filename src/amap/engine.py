@@ -1,14 +1,22 @@
 """Exact inference: variable elimination with evidence-based pruning,
 plus prior forward sampling.
 
-Each elimination is compiled once per network, kept variables and set of
-bound variables into a plan of steps. Identical steps of all of a
-network's plans are one node, which keeps its output while the bound
-variables that output depends on keep their values, so a call runs only
-the steps whose output is not already held for the current values. A
-plan's final node that keeps its output also keeps the normalised
-conditional `conditional` made from it, so a repeated site update costs a
-plan lookup and a tuple compare.
+Each elimination is compiled once per network, kept variables, set of
+bound variables and set of indicator variables into a plan of steps.
+Identical steps of all of a network's plans are one node, which keeps its
+output while the bound and indicator variables that output depends on
+keep their values, so a call runs only the steps whose output is not
+already held for the current values. A plan's final node that keeps its
+output also keeps the normalised conditional `conditional` made from it,
+so a repeated site update costs a tuple compare.
+
+An indicator variable is eliminated like any other, but its CPT's own
+column is masked to the state the context binds it to, if any: one plan
+with keep () and an indicator on each MAP variable gives ln p(E, y) for
+every partial assignment y of the MAP variables (the λ inputs of Darwiche,
+JACM 2003), and a changed indicator re-runs only the steps above its CPT.
+With no indicator bound its results are bit for bit those of the plan
+without indicators.
 
 Factor products and sums run in linear domain; a separate log scale is
 carried and folded in only at the boundary, so deep products on large
@@ -84,7 +92,8 @@ class _Step:
 class _Node:
     """The output of a step, one object for every plan of the network that
     runs an identical step. It depends only on the values of `support`, the
-    bound variables that the step's subtree selects on. A node that `keeps`
+    bound variables that the step's subtree selects on and the indicator
+    variables whose CPTs it reads (None while unbound). A node that `keeps`
     (its `entries` fit in the network's budget) holds its output read-only
     and its log scale, valid while its support has the values in `values`
     (None until an evaluation completes), and `cond`, the output normalised
@@ -105,9 +114,9 @@ class _Node:
 class _Cpts:
     """A network's CPT arrays and step nodes, shared by its plans, and the
     number of table entries those nodes keep (at most MAX_TABLE_ENTRIES).
-    A node's key is its step's inputs in product order, a CPT by its index
-    and selection pattern and a step by its node, plus the step's `perms`,
-    `shapes`, `shape` and `axis`."""
+    A node's key is its step's inputs in product order, a CPT by its index,
+    selection pattern and whether it takes an indicator, and a step by its
+    node, plus the step's `perms`, `shapes`, `shape` and `axis`."""
 
     arrays: Tuple[np.ndarray, ...]
     nodes: Dict[tuple, _Node] = field(default_factory=dict)
@@ -116,16 +125,19 @@ class _Cpts:
 
 @dataclass(eq=False)
 class _Plan:
-    """A compiled elimination. Slot i < len(net) holds CPT i with its bound
-    axes selected; step k writes slot len(net) + k, whose output lives in
-    `nodes[k]`; the last step is the final product, whose axes `perm` puts
-    into keep order."""
+    """A compiled elimination. Slot i < len(net) holds CPT i, masked to its
+    indicator's state if `masks` has it and the context binds variable i,
+    with its bound axes selected; step k writes slot len(net) + k, whose
+    output lives in `nodes[k]`; the last step is the final product, whose
+    axes `perm` puts into `keep` order."""
 
     cpts: _Cpts
     select: Tuple[Optional[Tuple[int, ...]], ...]  # per CPT axis: bound id or -1
     steps: Tuple[_Step, ...]
     nodes: Tuple[_Node, ...]
+    keep: Tuple[int, ...]
     perm: Tuple[int, ...]
+    masks: Dict[int, Tuple[np.ndarray, ...]]  # per indicator: its CPT per state
 
 
 def _bits(b: int) -> Iterator[int]:
@@ -205,12 +217,15 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
 
 
 def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
-          tie_break: str) -> _Plan:
+          tie_break: str, indicators: FrozenSet[int] = frozenset()) -> _Plan:
     """The network's compiled plan for eliminating all but `keep` with the
-    variables in `bound` fixed, compiled on first use. Raises WidthCapError,
+    variables in `bound` fixed, compiled on first use. Each variable in
+    `indicators` (disjoint from both) is eliminated, its CPT column masked
+    to the state an evaluation's context binds it to, if any; the
+    indicators do not change the order or the steps. Raises WidthCapError,
     before any array is built, if a table would exceed MAX_TABLE_ENTRIES,
     and ValueError for a tie_break other than "low" or "high"."""
-    key = (keep, bound, tie_break)
+    key = (keep, bound, indicators, tie_break)
     plan = net._plans.get(key)
     if plan is not None:
         return plan
@@ -291,7 +306,7 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
                 tuple(cards[v] for v in cpt.parents + (cpt.child,)))
             for cpt in net.cpts))
     # intern each step as a node; keys[s] is slot s's part of a node key
-    keys: List[object] = list(enumerate(select))
+    keys: List[object] = [(s, sel, s in indicators) for s, sel in enumerate(select)]
     n = len(select)
     nodes: List[_Node] = []
     for step, size in zip(steps, sizes):
@@ -303,15 +318,20 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             for s in step.slots:
                 if s >= n:
                     support.update(nodes[s - n].support)
-                elif select[s] is not None:
-                    support.update(v for v in select[s] if v >= 0)
+                else:
+                    support.update(v for v in select[s] or () if v >= 0)
+                    if s in indicators:
+                        support.add(s)
             keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
             cpts.retained += size if keeps else 0
             node = cpts.nodes[node_key] = _Node(tuple(sorted(support)), size, keeps)
         keys.append(node)
         nodes.append(node)
-    plan = _Plan(cpts, tuple(select), tuple(steps), tuple(nodes),
-                 tuple(pos[v] for v in keep))
+    # CPT v's last axis is v's own column
+    masks = {v: tuple(cpts.arrays[v] * (np.arange(cards[v]) == s) for s in range(cards[v]))
+             for v in indicators}
+    plan = _Plan(cpts, tuple(select), tuple(steps), tuple(nodes), keep,
+                 tuple(pos[v] for v in keep), masks)
     net._plans[key] = plan
     return plan
 
@@ -325,45 +345,57 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
     support are run; every other node's output and log scale are the ones
     running its step would give, bit for bit."""
     keep_t = tuple(keep)
-    plan, out = _evaluate(net, keep_t, evidence, tie_break)
+    bound = frozenset(evidence.keys())
+    if not bound.isdisjoint(keep_t):
+        raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep_t))}")
+    return _factor(_plan(net, keep_t, bound, tie_break), evidence)
+
+
+def _factor(plan: _Plan, context: Assignment) -> Factor:
+    """The plan's result for the context's values, as `eliminate` returns
+    it. `context` binds every bound variable of the plan and, of its other
+    variables, only indicators."""
+    out = _output(plan, context)
     final = plan.nodes[-1]
     # a C-ordered array of its own, of shape () for the empty scope: a kept
     # output is copied, one that is not is only made contiguous
-    return Factor(keep_t, (np.array if final.keeps else np.asarray)(
-        out.transpose(plan.perm) if keep_t else out, order="C"), final.scale)
+    return Factor(plan.keep, (np.array if final.keeps else np.asarray)(
+        out.transpose(plan.perm) if plan.keep else out, order="C"), final.scale)
 
 
-def _evaluate(net: BayesianNetwork, keep: Tuple[int, ...], evidence: Assignment,
-              tie_break: str) -> Tuple[_Plan, np.ndarray]:
-    """The plan for `keep` under `evidence` and its final output for the
-    evidence's values, which the final node keeps only if it `keeps`."""
-    bound = frozenset(evidence.keys())
-    if not bound.isdisjoint(keep):
-        raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep))}")
-    plan = _plan(net, keep, bound, tie_break)
+def _log_total(plan: _Plan, context: Assignment) -> float:
+    """`_factor(plan, context).log_total()` for a plan with keep (), without
+    building the factor."""
+    total = float(_output(plan, context))
+    return -math.inf if total == 0.0 else math.log(total) + plan.nodes[-1].scale
+
+
+def _output(plan: _Plan, context: Assignment) -> np.ndarray:
+    """The plan's final output for the context's values, which the final
+    node keeps only if it `keeps`."""
     final = plan.nodes[-1]
-    values = evidence.as_tuple(final.support)
+    values = context.states(final.support)
     if values != final.values:
-        _run(plan, evidence, values)
+        _run(plan, context, values)
     out = final.output
     if not final.keeps:
         final.output = None
-    return plan, out
+    return out
 
 
-def _run(plan: _Plan, evidence: Assignment, values: Tuple[int, ...]) -> None:
+def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) -> None:
     """Bring the plan's final node, which holds no output for `values`, up to
     date: from it down, each such node's step inputs are checked in turn,
     and then the steps found are run in plan order. A node's values are set
     only once its output is, so a failed evaluation leaves nothing stale."""
-    steps, nodes, select = plan.steps, plan.nodes, plan.select
+    steps, nodes, select, masks = plan.steps, plan.nodes, plan.select, plan.masks
     arrays = plan.cpts.arrays
     n = len(arrays)
     todo = [(len(steps) - 1, values)]
     stack = [s - n for s in steps[-1].slots if s >= n]
     while stack:
         k = stack.pop()
-        values = evidence.as_tuple(nodes[k].support)
+        values = context.states(nodes[k].support)
         if values != nodes[k].values:
             todo.append((k, values))
             stack.extend(s - n for s in steps[k].slots if s >= n)
@@ -375,8 +407,10 @@ def _run(plan: _Plan, evidence: Assignment, values: Tuple[int, ...]) -> None:
         for s, perm, shape in zip(step.slots, step.perms, step.shapes):
             if s < n:
                 a, sel = arrays[s], select[s]
+                if masks and s in masks and s in context:
+                    a = masks[s][context[s]]
                 if sel is not None:
-                    a = a[tuple(_ALL if v < 0 else evidence[v] for v in sel)]
+                    a = a[tuple(_ALL if v < 0 else context[v] for v in sel)]
             else:
                 kid = nodes[s - n]
                 a = kid.output
@@ -410,7 +444,14 @@ def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.nd
     """
     if target in context:
         raise ValueError(f"target variable {target} is bound in the context")
-    plan, out = _evaluate(net, (target,), context, "low")
+    return _conditional(net, target, _plan(net, (target,), frozenset(context.keys()), "low"),
+                        context)
+
+
+def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
+                 context: Assignment) -> np.ndarray:
+    """`conditional` on `plan`, the plan it would look up for `context`."""
+    out = _output(plan, context)
     final = plan.nodes[-1]
     if final.cond is not None:
         return final.cond
@@ -423,6 +464,21 @@ def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.nd
     if final.keeps:
         final.cond = cond
     return cond
+
+
+def _site_plans(net: BayesianNetwork, problem: MapProblem) -> Tuple[_Plan, ...]:
+    """`conditional`'s plan for each MAP variable, in map-variable order,
+    given the evidence and every other MAP variable."""
+    bound = frozenset(problem.evidence.keys()).union(problem.map_vars)
+    return tuple(_plan(net, (j,), bound - {j}, "low") for j in problem.map_vars)
+
+
+def _indicator_plan(net: BayesianNetwork, problem: MapProblem) -> _Plan:
+    """The plan of ln p(E) with an indicator on each MAP variable: on a
+    context of E and any of the MAP variables, `_log_total` gives
+    ln p(context), the unbound MAP variables summed out."""
+    return _plan(net, (), frozenset(problem.evidence.keys()), "low",
+                 frozenset(problem.map_vars))
 
 
 def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,

@@ -125,6 +125,10 @@ class Assignment:
     def as_tuple(self, order: Sequence[int]) -> Tuple[int, ...]:
         return tuple(map(self._bindings.__getitem__, order))
 
+    def states(self, order: Sequence[int]) -> Tuple[Optional[int], ...]:
+        """`as_tuple` with None for each unbound variable."""
+        return tuple(map(self._bindings.get, order))
+
     def __getitem__(self, var: int) -> int:
         return self._bindings[var]
 

@@ -8,7 +8,6 @@ full network.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from dataclasses import dataclass, replace
@@ -21,16 +20,18 @@ from .engine import (
     ImpossibleContextError,
     InconsistentEvidenceError,
     PrunedNetwork,
+    _conditional,
+    _indicator_plan,
+    _log_total,
+    _Plan,
     _sample_index,
-    conditional,
+    _site_plans,
     eliminate,
     forward_sample,
     map_posterior,
     prune,
 )
 from .model import Assignment, BayesianNetwork, MapProblem
-
-log = logging.getLogger(__name__)
 
 IMPROVE_EPS = 1e-12   # best_logp must grow by more than this to count
 TRACK_TOL = 1e-6      # tracked vs recomputed ln p(x|E)
@@ -137,37 +138,39 @@ def reheat_temperature(c_b: float, t_at_max_ch: float, k: float, t0: float) -> f
 
 # -- the site update and initialization --------------------------------------
 
-def _site(net: BayesianNetwork, j: int, context: Assignment) -> List[float]:
-    """The site update every solver shares: p(x_j | context without j), with
-    every variable outside the context summed out, as a list of floats.
-    `context` is E together with the current assignment x, which the caller
-    keeps in step with x: this call unbinds j, and the caller binds it again
-    to x_j's next state. Raises ImpossibleContextError when the context has
+def _site(net: BayesianNetwork, j: int, context: Assignment, plan: _Plan) -> List[float]:
+    """The site update anneal and Gibbs share: p(x_j | context without j),
+    with every variable outside the context summed out, as a list of floats,
+    on `plan`, j's entry of `_site_plans`, looked up once per run. `context`
+    is E together with the current assignment x, which the caller keeps in
+    step with x: this call unbinds j, and the caller binds it again to x_j's
+    next state. Raises ImpossibleContextError when the context has
     probability zero."""
     context.discard(j)
-    return conditional(net, j, context).tolist()
+    return _conditional(net, j, plan, context).tolist()
 
 
 def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
-    """Greedy start: fix MAP variables in topological order, each to the most
-    probable state of its site conditional given evidence and the choices
-    made so far (later MAP variables are still summed out)."""
+    """Greedy start: fix MAP variables in topological order, each to the
+    state s that maximises ln p(E, x_<v, v = s), the lowest on ties (state 0
+    if all are impossible), with later MAP variables summed out: the argmax
+    of v's site conditional given evidence and the choices made so far.
+    Each state is scored by one evaluation of the component's indicator
+    plan, which re-runs only the steps above v's indicator."""
     problem.validate_for(net)
-    if eliminate(net, (), problem.evidence).total() <= 0.0:
-        raise InconsistentEvidenceError("evidence has probability zero")
+    plan = _indicator_plan(net, problem)
     context = problem.evidence.copy()
+    if _log_total(plan, context) == -math.inf:
+        raise InconsistentEvidenceError("evidence has probability zero")
     map_set = set(problem.map_vars)
     for v in net.order():
         if v not in map_set:
             continue
-        try:
-            dist = _site(net, v, context)
-            state = dist.index(max(dist))  # the lowest index on ties
-        except ImpossibleContextError:
-            log.warning("impossible context while initializing %s; using state 0",
-                        net.var(v).name)
-            state = 0
-        context.set(v, state)
+        scores = []
+        for s in range(net.cardinality(v)):
+            context.set(v, s)
+            scores.append(_log_total(plan, context))
+        context.set(v, scores.index(max(scores)))
     return context.restricted(problem.map_vars)
 
 
@@ -183,6 +186,7 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
     rows count sweeps from `sweep_offset`."""
     evidence = problem.evidence
     context = evidence.merged(init)  # E and the current assignment x
+    plans = _site_plans(net, problem)
     logp = map_posterior(net, init, evidence, log_p_evidence)
     best, best_logp = init.copy(), logp
     best_found = sweep_offset
@@ -196,11 +200,11 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
     while no_improve < schedule.stop:
         improved = False
         costs: List[float] = []
-        for j in problem.map_vars:
+        for j, plan in zip(problem.map_vars, plans):
             u = rng.random()
             cur = context[j]
             try:
-                dist = _site(net, j, context)
+                dist = _site(net, j, context, plan)
             except ImpossibleContextError:
                 # current neighborhood has probability zero: resample uniformly
                 context.set(j, rng.randrange(net.cardinality(j)))
@@ -307,7 +311,7 @@ def annealed_map(net: BayesianNetwork, problem: MapProblem,
 
     def anneal(index: int, comp: Component, sweeps_before: int) -> SolveReport:
         # zero-probability evidence raises in sequential_init, on this plan
-        log_pe = eliminate(comp.net, (), comp.problem.evidence).log_total()
+        log_pe = _log_total(_indicator_plan(comp.net, comp.problem), comp.problem.evidence)
         best: Optional[SolveReport] = None
         sweeps = reheats = 0
         for r in range(restarts):
@@ -336,14 +340,15 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
     state tuples in map-variable order. Every proposal is accepted: the
     acceptance probability at temperature 1 is identically 1."""
     context = problem.evidence.merged(sequential_init(net, problem))
+    plans = _site_plans(net, problem)
     out: List[Tuple[int, ...]] = []
     for _ in range(sweeps):
-        for j in problem.map_vars:
+        for j, plan in zip(problem.map_vars, plans):
             # The acceptance variate is not needed at temperature 1, where
             # every proposal is accepted; drawing it anyway keeps the random
             # stream, and so every seeded chain, as it has always been.
             rng.random()
-            context.set(j, _sample_index(_site(net, j, context), rng))
+            context.set(j, _sample_index(_site(net, j, context, plan), rng))
         out.append(context.as_tuple(problem.map_vars))
     return out
 
@@ -384,34 +389,40 @@ def hill_climb_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
     """Greedy local search from the sequential initialization: move to the
     best strictly-improving single-variable change until a local maximum.
 
-    All moves of variable j are scored from its one site conditional c_j,
-    by the identity ln p(x'|E) - ln p(x|E) = ln c_j(s) - ln c_j(x_j); ties
-    keep the first move in map-variable, then state, order. The final
-    assignment is re-scored exactly with map_posterior."""
+    Every move x' is scored as ln p(x', E) by one evaluation of the
+    component's indicator plan with every MAP variable bound, which re-runs
+    only the steps above the flipped variable's indicator; ties keep the
+    first move in map-variable, then state, order. The best move's score
+    becomes the current score, so the climb strictly ascends that one
+    function. The final assignment is re-scored exactly with map_posterior."""
     return _solve_components(prune(net, problem), lambda _, comp, __: _climb(comp))
 
 
 def _climb(comp: Component) -> SolveReport:
     net, problem = comp.net, comp.problem
+    plan = _indicator_plan(net, problem)
+    # zero-probability evidence raises in sequential_init, on this plan
+    log_pe = _log_total(plan, problem.evidence)
     context = problem.evidence.merged(sequential_init(net, problem))
+    score = _log_total(plan, context)
     steps = 0
     for _ in range(_MAX_CLIMB_STEPS):
         best_move: Optional[Tuple[int, int]] = None
-        best_gain = 0.0
+        best_score = score
         for j in problem.map_vars:
             state = context[j]
-            dist = _site(net, j, context)
+            for s in range(net.cardinality(j)):
+                if s != state:
+                    context.set(j, s)
+                    flip = _log_total(plan, context)
+                    if flip > best_score:
+                        best_score, best_move = flip, (j, s)
             context.set(j, state)
-            # p(x|E) > 0 throughout, so c_j(x_j) > 0
-            cur = math.log(dist[state])
-            for s, p in enumerate(dist):
-                gain = math.log(p) - cur if p > 0.0 else -math.inf
-                if gain > best_gain:  # s == x_j has gain 0 and never wins
-                    best_gain = gain
-                    best_move = (j, s)
         if best_move is None:
             break
         context.set(*best_move)
+        score = best_score
         steps += 1
     x = context.restricted(problem.map_vars)
-    return SolveReport(best=x, logp=map_posterior(net, x, problem.evidence), sweeps=steps)
+    return SolveReport(best=x, logp=map_posterior(net, x, problem.evidence, log_pe),
+                       sweeps=steps)

@@ -372,6 +372,7 @@ class TestStepReuse:
     @pytest.mark.parametrize("sharpen", [False, True])
     def test_matches_rebuilt_network(self, sharpen):
         rng = random.Random(83)
+        lam_rng = random.Random(89)  # the indicator moves, on a stream of their own
         scales = []
         for _ in range(10):
             net = random_network(rng, rng.randint(8, 25))
@@ -381,8 +382,11 @@ class TestStepReuse:
             keep = tuple(rng.sample(range(n), rng.randint(0, 2)))
             others = [v for v in range(n) if v not in keep]
             bound = rng.sample(others, rng.randint(1, len(others)))
+            free = [v for v in others if v not in bound]
+            indicators = frozenset(lam_rng.sample(free, lam_rng.randint(0, len(free))))
             for tie_break in ("low", "high"):
                 ev = {v: rng.randrange(net.cardinality(v)) for v in bound}
+                lam = {}  # the bound indicators
                 for _ in range(12):
                     move = rng.choice(("one", "none", "all"))
                     if move == "one":
@@ -394,10 +398,55 @@ class TestStepReuse:
                     want = eliminate(_rebuilt(net), keep, Assignment(ev), tie_break)
                     _same_bits(got, want)
                     scales.append(got.log_scale)
-                plan = net._plans[(keep, frozenset(bound), tie_break)]
-                assert all(node.keeps and node.values is not None for node in plan.nodes)
+
+                    lam_move = lam_rng.choice(("bind", "unbind", "flip", "none"))
+                    if lam_move == "bind" and len(lam) < len(indicators):
+                        v = lam_rng.choice(sorted(indicators - lam.keys()))
+                        lam[v] = lam_rng.randrange(net.cardinality(v))
+                    elif lam_move == "unbind" and lam:
+                        del lam[lam_rng.choice(sorted(lam))]
+                    elif lam_move == "flip" and lam:
+                        v = lam_rng.choice(sorted(lam))
+                        lam[v] = (lam[v] + 1) % net.cardinality(v)
+                    context = Assignment({**ev, **lam})
+                    got = engine._factor(engine._plan(net, keep, frozenset(bound), tie_break,
+                                                      indicators), context)
+                    want = engine._factor(engine._plan(_rebuilt(net), keep, frozenset(bound),
+                                                       tie_break, indicators), context)
+                    _same_bits(got, want)
+                    # a bound indicator selects its state as evidence would
+                    plain = eliminate(net, keep, context, tie_break)
+                    assert np.allclose(got.values * math.exp(got.log_scale),
+                                       plain.values * math.exp(plain.log_scale),
+                                       rtol=1e-12, atol=0.0)
+                for ind in (frozenset(), indicators):
+                    plan = net._plans[(keep, frozenset(bound), ind, tie_break)]
+                    assert all(node.keeps and node.values is not None for node in plan.nodes)
         # the sharpened nets go through the rescaling path
         assert any(scales) == sharpen
+
+    def test_no_indicator_bound_gives_plain_plan_bits(self):
+        rng = random.Random(131)
+        cases = []
+        for _ in range(6):
+            net = random_network(rng, rng.randint(8, 20), max_parents=3)
+            cases.append((net, random_problem(rng, net)))
+        net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
+        problem = generate_problem(net, 20, 20, random.Random(7))
+        cases += [(c.net, c.problem) for c in prune(net, problem).components]
+        for net, problem in cases:
+            plan = engine._indicator_plan(net, problem)
+            ev = problem.evidence
+            want = eliminate(_rebuilt(net), (), ev)
+            # the same steps as the plain plan, which the indicators leave as they are
+            assert plan.steps == engine._plan(net, (), frozenset(ev.keys()), "low").steps
+            for y in ({}, {v: 0 for v in problem.map_vars}, {problem.map_vars[0]: 1}, {}):
+                context = ev.merged(Assignment(y))
+                got = engine._factor(plan, context)
+                assert engine._log_total(plan, context).hex() == got.log_total().hex()
+                if not y:
+                    _same_bits(got, want)
+                    assert got.log_total().hex() == eliminate(net, (), ev).log_total().hex()
 
     def test_writing_into_a_result_changes_no_later_result(self):
         net = random_network(random.Random(97), 12)
@@ -408,7 +457,8 @@ class TestStepReuse:
                 f = eliminate(net, keep, ev)
                 _same_bits(f, want)
                 f.values[...] = 7.0
-            kept = [node.output for node in net._plans[(keep, frozenset(ev.keys()), "low")].nodes]
+            plan = net._plans[(keep, frozenset(ev.keys()), frozenset(), "low")]
+            kept = [node.output for node in plan.nodes]
             assert not any(isinstance(a, np.ndarray) and a.flags.writeable for a in kept)
 
     def test_failed_evaluation_leaves_no_stale_output(self):

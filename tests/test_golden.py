@@ -1,0 +1,71 @@
+"""Golden answers of seeded `amap solve` runs on `netgen` networks.
+
+A change to how a solver scores its states or moves can flip a near-tie and
+so an answer. The benchmark's answer digest would show that, but only when
+the benchmark runs; these cases make it fail the test suite. If a change
+alters one of them on purpose, re-record it and say why the answer moved.
+"""
+
+import random
+
+import pytest
+
+from amap.cli import generate_problem, main
+from amap.fileio import serialize_network, serialize_problem
+from netgen import random_network
+
+# (network seed, variables, MAP count, evidence count, problem seed)
+NETWORKS = {
+    "r120": (7, 120, 20, 20, 0),
+    "r120b": (7, 120, 20, 20, 3),
+    "r80": (130, 80, 16, 26, 131),
+    "r60": (93, 60, 12, 20, 94),
+    "r45": (47, 45, 9, 15, 48),
+    "r30": (82, 30, 6, 10, 83),
+    "r20": (224, 20, 4, 6, 225),
+}
+
+# (network, algorithm, solver seed, restarts) -> (the state index of each
+# MAP variable in map-variable order, log10_p, sweeps, reheats)
+GOLDEN = {
+    ('r120', 'anneal', 11, 1): ('01002201012100000111', '-4.65409483518', 220, 11),
+    ('r120', 'hillclimb', 0, 1): ('01002201012100000111', '-4.65409483518', 0, 0),
+    ('r120b', 'anneal', 11, 1): ('21001100021100000111', '-3.93077183138', 221, 11),
+    ('r120b', 'hillclimb', 0, 1): ('21001100021100000111', '-3.93077183138', 1, 0),
+    ('r80', 'anneal', 11, 1): ('2102001000020202', '-3.73478012418', 154, 8),
+    ('r80', 'anneal', 5, 3): ('2102001000020202', '-3.73478012418', 443, 21),
+    ('r80', 'hillclimb', 0, 1): ('2102001000020202', '-3.73478012418', 1, 0),
+    ('r60', 'anneal', 11, 1): ('22011112100', '-2.46684719698', 134, 6),
+    ('r60', 'anneal', 5, 3): ('22011112100', '-2.46684719698', 373, 18),
+    ('r60', 'hillclimb', 0, 1): ('22011112100', '-2.46684719698', 2, 0),
+    ('r45', 'anneal', 11, 1): ('100221122', '-2.51336895597', 82, 4),
+    ('r45', 'anneal', 5, 3): ('100221122', '-2.51336895597', 274, 13),
+    ('r45', 'hillclimb', 0, 1): ('100221122', '-2.51336895597', 1, 0),
+    ('r30', 'anneal', 11, 1): ('101110', '-1.56323190762', 61, 3),
+    ('r30', 'anneal', 5, 3): ('101110', '-1.56323190762', 188, 9),
+    ('r30', 'hillclimb', 0, 1): ('101110', '-1.56323190762', 1, 0),
+    ('r20', 'anneal', 11, 1): ('0100', '-1.02322756134', 45, 2),
+    ('r20', 'anneal', 5, 3): ('0100', '-1.02322756134', 125, 6),
+    ('r20', 'hillclimb', 0, 1): ('0100', '-1.02322756134', 1, 0),
+}
+
+
+def _solve(tmp_path, capsys, name, algo, seed, restarts):
+    net_seed, n_vars, n_map, n_evid, problem_seed = NETWORKS[name]
+    net = random_network(random.Random(net_seed), n_vars, max_parents=3, cards=(2, 3))
+    problem = generate_problem(net, n_map, n_evid, random.Random(problem_seed))
+    net_path, prob_path = tmp_path / f"{name}.bnet", tmp_path / f"{name}.prob"
+    net_path.write_text(serialize_network(net))
+    prob_path.write_text(serialize_problem(problem, net))
+    capsys.readouterr()
+    assert main(["solve", "--net", str(net_path), "--problem", str(prob_path),
+                 "--algo", algo, "--seed", str(seed), "--restarts", str(restarts)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    states = "".join(line.rsplit("=s", 1)[1] for line in lines[:len(problem.map_vars)])
+    tail = dict(line.split(" = ") for line in lines[len(problem.map_vars):])
+    return states, tail["log10_p"], int(tail["sweeps"]), int(tail["reheats"])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_seeded_solve_answers(tmp_path, capsys, case):
+    assert _solve(tmp_path, capsys, *case) == GOLDEN[case]

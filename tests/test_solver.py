@@ -29,8 +29,9 @@ from amap import (
     specific_heat,
     Variable,
 )
-from amap import solver
-from amap.engine import _sample_index
+from amap import engine, solver
+from amap.cli import generate_problem
+from amap.engine import PrunedNetwork, _sample_index
 from netgen import disjoint_union, enum_best, joint_size, random_network, random_problem
 
 
@@ -45,10 +46,10 @@ def _reference_site(net, j, x, evidence):
     return f.values / f.total()
 
 
-def _reference_kernel(net, j, context):
-    """solver._site's contract on top of _reference_site: the caller's
-    context, E together with x, is copied, j is left unbound in it, and the
-    conditional comes back as a list."""
+def _reference_kernel(net, j, context, plan):
+    """solver._site's contract on top of _reference_site, which does not
+    read `plan`: the caller's context, E together with x, is copied, j is
+    left unbound in it, and the conditional comes back as a list."""
     dist = _reference_site(net, j, context, Assignment())
     context.discard(j)
     return dist.tolist()
@@ -325,31 +326,118 @@ class TestGibbsChain:
         assert chain == want
 
 
+def _reference_init(net, problem):
+    """sequential_init from scratch: each MAP variable in topological order
+    takes the lowest-index argmax of its exact conditional given E and the
+    choices before it, on a rebuilt network."""
+    x = Assignment()
+    for v in net.order():
+        if v in problem.map_vars:
+            dist = _reference_site(net, v, x, problem.evidence).tolist()
+            x.set(v, dist.index(max(dist)))
+    return x
+
+
+def _reference_climb(net, problem):
+    """hill_climb_map from scratch: on each pruned component, from
+    _reference_init, every single flip scored with map_posterior on a
+    rebuilt network; the best strict gain moves, the first in map-variable,
+    then state, order on ties."""
+    total = solver.SolveReport(best=Assignment(), logp=0.0)
+    for comp in prune(net, problem).components:
+        evidence, map_vars = comp.problem.evidence, comp.problem.map_vars
+        x = _reference_init(comp.net, comp.problem)
+
+        def score(y):
+            return map_posterior(BayesianNetwork(net.name, comp.net.variables, comp.net.cpts),
+                                 y, evidence)
+
+        here = score(x)
+        while True:
+            best_move, best_score = None, here
+            for j in map_vars:
+                for s in range(comp.net.cardinality(j)):
+                    if s != x[j]:
+                        y = x.copy()
+                        y.set(j, s)
+                        flip = score(y)
+                        if flip > best_score:
+                            best_move, best_score = (j, s), flip
+            if best_move is None:
+                break
+            x.set(*best_move)
+            here = best_score
+            total.sweeps += 1
+        total.best = total.best.merged(comp.to_original(x))
+        total.logp += map_posterior(comp.net, x, evidence)
+    return total
+
+
+def _site_context_runs():
+    rng = random.Random(21)
+    runs = []
+    for seed in range(4):
+        net = random_network(rng, rng.randint(8, 12), max_parents=3)
+        runs.append((net, random_problem(rng, net), seed))
+    return runs
+
+
 class TestSiteContext:
     """Solvers that keep their site context in step with x give the runs
-    that recomputing every site from scratch gives."""
+    that recomputing every site from scratch gives: anneal through the
+    reference site kernel, and sequential init and hill climbing, which
+    score on the indicator plan, against references that score every state
+    and move on a rebuilt network."""
 
     def test_anneal_and_hill_climb_match_reference_kernel(self, monkeypatch):
-        rng = random.Random(21)
-        runs = []
-        for seed in range(4):
-            net = random_network(rng, rng.randint(8, 12), max_parents=3)
-            runs.append((net, random_problem(rng, net), seed))
+        runs = _site_context_runs()
 
-        def solve_all():
-            out = []
-            for net, problem, seed in runs:
-                # debug_check re-scores x exactly after every sweep
-                out.append(annealed_map(net, problem, rng=random.Random(seed), restarts=2,
-                                        collect_trace=True, debug_check=True))
-                out.append(hill_climb_map(net, problem))
-            return out
+        def anneal_all():
+            # debug_check re-scores x exactly after every sweep
+            return [annealed_map(net, problem, rng=random.Random(seed), restarts=2,
+                                 collect_trace=True, debug_check=True)
+                    for net, problem, seed in runs]
 
-        got = solve_all()
+        got = anneal_all()
         monkeypatch.setattr(solver, "_site", _reference_kernel)
-        want = solve_all()
+        want = anneal_all()
         assert got == want
-        assert all(r.trace for r in got[::2])
+        assert all(r.trace for r in got)
+        for net, problem, _ in runs:
+            assert hill_climb_map(net, problem) == _reference_climb(net, problem)
+
+    def test_init_and_hill_climb_match_references_on_fixtures(
+            self, sprinkler, sprinkler_problem, trap_net, trap_problem):
+        # and on benchmark-style nets where hill climbing moves
+        cases = [(sprinkler, sprinkler_problem), (trap_net, trap_problem)]
+        for seed, n_vars, n_map, n_evid in ((82, 30, 6, 10), (224, 20, 4, 6), (93, 60, 12, 20)):
+            net = random_network(random.Random(seed), n_vars, max_parents=3, cards=(2, 3))
+            cases.append((net, generate_problem(net, n_map, n_evid, random.Random(seed + 1))))
+        climbed = 0
+        for net, problem in cases:
+            r = hill_climb_map(net, problem)
+            assert r == _reference_climb(net, problem)
+            climbed += r.sweeps
+        assert climbed >= 4
+        for net, problem in cases + [(net, problem) for net, problem, _ in _site_context_runs()]:
+            assert sequential_init(net, problem) == _reference_init(net, problem)
+
+    def test_plans_compiled_per_component(self, monkeypatch):
+        # hill climbing: the indicator plan and map_posterior's joint plan;
+        # anneal: those and one site plan per MAP variable
+        net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
+        problem = generate_problem(net, 20, 20, random.Random(7))
+        for k in range(len(prune(net, problem).components)):
+            for climb in (True, False):
+                comp = prune(net, problem).components[k]
+                monkeypatch.setattr(solver, "prune", lambda n, p: PrunedNetwork((comp,), ()))
+                if climb:
+                    hill_climb_map(net, problem)
+                    want = 2
+                else:
+                    annealed_map(net, problem, rng=random.Random(k), restarts=2)
+                    want = len(comp.problem.map_vars) + 2
+                assert len([key for key in comp.net._plans if key != engine._CPTS]) == want
 
 
 class TestHillClimb:
