@@ -185,18 +185,22 @@ def _bench_case(config: BenchConfig, net_text: str, problem_text: str, case: int
                 ) -> Tuple[List[ReportRow], List[Tuple[str, str]]]:
     """Run one case; returns its report rows, and the (algorithm, reason)
     of each algorithm skipped because an elimination would exceed the
-    table-size cap.
+    table-size cap. An oracle over its MAP-space cap has no row and no
+    reason.
 
     Re-parses inputs so the job is picklable for worker processes.
     """
     net = fileio.parse_network(net_text)
     problem = fileio.parse_problem(problem_text, net)
     oracle: Optional[SolveReport] = None
+    oracle_skip: Optional[str] = None
     start = time.perf_counter()
     try:
         oracle = solver.brute_force_map(net, problem, cap=_oracle_cap())
-    except (OracleCapError, WidthCapError):
-        oracle = None
+    except OracleCapError:
+        pass
+    except WidthCapError as exc:
+        oracle_skip = str(exc)
     oracle_ms = (time.perf_counter() - start) * 1000.0
     rows = []
     skipped = []
@@ -204,6 +208,8 @@ def _bench_case(config: BenchConfig, net_text: str, problem_text: str, case: int
         seed = _mix_seed(config.seed, case, ai)
         if algo == "oracle":
             if oracle is None:
+                if oracle_skip is not None:
+                    skipped.append((algo, oracle_skip))
                 continue
             report, wall_ms = oracle, oracle_ms
         else:

@@ -6,9 +6,13 @@ bound variables and set of indicator variables into a plan of steps.
 Identical steps of all of a network's plans are one node, which keeps its
 output while the bound and indicator variables that output depends on
 keep their values, so a call runs only the steps whose output is not
-already held for the current values. A plan's final node that keeps its
-output also keeps the normalised conditional `conditional` made from it,
-so a repeated site update costs a tuple compare.
+already held for the current values. The final node of a site plan (keep
+one variable) also memoises the site records `conditional` makes from its
+output, one per value tuple of its support: the normalised conditional as
+a read-only array, as Python floats and as their logs. A site update that
+returns to an earlier neighbourhood costs one dictionary lookup. Records
+count against the same per-network budget as kept outputs, and a context
+of probability zero is never memoised.
 
 An indicator variable is eliminated like any other, but its CPT's own
 column is masked to the state the context binds it to, if any: one plan
@@ -29,7 +33,8 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -96,10 +101,10 @@ class _Node:
     variables whose CPTs it reads (None while unbound). A node that `keeps`
     (its `entries` fit in the network's budget) holds its output read-only
     and its log scale, valid while its support has the values in `values`
-    (None until an evaluation completes), and `cond`, the output normalised
-    by `conditional` (None until then; cleared whenever the output is
-    replaced). Any other node holds an output only until the step that
-    reads it has run."""
+    (None until an evaluation completes). Any other node holds an output
+    only until the step that reads it has run. `memo` maps a value tuple of
+    the support to the `_Site` that `conditional` made from the output for
+    those values; only a site plan's final node fills it."""
 
     support: Tuple[int, ...]
     entries: int
@@ -107,13 +112,25 @@ class _Node:
     output: Optional[np.ndarray] = None
     scale: float = 0.0
     values: Optional[Tuple[int, ...]] = None
-    cond: Optional[np.ndarray] = None
+    memo: Dict[Tuple[Optional[int], ...], "_Site"] = field(default_factory=dict)
+
+
+class _Site(NamedTuple):
+    """A site record: p(target | context) as a read-only array `dist`, its
+    entries as Python floats `probs`, and their `math.log`s `logs` (-inf
+    for a zero)."""
+
+    dist: np.ndarray
+    probs: Tuple[float, ...]
+    logs: Tuple[float, ...]
 
 
 @dataclass(eq=False)
 class _Cpts:
     """A network's CPT arrays and step nodes, shared by its plans, and the
-    number of table entries those nodes keep (at most MAX_TABLE_ENTRIES).
+    number of table entries those nodes keep, a site record counting as its
+    three values per state and its key's values (at most MAX_TABLE_ENTRIES
+    in all).
     A node's key is its step's inputs in product order, a CPT by its index,
     selection pattern and whether it takes an indicator, and a step by its
     node, plus the step's `perms`, `shapes`, `shape` and `axis`."""
@@ -402,7 +419,7 @@ def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) ->
     todo.sort()
     for k, values in todo:
         step, node = steps[k], nodes[k]
-        out = np.ones(step.shape)
+        out = None
         log_scale = 0.0
         for s, perm, shape in zip(step.slots, step.perms, step.shapes):
             if s < n:
@@ -421,14 +438,18 @@ def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) ->
                 a = a.transpose(perm)
             if shape is not None:
                 a = a.reshape(shape)
-            out = out * a
+            # the product starts from the first input (1.0 * a == a) and is
+            # laid out in C order, as the sums below assume
+            out = a if out is None else np.multiply(out, a, order="C")
+        if len(step.slots) == 1:
+            out = np.array(out, order="C")  # a lone input may be a view of a CPT
         m = float(out.max())
         if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
             out = out / m
             log_scale += math.log(m)
         if step.axis is not None:
             out = out.sum(axis=step.axis)
-        node.output, node.scale, node.cond = out, log_scale, None
+        node.output, node.scale = out, log_scale
         if node.keeps:
             if isinstance(out, np.ndarray):
                 out.setflags(write=False)
@@ -438,32 +459,41 @@ def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) ->
 def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.ndarray:
     """Normalized p(target | context), marginalizing everything else, as a
     read-only array; a repeat for the same context values returns the array
-    kept with the plan's final node.
+    memoised with the plan's final node.
 
     Raises ImpossibleContextError when p(context) = 0.
     """
     if target in context:
         raise ValueError(f"target variable {target} is bound in the context")
     return _conditional(net, target, _plan(net, (target,), frozenset(context.keys()), "low"),
-                        context)
+                        context).dist
 
 
 def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
-                 context: Assignment) -> np.ndarray:
-    """`conditional` on `plan`, the plan it would look up for `context`."""
-    out = _output(plan, context)
+                 context: Assignment) -> _Site:
+    """`conditional` on `plan`, the plan it would look up for `context`, as
+    a site record. A record is memoised by the values of the final node's
+    support while the network's budget has room for it."""
     final = plan.nodes[-1]
-    if final.cond is not None:
-        return final.cond
+    values = context.states(final.support)
+    site = final.memo.get(values)
+    if site is not None:
+        return site
+    out = _output(plan, context)
     total = float(out.sum())
     if total <= 0.0:
         raise ImpossibleContextError(
             f"context has probability zero (variable {net.var(target).name!r})")
-    cond = out / total
-    cond.setflags(write=False)
-    if final.keeps:
-        final.cond = cond
-    return cond
+    dist = out / total
+    dist.setflags(write=False)
+    probs = tuple(dist.tolist())
+    site = _Site(dist, probs, tuple(math.log(p) if p > 0.0 else -math.inf for p in probs))
+    cpts = plan.cpts
+    size = 3 * len(probs) + len(values)
+    if cpts.retained + size <= MAX_TABLE_ENTRIES:
+        cpts.retained += size
+        final.memo[values] = site
+    return site
 
 
 def _site_plans(net: BayesianNetwork, problem: MapProblem) -> Tuple[_Plan, ...]:

@@ -221,34 +221,34 @@ def parse_problem(text: str, net: BayesianNetwork) -> MapProblem:
     saw_map = False
     saw_evidence = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
+        # each item with its 1-based column, which errors about it report
+        items = [(m.group(), m.start() + 1)
+                 for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not items:
             continue
-        parts = line.split()
-        col = raw.index(parts[0]) + 1
-        if parts[0] == "map":
+        keyword, col = items[0]
+        if keyword == "map":
             saw_map = True
-            if len(parts) == 1:
+            if len(items) == 1:
                 raise ParseError(lineno, col, "at least one MAP variable required")
-            for name in parts[1:]:
-                map_names.append((name, lineno, col))
-        elif parts[0] == "evidence":
+            map_names += [(name, lineno, item_col) for name, item_col in items[1:]]
+        elif keyword == "evidence":
             saw_evidence = True
-            for item in parts[1:]:
+            for item, item_col in items[1:]:
                 if "=" not in item:
-                    raise ParseError(lineno, col, f"expected NAME=STATE, got {item!r}")
+                    raise ParseError(lineno, item_col, f"expected NAME=STATE, got {item!r}")
                 name, state = item.split("=", 1)
                 if not net.has_name(name):
-                    raise ParseError(lineno, col, f"unknown variable {name!r}")
+                    raise ParseError(lineno, item_col, f"unknown variable {name!r}")
                 var = net.by_name(name)
                 if state not in var.states:
-                    raise ParseError(lineno, col,
+                    raise ParseError(lineno, item_col,
                                      f"unknown state {state!r} for variable {name!r}")
                 if var.id in evidence:
-                    raise ParseError(lineno, col, f"duplicate evidence for {name!r}")
+                    raise ParseError(lineno, item_col, f"duplicate evidence for {name!r}")
                 evidence[var.id] = var.states.index(state)
         else:
-            raise ParseError(lineno, col, f"expected 'map' or 'evidence', got {parts[0]!r}")
+            raise ParseError(lineno, col, f"expected 'map' or 'evidence', got {keyword!r}")
     if not saw_map:
         raise ParseError(1, 1, "at least one MAP variable required")
     if not saw_evidence:

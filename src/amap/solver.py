@@ -25,6 +25,7 @@ from .engine import (
     _log_total,
     _Plan,
     _sample_index,
+    _Site,
     _site_plans,
     eliminate,
     forward_sample,
@@ -138,16 +139,16 @@ def reheat_temperature(c_b: float, t_at_max_ch: float, k: float, t0: float) -> f
 
 # -- the site update and initialization --------------------------------------
 
-def _site(net: BayesianNetwork, j: int, context: Assignment, plan: _Plan) -> List[float]:
+def _site(net: BayesianNetwork, j: int, context: Assignment, plan: _Plan) -> _Site:
     """The site update anneal and Gibbs share: p(x_j | context without j),
-    with every variable outside the context summed out, as a list of floats,
-    on `plan`, j's entry of `_site_plans`, looked up once per run. `context`
-    is E together with the current assignment x, which the caller keeps in
-    step with x: this call unbinds j, and the caller binds it again to x_j's
-    next state. Raises ImpossibleContextError when the context has
-    probability zero."""
+    with every variable outside the context summed out, as a site record
+    (its probabilities and their logs as floats), on `plan`, j's entry of
+    `_site_plans`, looked up once per run. `context` is E together with the
+    current assignment x, which the caller keeps in step with x: this call
+    unbinds j, and the caller binds it again to x_j's next state. Raises
+    ImpossibleContextError when the context has probability zero."""
     context.discard(j)
-    return _conditional(net, j, plan, context).tolist()
+    return _conditional(net, j, plan, context)
 
 
 def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
@@ -204,16 +205,15 @@ def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
             u = rng.random()
             cur = context[j]
             try:
-                dist = _site(net, j, context, plan)
+                site = _site(net, j, context, plan)
             except ImpossibleContextError:
                 # current neighborhood has probability zero: resample uniformly
                 context.set(j, rng.randrange(net.cardinality(j)))
                 logp = map_posterior(net, context, evidence, log_p_evidence)
                 costs.append(best_logp - logp)
                 continue
-            cand = _sample_index(dist, rng)
-            lp_new = math.log(dist[cand]) if dist[cand] > 0.0 else -math.inf
-            lp_old = math.log(dist[cur]) if dist[cur] > 0.0 else -math.inf
+            cand = _sample_index(site.probs, rng)
+            lp_new, lp_old = site.logs[cand], site.logs[cur]
             accept = u < acceptance_probability(t, lp_new, lp_old) and cand != cur
             context.set(j, cand if accept else cur)
             if accept:
@@ -348,7 +348,7 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
             # every proposal is accepted; drawing it anyway keeps the random
             # stream, and so every seeded chain, as it has always been.
             rng.random()
-            context.set(j, _sample_index(_site(net, j, context, plan), rng))
+            context.set(j, _sample_index(_site(net, j, context, plan).probs, rng))
         out.append(context.as_tuple(problem.map_vars))
     return out
 

@@ -257,6 +257,25 @@ class TestBenchCommand:
         assert all("entries" in line for line in skipped)
         assert "anneal_optimal=0/0" in captured.out
 
+    def test_width_cap_skips_the_oracle(self, tmp_path, capsys):
+        # The net above with the oracle asked for: its MAP space is within
+        # the oracle's cap, but its elimination is not, so it is skipped
+        # with a reason like any other algorithm, in --algos order.
+        net = random_network(random.Random(7), 300, max_parents=4)
+        path = tmp_path / "wide.bnet"
+        path.write_text(serialize_network(net))
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--net", str(path), "--cases", "2",
+                     "--algos", "oracle,hillclimb", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert out.read_text().splitlines() == [",".join(REPORT_COLUMNS)]
+        skipped = captured.err.splitlines()
+        assert [line.split(": ")[1] for line in skipped] == [
+            f"network={net.name} case={case} algorithm={algo}"
+            for case in (0, 1) for algo in ("oracle", "hillclimb")]
+        assert all(line.startswith("skipped: ") and "entries" in line for line in skipped)
+
     def test_oracle_wall_ms_times_the_oracle(self, net_file, tmp_path, capsys,
                                              monkeypatch):
         real = solver.brute_force_map

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -364,6 +365,55 @@ def _same_bits(got, want):
     assert got.log_scale.hex() == want.log_scale.hex()
 
 
+def _zeroed(net, rng):
+    """`net` with about a third of its CPT rows given a zero entry (the row
+    renormalised), so that some contexts have probability zero."""
+    cpts = []
+    for c in net.cpts:
+        rows = []
+        for row in c.table:
+            if len(row) > 1 and rng.random() < 0.35:
+                k = rng.randrange(len(row))
+                raw = tuple(0.0 if i == k else p for i, p in enumerate(row))
+                row = tuple(p / sum(raw) for p in raw)
+            rows.append(row)
+        cpts.append(Cpt(c.child, c.parents, tuple(rows)))
+    return BayesianNetwork(net.name, net.variables, cpts)
+
+
+def _evaluated(plan, context):
+    """The plan's result for the context, computed step by step with no node
+    reuse, each product started from ones in C order: the reference for the
+    bits `engine._factor` gives."""
+    slots = []
+    for s, a in enumerate(plan.cpts.arrays):
+        if s in plan.masks and s in context:
+            a = plan.masks[s][context[s]]
+        if plan.select[s] is not None:
+            a = a[tuple(slice(None) if v < 0 else context[v] for v in plan.select[s])]
+        slots.append((a, 0.0))
+    for step in plan.steps:
+        out, log_scale = np.ones(step.shape), 0.0
+        for s, perm, shape in zip(step.slots, step.perms, step.shapes):
+            a, scale = slots[s]
+            log_scale += scale
+            if perm is not None:
+                a = a.transpose(perm)
+            if shape is not None:
+                a = a.reshape(shape)
+            out = out * a
+        m = float(out.max())
+        if m > engine._RESCALE_HI or 0.0 < m < engine._RESCALE_LO:
+            out = out / m
+            log_scale += math.log(m)
+        if step.axis is not None:
+            out = out.sum(axis=step.axis)
+        slots.append((out, log_scale))
+    out, log_scale = slots[-1]
+    return engine.Factor(plan.keep, np.array(out.transpose(plan.perm) if plan.keep else out,
+                                             order="C"), log_scale)
+
+
 class TestStepReuse:
     """A call runs only the steps whose node holds no output for the current
     values of the bound variables it reads; every result must have the bits
@@ -460,6 +510,40 @@ class TestStepReuse:
             plan = net._plans[(keep, frozenset(ev.keys()), frozenset(), "low")]
             kept = [node.output for node in plan.nodes]
             assert not any(isinstance(a, np.ndarray) and a.flags.writeable for a in kept)
+
+    def test_products_match_stepwise_reference(self):
+        # Nine and ten states make the sums depend on the products' memory
+        # layout, so a product laid out other than in C order shows here.
+        rng = random.Random(157)
+        for _ in range(10):
+            net = random_network(rng, rng.randint(8, 16), max_parents=3,
+                                 cards=rng.choice(((2, 3, 9), (9, 10))))
+            n = len(net)
+            for _ in range(6):
+                keep = tuple(rng.sample(range(n), rng.randint(0, 2)))
+                others = [v for v in range(n) if v not in keep]
+                bound = rng.sample(others, rng.randint(0, len(others) // 2))
+                free = [v for v in others if v not in bound]
+                indicators = frozenset(rng.sample(free, rng.randint(0, len(free) // 2)))
+                plan = engine._plan(net, keep, frozenset(bound), "low", indicators)
+                for _ in range(2):
+                    context = forward_sample(net, rng).restricted(
+                        bound + rng.sample(sorted(indicators), rng.randint(0, len(indicators))))
+                    _same_bits(engine._factor(plan, context), _evaluated(plan, context))
+
+    def test_single_input_step_owns_its_output(self, monkeypatch):
+        # The one step of p(A) reads A's CPT alone. With a budget of two
+        # entries, which p() fills first, that step's node keeps nothing and
+        # its output is handed out as it is, so it must not be a view of the
+        # CPT array.
+        monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 2)
+        net = parse_network("network n\nvar A { t, f }\ncpt A { 0.2 0.8 }\n")
+        assert eliminate(net, (), Assignment()).total() == 1.0
+        for _ in range(3):
+            f = eliminate(net, (0,), Assignment())
+            assert f.values.tolist() == [0.2, 0.8]
+            f.values[...] = 7.0
+        assert not net._plans[((0,), frozenset(), frozenset(), "low")].nodes[-1].keeps
 
     def test_failed_evaluation_leaves_no_stale_output(self):
         # An out-of-range state fails part-way, after the steps before it
@@ -676,6 +760,128 @@ class TestConditional:
             assert float(dist.sum()) == pytest.approx(1.0, abs=1e-12)
             expected = enum_conditional(net, target, ctx)
             assert dist == pytest.approx(expected, abs=1e-9)
+
+
+def _memo_calls(seed, calls):
+    """Interleaved `solver._site` and `conditional` calls on one network with
+    zeros in its CPTs, each checked against a rebuilt network; returns how
+    many calls repeated an earlier context and how many had probability
+    zero. Each call draws its site from `pick` and, by `move`, first keeps
+    x, moves another site or returns to an earlier x."""
+    rng = random.Random(seed)
+    net = _zeroed(random_network(rng, rng.randint(5, 12), max_parents=3), rng)
+    problem = random_problem(rng, net)
+    ev, map_vars = problem.evidence, problem.map_vars
+    plans = engine._site_plans(net, problem)
+    x = {v: rng.randrange(net.cardinality(v)) for v in map_vars}
+    history, seen = [dict(x)], set()
+    repeats = impossible = 0
+    for pick, via_site, move, r in calls:
+        draw = random.Random(r)
+        i = pick % len(map_vars)
+        j, final = map_vars[i], plans[i].nodes[-1]
+        if move == "other":
+            v = draw.choice(map_vars)
+            x[v] = draw.randrange(net.cardinality(v))
+        elif move == "back":
+            x = dict(draw.choice(history))
+        history.append(dict(x))
+        context = ev.merged(Assignment(x))
+        context.discard(j)
+        key = (j, tuple(sorted(context.items())))
+        repeats += key in seen
+        seen.add(key)
+
+        def call():
+            if via_site:
+                full = ev.merged(Assignment(x))
+                site = solver._site(net, j, full, plans[i])
+                assert full == context  # j unbound
+                return site
+            return conditional(net, j, context)
+
+        values = context.states(final.support)
+        try:
+            want = conditional(_rebuilt(net), j, context)
+        except ImpossibleContextError:
+            impossible += 1
+            for _ in range(2):  # raises on every call, and is never kept
+                with pytest.raises(ImpossibleContextError):
+                    call()
+                assert values not in final.memo
+            continue
+        got = call()
+        dist = got.dist if via_site else got
+        assert dist.tobytes() == want.tobytes()
+        assert not dist.flags.writeable
+        assert final.memo[values].dist is dist
+        if via_site:
+            probs = want.tolist()
+            assert [p.hex() for p in got.probs] == [p.hex() for p in probs]
+            assert [lp.hex() for lp in got.logs] == [
+                (math.log(p) if p > 0.0 else -math.inf).hex() for p in probs]
+    return repeats, impossible
+
+
+_MEMO_CALL = st.tuples(st.integers(0, 7), st.booleans(),
+                       st.sampled_from(("stay", "other", "back")), st.integers(0, 2 ** 32))
+
+
+class TestSiteMemo:
+    """A site plan's final node memoises one site record per value tuple of
+    its support; every record must hold the bits that computing the
+    conditional on a rebuilt network gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.lists(_MEMO_CALL, min_size=1, max_size=30))
+    def test_interleaved_calls_match_rebuilt_network(self, seed, calls):
+        _memo_calls(seed, calls)
+
+    def test_repeats_and_impossible_contexts_occur(self):
+        rng = random.Random(163)
+        calls = [(rng.randrange(8), rng.random() < 0.5,
+                  rng.choice(("stay", "other", "back")), rng.randrange(2 ** 32))
+                 for _ in range(40)]
+        totals = [_memo_calls(seed, calls) for seed in range(8)]
+        assert sum(r for r, _ in totals) > 0
+        assert sum(i for _, i in totals) > 0
+
+    def test_memo_stops_growing_at_the_budget(self, monkeypatch):
+        net = random_network(random.Random(151), 12, max_parents=3, cards=(2,))
+        problem = random_problem(random.Random(152), net)
+        configs = [dict(zip(problem.map_vars, states)) for states in
+                   itertools.product((0, 1), repeat=len(problem.map_vars))]
+        contexts = []
+        for x in configs:
+            for j in problem.map_vars:
+                context = problem.evidence.merged(Assignment(x))
+                context.discard(j)
+                contexts.append((j, context))
+        want = [conditional(_rebuilt(net), j, context).tobytes() for j, context in contexts]
+        schedule = solver.AnnealSchedule(wait=3, stop=6)
+        anneal = solver.annealed_map(_rebuilt(net), problem, schedule, random.Random(3),
+                                     restarts=3, collect_trace=True)
+
+        plans = engine._site_plans(net, problem)
+        finals = [plan.nodes[-1] for plan in plans]
+        cpts = net._plans[engine._CPTS]
+        nodes_kept = cpts.retained
+        # room for a few records: each counts its 3 * 2 values and its key
+        budget = nodes_kept + 3 * (3 * 2 + len(finals[0].support))
+        monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", budget)
+        sizes = []
+        for _ in range(2):  # the second pass finds the memo full
+            for (j, context), dist in zip(contexts, want):
+                assert conditional(net, j, context).tobytes() == dist
+            sizes.append([len(node.memo) for node in finals])
+        assert sizes[0] == sizes[1]
+        assert 0 < sum(sizes[0]) < len(contexts)
+        assert cpts.retained == nodes_kept + sum(
+            len(node.memo) * (3 * 2 + len(node.support)) for node in finals) <= budget
+        # a solve under a budget that keeps hardly anything gives the same run
+        monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 16)
+        assert solver.annealed_map(_rebuilt(net), problem, schedule, random.Random(3),
+                                   restarts=3, collect_trace=True) == anneal
 
 
 class TestMapPosterior:

@@ -151,6 +151,23 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="unknown state"):
             parse_problem("map Rain\nevidence WetGrass=maybe\n", sprinkler)
 
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("map Rain Foo\nevidence WetGrass=t\n", 1, 10, "unknown variable 'Foo'"),
+        ("map Rain\nevidence WetGrass=t Foo=t\n", 2, 21, "unknown variable 'Foo'"),
+        ("map Rain\n  evidence\tWetGrass=t  Foo=t\n", 2, 24, "unknown variable 'Foo'"),
+        ("map Rain Sprinkler Rain\nevidence\n", 1, 20, "duplicate MAP variable 'Rain'"),
+        ("evidence WetGrass=t\n\n map  Rain WetGrass\n", 3, 12, "both map and evidence"),
+        ("map Rain\nevidence WetGrass=t Sprinkler\n", 2, 21, "expected NAME=STATE"),
+        ("map Rain\nevidence Sprinkler=f WetGrass=maybe\n", 2, 22, "unknown state 'maybe'"),
+        ("map Rain\nevidence WetGrass=t WetGrass=f\n", 2, 21, "duplicate evidence"),
+        ("map Rain\n  observe WetGrass=t\n", 2, 3, "expected 'map' or 'evidence'"),
+        ("  map\nevidence\n", 1, 3, "at least one MAP variable"),
+    ])
+    def test_error_points_at_the_offending_item(self, sprinkler, text, line, column, message):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_problem(text, sprinkler)
+        assert (info.value.line, info.value.column) == (line, column)
+
     def test_order_insensitive(self, sprinkler):
         p = parse_problem("evidence WetGrass=f\nmap Rain\n", sprinkler)
         assert p.map_vars == (0,)

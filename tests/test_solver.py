@@ -49,10 +49,13 @@ def _reference_site(net, j, x, evidence):
 def _reference_kernel(net, j, context, plan):
     """solver._site's contract on top of _reference_site, which does not
     read `plan`: the caller's context, E together with x, is copied, j is
-    left unbound in it, and the conditional comes back as a list."""
+    left unbound in it, and the conditional comes back as a site record
+    whose floats and logs are computed here."""
     dist = _reference_site(net, j, context, Assignment())
     context.discard(j)
-    return dist.tolist()
+    probs = tuple(dist.tolist())
+    return engine._Site(dist, probs, tuple(math.log(p) if p > 0.0 else -math.inf
+                                           for p in probs))
 
 
 class TestAcceptanceProbability:
