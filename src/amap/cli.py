@@ -181,6 +181,23 @@ class BenchConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
+def _timed_run(algo: str, net: BayesianNetwork, problem: MapProblem,
+               config: BenchConfig, seed: int
+               ) -> Tuple[Optional[SolveReport], float, Optional[str]]:
+    """One algorithm on one bench case: its report and wall time in ms, or
+    no report, with the reason when an elimination would exceed the
+    table-size cap and without one when the oracle is over its MAP-space
+    cap."""
+    start = time.perf_counter()
+    try:
+        report = _run_algo(algo, net, problem, config.schedule, seed, config.restarts)
+    except OracleCapError:
+        return None, 0.0, None
+    except WidthCapError as exc:
+        return None, 0.0, str(exc)
+    return report, (time.perf_counter() - start) * 1000.0, None
+
+
 def _bench_case(config: BenchConfig, net_text: str, problem_text: str, case: int
                 ) -> Tuple[List[ReportRow], List[Tuple[str, str]]]:
     """Run one case; returns its report rows, and the (algorithm, reason)
@@ -192,35 +209,20 @@ def _bench_case(config: BenchConfig, net_text: str, problem_text: str, case: int
     """
     net = fileio.parse_network(net_text)
     problem = fileio.parse_problem(problem_text, net)
-    oracle: Optional[SolveReport] = None
-    oracle_skip: Optional[str] = None
-    start = time.perf_counter()
-    try:
-        oracle = solver.brute_force_map(net, problem, cap=_oracle_cap())
-    except OracleCapError:
-        pass
-    except WidthCapError as exc:
-        oracle_skip = str(exc)
-    oracle_ms = (time.perf_counter() - start) * 1000.0
+    # the oracle runs first, listed or not, for every row's matches_oracle;
+    # it draws no random numbers, so its seed is immaterial
+    oracle_run = _timed_run("oracle", net, problem, config, 0)
+    oracle = oracle_run[0]
     rows = []
     skipped = []
     for ai, algo in enumerate(config.algos):
         seed = _mix_seed(config.seed, case, ai)
-        if algo == "oracle":
-            if oracle is None:
-                if oracle_skip is not None:
-                    skipped.append((algo, oracle_skip))
-                continue
-            report, wall_ms = oracle, oracle_ms
-        else:
-            start = time.perf_counter()
-            try:
-                report = _run_algo(algo, net, problem, config.schedule, seed,
-                                   config.restarts)
-            except WidthCapError as exc:
-                skipped.append((algo, str(exc)))
-                continue
-            wall_ms = (time.perf_counter() - start) * 1000.0
+        report, wall_ms, skip = (oracle_run if algo == "oracle" else
+                                 _timed_run(algo, net, problem, config, seed))
+        if report is None:
+            if skip is not None:
+                skipped.append((algo, skip))
+            continue
         matches: Optional[bool] = None
         if oracle is not None:
             matches = report.best.as_tuple(problem.map_vars) == \

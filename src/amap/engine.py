@@ -38,7 +38,7 @@ from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Seque
 
 import numpy as np
 
-from .model import Assignment, BayesianNetwork, Cpt, MapProblem, Variable
+from .model import Assignment, BayesianNetwork, Cpt, MapProblem, Variable, check_context
 
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
@@ -360,8 +360,10 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
 
     Only the steps whose node holds no output for the current values of its
     support are run; every other node's output and log scale are the ones
-    running its step would give, bit for bit."""
+    running its step would give, bit for bit. A variable or state that
+    `net` does not have raises ValueError."""
     keep_t = tuple(keep)
+    check_context(net, evidence, keep_t)
     bound = frozenset(evidence.keys())
     if not bound.isdisjoint(keep_t):
         raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep_t))}")
@@ -461,8 +463,10 @@ def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.nd
     read-only array; a repeat for the same context values returns the array
     memoised with the plan's final node.
 
-    Raises ImpossibleContextError when p(context) = 0.
+    Raises ImpossibleContextError when p(context) = 0, and ValueError for a
+    variable or state that `net` does not have.
     """
+    check_context(net, context, (target,))
     if target in context:
         raise ValueError(f"target variable {target} is bound in the context")
     return _conditional(net, target, _plan(net, (target,), frozenset(context.keys()), "low"),
@@ -516,13 +520,16 @@ def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
     """ln p(x | evidence) with the non-MAP variables summed out.
 
     `log_p_evidence` may carry a precomputed ln p(E) to avoid recomputing it
-    in scoring loops.
+    in scoring loops. A variable or state that `net` does not have raises
+    ValueError.
     """
+    context = evidence.merged(x)
+    check_context(net, context)
     if log_p_evidence is None:
         log_p_evidence = eliminate(net, (), evidence).log_total()
     if log_p_evidence == -math.inf:
         raise InconsistentEvidenceError("evidence has probability zero")
-    joint = eliminate(net, (), evidence.merged(x)).log_total()
+    joint = eliminate(net, (), context).log_total()
     return joint - log_p_evidence
 
 

@@ -250,15 +250,19 @@ class MapProblem:
             raise ValueError(f"variables {sorted(overlap)} appear in both map and evidence")
 
     def validate_for(self, net: BayesianNetwork) -> None:
-        n = len(net)
-        for v in self.map_vars:
-            if not (0 <= v < n):
-                raise ValueError(f"MAP variable {v} not in network")
-        for v, s in self.evidence.items():
-            if not (0 <= v < n):
-                raise ValueError(f"evidence variable {v} not in network")
-            if not (0 <= s < net.cardinality(v)):
-                raise ValueError(f"evidence state {s} out of range for {net.var(v).name!r}")
+        check_context(net, self.evidence, self.map_vars)
+
+
+def check_context(net: BayesianNetwork, context: Assignment, free: Iterable[int] = ()) -> None:
+    """Raise ValueError unless every variable in `free` and in `context` is
+    one of `net`'s and every state `context` binds is one of its variable's."""
+    n = len(net)
+    for v in itertools.chain(free, context.keys()):
+        if not (0 <= v < n):
+            raise ValueError(f"variable {v} not in network {net.name!r}")
+    for v, s in context.items():
+        if not (0 <= s < net.cardinality(v)):
+            raise ValueError(f"state {s} out of range for {net.var(v).name!r}")
 
 
 def topological_order(net: BayesianNetwork) -> Tuple[int, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -177,98 +177,97 @@ def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
 
 # -- the annealed sampler ----------------------------------------------------
 
-def _anneal_restart(comp_index: int, restart: int, net: BayesianNetwork,
-                    problem: MapProblem, schedule: AnnealSchedule,
-                    init: Assignment, rng: random.Random,
-                    log_p_evidence: float, sweep_offset: int,
-                    trace: Optional[List[TraceRow]], debug_check: bool
-                    ) -> SolveReport:
-    """One annealing run on one component; its best_found_sweep and trace
-    rows count sweeps from `sweep_offset`."""
+def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSchedule,
+            rng: random.Random, restarts: int, trace: Optional[List[TraceRow]],
+            debug_check: bool) -> SolveReport:
+    """ANNEALEDMAP on one pruned component: `restarts` runs of the cooled
+    and reheated Gibbs chain. The run whose best assignment re-scores
+    highest wins, the first on ties; sweeps and reheats add up over the
+    runs, and best_found_sweep and trace rows count sweeps from
+    `sweeps_before`."""
+    net, problem = comp.net, comp.problem
     evidence = problem.evidence
-    context = evidence.merged(init)  # E and the current assignment x
+    # zero-probability evidence raises in sequential_init, on this plan
+    log_p_evidence = _log_total(_indicator_plan(net, problem), evidence)
     plans = _site_plans(net, problem)
-    logp = map_posterior(net, init, evidence, log_p_evidence)
-    best, best_logp = init.copy(), logp
-    best_found = sweep_offset
-    t = schedule.t0
-    no_improve = 0
-    sweep = 0
-    reheats = 0
-    max_ch = -math.inf
-    t_at_max_ch = schedule.t0
-
-    while no_improve < schedule.stop:
-        improved = False
-        costs: List[float] = []
-        for j, plan in zip(problem.map_vars, plans):
-            u = rng.random()
-            cur = context[j]
-            try:
-                site = _site(net, j, context, plan)
-            except ImpossibleContextError:
-                # current neighborhood has probability zero: resample uniformly
-                context.set(j, rng.randrange(net.cardinality(j)))
-                logp = map_posterior(net, context, evidence, log_p_evidence)
-                costs.append(best_logp - logp)
-                continue
-            cand = _sample_index(site.probs, rng)
-            lp_new, lp_old = site.logs[cand], site.logs[cur]
-            accept = u < acceptance_probability(t, lp_new, lp_old) and cand != cur
-            context.set(j, cand if accept else cur)
-            if accept:
-                if lp_old == -math.inf or logp == -math.inf:
-                    logp = map_posterior(net, context, evidence, log_p_evidence)
-                else:
-                    logp = logp + lp_new - lp_old
-            if logp > best_logp + IMPROVE_EPS:
-                best, best_logp = context.restricted(problem.map_vars), logp
-                best_found = sweep_offset + sweep + 1
-                improved = True
-            costs.append(best_logp - logp)
-        sweep += 1
-
-        finite = [c for c in costs if math.isfinite(c)]
-        ch = math.nan
-        if finite:
-            ch = specific_heat(finite, t)
-            if ch > max_ch:
-                max_ch = ch
-                t_at_max_ch = t
-        if trace is not None:
-            trace.append(TraceRow(comp_index, restart, sweep_offset + sweep,
-                                  t, logp, best_logp, ch))
-        if debug_check:
-            exact = map_posterior(net, context, evidence, log_p_evidence)
-            if not _close(logp, exact, TRACK_TOL):
-                raise TrackingError(
-                    f"sweep {sweep_offset + sweep}: tracked {logp} vs exact {exact}")
-
-        no_improve = 0 if improved else no_improve + 1
-        if no_improve >= schedule.stop:
-            break
-        if no_improve > 0 and no_improve % schedule.wait == 0:
-            c_b = best_logp - logp
-            if not math.isfinite(c_b):
-                c_b = 0.0
-            t = reheat_temperature(c_b, t_at_max_ch, schedule.k, schedule.t0)
-            reheats += 1
+    out = SolveReport(best=Assignment(), logp=-math.inf, restarts_used=restarts)
+    sweep = sweeps_before  # sweeps run so far, this component's included
+    for restart in range(restarts):
+        if restart == 0:
+            init = sequential_init(net, problem)
         else:
-            t = geometric_cool(t, schedule.alpha, schedule.t_min)
+            init = forward_sample(net, rng).restricted(problem.map_vars)
+        context = evidence.merged(init)  # E and the current assignment x
+        logp = map_posterior(net, init, evidence, log_p_evidence)
+        best, best_logp, best_found = init.copy(), logp, sweep
+        t = schedule.t0
+        no_improve = 0
+        max_ch = -math.inf
+        t_at_max_ch = schedule.t0
 
-    exact = map_posterior(net, best, evidence, log_p_evidence)
-    if not _close(best_logp, exact, TRACK_TOL):
-        raise TrackingError(f"final: tracked {best_logp} vs exact {exact}")
-    return SolveReport(best=best, logp=exact, sweeps=sweep, reheats=reheats,
-                       best_found_sweep=best_found)
+        while True:
+            improved = False
+            costs: List[float] = []
+            for j, plan in zip(problem.map_vars, plans):
+                u = rng.random()
+                cur = context[j]
+                try:
+                    site = _site(net, j, context, plan)
+                except ImpossibleContextError:
+                    # current neighborhood has probability zero: resample uniformly
+                    context.set(j, rng.randrange(net.cardinality(j)))
+                    logp = map_posterior(net, context, evidence, log_p_evidence)
+                    costs.append(best_logp - logp)
+                    continue
+                cand = _sample_index(site.probs, rng)
+                lp_new, lp_old = site.logs[cand], site.logs[cur]
+                accept = u < acceptance_probability(t, lp_new, lp_old) and cand != cur
+                context.set(j, cand if accept else cur)
+                if accept:
+                    if lp_old == -math.inf or logp == -math.inf:
+                        logp = map_posterior(net, context, evidence, log_p_evidence)
+                    else:
+                        logp = logp + lp_new - lp_old
+                if logp > best_logp + IMPROVE_EPS:
+                    best, best_logp = context.restricted(problem.map_vars), logp
+                    best_found = sweep + 1
+                    improved = True
+                costs.append(best_logp - logp)
+            sweep += 1
 
+            finite = [c for c in costs if math.isfinite(c)]
+            ch = math.nan
+            if finite:
+                ch = specific_heat(finite, t)
+                if ch > max_ch:
+                    max_ch = ch
+                    t_at_max_ch = t
+            if trace is not None:
+                trace.append(TraceRow(index, restart, sweep, t, logp, best_logp, ch))
+            if debug_check:
+                exact = map_posterior(net, context, evidence, log_p_evidence)
+                if not math.isclose(logp, exact, rel_tol=0.0, abs_tol=TRACK_TOL):
+                    raise TrackingError(f"sweep {sweep}: tracked {logp} vs exact {exact}")
 
-def _close(a: float, b: float, tol: float) -> bool:
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= tol
+            no_improve = 0 if improved else no_improve + 1
+            if no_improve >= schedule.stop:
+                break
+            if no_improve > 0 and no_improve % schedule.wait == 0:
+                c_b = best_logp - logp
+                if not math.isfinite(c_b):
+                    c_b = 0.0
+                t = reheat_temperature(c_b, t_at_max_ch, schedule.k, schedule.t0)
+                out.reheats += 1
+            else:
+                t = geometric_cool(t, schedule.alpha, schedule.t_min)
+
+        exact = map_posterior(net, best, evidence, log_p_evidence)
+        if not math.isclose(best_logp, exact, rel_tol=0.0, abs_tol=TRACK_TOL):
+            raise TrackingError(f"final: tracked {best_logp} vs exact {exact}")
+        if restart == 0 or exact > out.logp:
+            out.best, out.logp, out.best_found_sweep = best, exact, best_found
+    out.sweeps = sweep - sweeps_before
+    return out
 
 
 def _solve_components(pruned: PrunedNetwork,
@@ -308,27 +307,8 @@ def annealed_map(net: BayesianNetwork, problem: MapProblem,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     trace: Optional[List[TraceRow]] = [] if collect_trace else None
-
-    def anneal(index: int, comp: Component, sweeps_before: int) -> SolveReport:
-        # zero-probability evidence raises in sequential_init, on this plan
-        log_pe = _log_total(_indicator_plan(comp.net, comp.problem), comp.problem.evidence)
-        best: Optional[SolveReport] = None
-        sweeps = reheats = 0
-        for r in range(restarts):
-            if r == 0:
-                init = sequential_init(comp.net, comp.problem)
-            else:
-                init = forward_sample(comp.net, rng).restricted(comp.problem.map_vars)
-            run = _anneal_restart(index, r, comp.net, comp.problem, schedule, init, rng,
-                                  log_pe, sweeps_before + sweeps, trace, debug_check)
-            sweeps += run.sweeps
-            reheats += run.reheats
-            if best is None or run.logp > best.logp:
-                best = run
-        return replace(best, sweeps=sweeps, reheats=reheats,
-                       restarts_used=restarts)
-
-    report = _solve_components(prune(net, problem), anneal)
+    report = _solve_components(prune(net, problem), lambda index, comp, before: _anneal(
+        index, comp, before, schedule, rng, restarts, trace, debug_check))
     report.trace = trace
     return report
 

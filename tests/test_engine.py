@@ -69,6 +69,28 @@ class TestEliminate:
         with pytest.raises(ValueError, match="overlap"):
             eliminate(sprinkler, (0,), Assignment({0: 0}))
 
+    @pytest.mark.parametrize("call", [
+        lambda net: conditional(net, 1, Assignment({0: -1})),
+        lambda net: conditional(net, 1, Assignment({0: 2})),
+        lambda net: conditional(net, 1, Assignment({9: 0})),
+        lambda net: conditional(net, 7, Assignment()),
+        lambda net: eliminate(net, (0,), Assignment({2: -1})),
+        lambda net: eliminate(net, (0,), Assignment({9: 0})),
+        lambda net: eliminate(net, (5,), Assignment()),
+        lambda net: map_posterior(net, Assignment({0: -1}), Assignment({2: 0})),
+        lambda net: map_posterior(net, Assignment({0: 0}), Assignment({2: 2})),
+        lambda net: map_posterior(net, Assignment({9: 0}), Assignment({2: 0})),
+    ], ids=["cond-negative-state", "cond-state-too-high", "cond-unknown-var",
+            "cond-unknown-target", "elim-negative-state", "elim-unknown-var",
+            "elim-unknown-keep", "post-negative-state", "post-evidence-state",
+            "post-unknown-var"])
+    def test_context_outside_the_network_rejected(self, sprinkler, call):
+        # a negative state would wrap around to the last one, an unknown
+        # variable would be ignored or raise a bare KeyError or IndexError
+        with pytest.raises(ValueError, match="not in network|out of range") as info:
+            call(sprinkler)
+        assert type(info.value) is ValueError
+
     def test_matches_enumeration_on_random_nets(self):
         rng = random.Random(31)
         checked = 0
@@ -344,6 +366,13 @@ def _rebuilt(net):
     return BayesianNetwork(net.name, net.variables, net.cpts)
 
 
+def _unchecked_eliminate(net, keep, evidence):
+    """`eliminate` without its check of the context, so that an out-of-range
+    state fails part-way through the evaluation instead of before it."""
+    return engine._factor(engine._plan(net, tuple(keep), frozenset(evidence.keys()), "low"),
+                          evidence)
+
+
 def _sharpened(net):
     """`net` with state 0 of every variable made 1e-40 times as likely, so
     that a product of three CPT rows with their child in state 0 falls below
@@ -555,9 +584,12 @@ class TestStepReuse:
             net = _rebuilt(base)
             for _ in range(3):
                 eliminate(net, (), Assignment({v: 0 for v in bound}))
+            bad_ev = Assignment({v: 9 if v == bad else 1 for v in bound})
+            with pytest.raises(ValueError, match="out of range"):
+                eliminate(net, (), bad_ev)
             for _ in range(2):  # nothing is kept for the failed values either
                 with pytest.raises(IndexError):
-                    eliminate(net, (), Assignment({v: 9 if v == bad else 1 for v in bound}))
+                    _unchecked_eliminate(net, (), bad_ev)
             ev = Assignment({v: 1 if v == bad else 0 for v in bound})
             _same_bits(eliminate(net, (), ev), eliminate(base, (), ev))
 
@@ -632,7 +664,7 @@ class TestStepReuse:
                 ev_call.set(v, net.cardinality(v) + draw.randrange(3))
                 for target in (net, _rebuilt(net)):
                     with pytest.raises(IndexError):
-                        eliminate(target, keep, ev_call)
+                        _unchecked_eliminate(target, keep, ev_call)
                 continue
             _same_bits(eliminate(net, keep, ev_call), eliminate(_rebuilt(net), keep, ev_call))
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amap import (
@@ -505,6 +505,22 @@ class TestComponentPipeline:
                   hill_climb_map(net, problem)):
             assert r.logp == sum(parts(r.best))
             assert r.logp <= oracle.logp + 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 59), st.integers(0, 2 ** 32))
+    def test_trace_numbers_sweeps_across_components_and_restarts(self, seed, anneal_seed):
+        rng = random.Random(seed)
+        net = random_network(rng, 14)
+        problem = random_problem(rng, net)
+        components = prune(net, problem).components
+        assume(len(components) > 1)
+        r = annealed_map(net, problem, rng=random.Random(anneal_seed), restarts=3,
+                         collect_trace=True)
+        assert [row.sweep for row in r.trace] == list(range(1, r.sweeps + 1))
+        runs = [(row.component, row.restart) for row in r.trace]
+        assert runs == sorted(runs)
+        assert set(runs) == {(c, k) for c in range(len(components)) for k in range(3)}
+        assert 0 <= r.best_found_sweep <= r.sweeps
 
 
 class TestLocalOptimumInstance:
