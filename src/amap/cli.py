@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, TextIO, Tuple
 from . import fileio, solver
 from .engine import WidthCapError, forward_sample
 from .fileio import ParseError, ReportRow
-from .model import Assignment, BayesianNetwork, MapProblem
+from .model import BayesianNetwork, MapProblem
 from .solver import AnnealSchedule, OracleCapError, SolveReport
 
 ORACLE_CAP_ENV = "AMAP_ORACLE_CAP"
@@ -45,8 +45,7 @@ def generate_problem(net: BayesianNetwork, n_map: int, n_evid: int,
     leaves = [v for v in net.leaves() if v not in map_vars]
     evid_vars = sorted(rng.sample(leaves, min(n_evid, len(leaves))))
     sample = forward_sample(net, rng)
-    evidence = Assignment({v: sample[v] for v in evid_vars})
-    return MapProblem(tuple(map_vars), evidence)
+    return MapProblem(tuple(map_vars), {v: sample[v] for v in evid_vars})
 
 
 def _check_counts(n_map: int, n_evid: int) -> None:
@@ -225,8 +224,8 @@ def _bench_case(config: BenchConfig, net_text: str, problem_text: str, case: int
             continue
         matches: Optional[bool] = None
         if oracle is not None:
-            matches = report.best.as_tuple(problem.map_vars) == \
-                oracle.best.as_tuple(problem.map_vars)
+            matches = (tuple(map(report.best.__getitem__, problem.map_vars)) ==
+                       tuple(map(oracle.best.__getitem__, problem.map_vars)))
         rows.append(ReportRow(
             network=net.name, case_id=case, algorithm=algo, seed=seed,
             log10_prob=report.logp / math.log(10.0), prob=math.exp(report.logp),
@@ -249,7 +248,7 @@ def run_bench(config: BenchConfig) -> List[ReportRow]:
         workers = _pool_size(config.workers, config.cases)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_bench_case_star, jobs))
+                results = list(pool.map(_bench_case, *zip(*jobs)))
         else:
             results = [_bench_case(*job) for job in jobs]
 
@@ -276,10 +275,6 @@ def run_bench(config: BenchConfig) -> List[ReportRow]:
             summary += f" mean_ratio_on_mismatch={mean:.6g}"
         print(summary)
     return rows
-
-
-def _bench_case_star(job):
-    return _bench_case(*job)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

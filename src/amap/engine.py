@@ -393,7 +393,7 @@ def _output(plan: _Plan, context: Assignment) -> np.ndarray:
     """The plan's final output for the context's values, which the final
     node keeps only if it `keeps`."""
     final = plan.nodes[-1]
-    values = context.states(final.support)
+    values = tuple(map(context.get, final.support))
     if values != final.values:
         _run(plan, context, values)
     out = final.output
@@ -414,7 +414,7 @@ def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) ->
     stack = [s - n for s in steps[-1].slots if s >= n]
     while stack:
         k = stack.pop()
-        values = context.states(nodes[k].support)
+        values = tuple(map(context.get, nodes[k].support))
         if values != nodes[k].values:
             todo.append((k, values))
             stack.extend(s - n for s in steps[k].slots if s >= n)
@@ -479,7 +479,7 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
     a site record. A record is memoised by the values of the final node's
     support while the network's budget has room for it."""
     final = plan.nodes[-1]
-    values = context.states(final.support)
+    values = tuple(map(context.get, final.support))
     site = final.memo.get(values)
     if site is not None:
         return site
@@ -523,7 +523,7 @@ def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
     in scoring loops. A variable or state that `net` does not have raises
     ValueError.
     """
-    context = evidence.merged(x)
+    context = {**evidence, **x}
     check_context(net, context)
     if log_p_evidence is None:
         log_p_evidence = eliminate(net, (), evidence).log_total()
@@ -549,9 +549,9 @@ def _sample_index(dist: Sequence[float], rng: random.Random) -> int:
 
 def forward_sample(net: BayesianNetwork, rng: random.Random) -> Assignment:
     """One draw from the network prior, sampling in topological order."""
-    out = Assignment()
+    out: Assignment = {}
     for v in net.order():
-        out.set(v, _sample_index(net.cpts[v].table[net.row_index(v, out)], rng))
+        out[v] = _sample_index(net.cpts[v].table[net.row_index(v, out)], rng)
     return out
 
 
@@ -567,7 +567,7 @@ class Component:
     orig_ids: Tuple[int, ...]  # orig_ids[new_id] = original id
 
     def to_original(self, sub: Assignment) -> Assignment:
-        return Assignment({self.orig_ids[v]: s for v, s in sub.items()})
+        return {self.orig_ids[v]: s for v, s in sub.items()}
 
 
 @dataclass(frozen=True)
@@ -632,7 +632,7 @@ def prune(net: BayesianNetwork, problem: MapProblem) -> PrunedNetwork:
         remap = {old: new for new, old in enumerate(orig)}
         sub_problem = MapProblem(
             tuple(remap[v] for v in gmap),
-            Assignment({remap[v]: s for v, s in problem.evidence.items() if v in gset}),
+            {remap[v]: s for v, s in problem.evidence.items() if v in gset},
         )
         components.append(Component(subnet, sub_problem, orig))
     return PrunedNetwork(tuple(components), dropped)

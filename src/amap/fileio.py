@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (
-    Assignment,
     BayesianNetwork,
     Cpt,
     MapProblem,
@@ -264,7 +263,7 @@ def parse_problem(text: str, net: BayesianNetwork) -> MapProblem:
             raise ParseError(lineno, col,
                              f"variable {name!r} appears in both map and evidence")
         map_vars.append(vid)
-    return MapProblem(tuple(map_vars), Assignment(evidence))
+    return MapProblem(tuple(map_vars), evidence)
 
 
 def serialize_problem(problem: MapProblem, net: BayesianNetwork) -> str:

@@ -10,7 +10,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 ROW_SUM_TOL = 1e-6
 
@@ -62,11 +62,14 @@ class Cpt:
 
 
 def check_table(cpt: Cpt, variables: Sequence[Variable]) -> None:
-    """Check a CPT's shape and rows against the variables it names: one row
-    per parent configuration, one entry per child state, each row summing
-    to 1 within ROW_SUM_TOL. (Cpt itself checks that entries lie in [0, 1].)
-    Raises ValueError."""
+    """Check a CPT's parents, shape and rows against the variables it names:
+    no parent listed twice, one row per parent configuration, one entry per
+    child state, each row summing to 1 within ROW_SUM_TOL. (Cpt itself
+    checks that entries lie in [0, 1].) Raises ValueError."""
     child = variables[cpt.child]
+    for i, p in enumerate(cpt.parents):
+        if p in cpt.parents[:i]:
+            raise ValueError(f"cpt for {child.name!r} lists parent {variables[p].name!r} twice")
     n_rows = 1
     for p in cpt.parents:
         n_rows *= variables[p].cardinality
@@ -83,72 +86,8 @@ def check_table(cpt: Cpt, variables: Sequence[Variable]) -> None:
             raise ValueError(f"cpt for {child.name!r}: row sums to {s:.6g}")
 
 
-class Assignment:
-    """A partial or full mapping from variable id to state index.
-
-    Value-like: copy freely, compare by contents.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Optional[Mapping[int, int]] = None) -> None:
-        self._bindings: Dict[int, int] = dict(bindings or {})
-
-    @property
-    def bindings(self) -> Dict[int, int]:
-        return dict(self._bindings)
-
-    def set(self, var: int, state: int) -> None:
-        self._bindings[var] = state
-
-    def discard(self, var: int) -> None:
-        self._bindings.pop(var, None)
-
-    def copy(self) -> "Assignment":
-        return Assignment(self._bindings)
-
-    def merged(self, other: "Assignment") -> "Assignment":
-        out = self.copy()
-        out._bindings.update(other._bindings)
-        return out
-
-    def restricted(self, vars: Iterable[int]) -> "Assignment":
-        keep = set(vars)
-        return Assignment({v: s for v, s in self._bindings.items() if v in keep})
-
-    def items(self) -> Iterable[Tuple[int, int]]:
-        return self._bindings.items()
-
-    def keys(self):
-        return self._bindings.keys()
-
-    def as_tuple(self, order: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(map(self._bindings.__getitem__, order))
-
-    def states(self, order: Sequence[int]) -> Tuple[Optional[int], ...]:
-        """`as_tuple` with None for each unbound variable."""
-        return tuple(map(self._bindings.get, order))
-
-    def __getitem__(self, var: int) -> int:
-        return self._bindings[var]
-
-    def __contains__(self, var: int) -> bool:
-        return var in self._bindings
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._bindings)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Assignment):
-            return NotImplemented
-        return self._bindings == other._bindings
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:{s}" for v, s in sorted(self._bindings.items()))
-        return f"Assignment({{{inner}}})"
+# A partial or full mapping from variable id to state index.
+Assignment = dict
 
 
 class BayesianNetwork:
@@ -314,5 +253,5 @@ def complete(partial: Assignment, net: BayesianNetwork) -> Iterator[Assignment]:
     for combo in itertools.product(*(range(net.cardinality(v)) for v in unbound)):
         full = partial.copy()
         for v, s in zip(unbound, combo):
-            full.set(v, s)
+            full[v] = s
         yield full

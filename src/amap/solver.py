@@ -72,8 +72,8 @@ class AnnealSchedule:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (0.0 < self.t_min <= self.t0 <= 1.0):
             raise ValueError(f"need 0 < t_min <= t0 <= 1, got t_min={self.t_min}, t0={self.t0}")
-        if self.k < 0.0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        if not (0.0 <= self.k < math.inf):
+            raise ValueError(f"k must be finite and >= 0, got {self.k}")
         if not (0 < self.wait <= self.stop):
             raise ValueError(f"need 0 < wait <= stop, got wait={self.wait}, stop={self.stop}")
 
@@ -147,7 +147,7 @@ def _site(net: BayesianNetwork, j: int, context: Assignment, plan: _Plan) -> _Si
     current assignment x, which the caller keeps in step with x: this call
     unbinds j, and the caller binds it again to x_j's next state. Raises
     ImpossibleContextError when the context has probability zero."""
-    context.discard(j)
+    context.pop(j, None)
     return _conditional(net, j, plan, context)
 
 
@@ -169,10 +169,10 @@ def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
             continue
         scores = []
         for s in range(net.cardinality(v)):
-            context.set(v, s)
+            context[v] = s
             scores.append(_log_total(plan, context))
-        context.set(v, scores.index(max(scores)))
-    return context.restricted(problem.map_vars)
+        context[v] = scores.index(max(scores))
+    return {v: s for v, s in context.items() if v in map_set}
 
 
 # -- the annealed sampler ----------------------------------------------------
@@ -190,14 +190,15 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
     # zero-probability evidence raises in sequential_init, on this plan
     log_p_evidence = _log_total(_indicator_plan(net, problem), evidence)
     plans = _site_plans(net, problem)
-    out = SolveReport(best=Assignment(), logp=-math.inf, restarts_used=restarts)
+    map_set = set(problem.map_vars)
+    out = SolveReport(best={}, logp=-math.inf, restarts_used=restarts)
     sweep = sweeps_before  # sweeps run so far, this component's included
     for restart in range(restarts):
         if restart == 0:
             init = sequential_init(net, problem)
         else:
-            init = forward_sample(net, rng).restricted(problem.map_vars)
-        context = evidence.merged(init)  # E and the current assignment x
+            init = {v: s for v, s in forward_sample(net, rng).items() if v in map_set}
+        context = {**evidence, **init}  # E and the current assignment x
         logp = map_posterior(net, init, evidence, log_p_evidence)
         best, best_logp, best_found = init.copy(), logp, sweep
         t = schedule.t0
@@ -215,21 +216,21 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
                     site = _site(net, j, context, plan)
                 except ImpossibleContextError:
                     # current neighborhood has probability zero: resample uniformly
-                    context.set(j, rng.randrange(net.cardinality(j)))
+                    context[j] = rng.randrange(net.cardinality(j))
                     logp = map_posterior(net, context, evidence, log_p_evidence)
                     costs.append(best_logp - logp)
                     continue
                 cand = _sample_index(site.probs, rng)
                 lp_new, lp_old = site.logs[cand], site.logs[cur]
                 accept = u < acceptance_probability(t, lp_new, lp_old) and cand != cur
-                context.set(j, cand if accept else cur)
+                context[j] = cand if accept else cur
                 if accept:
                     if lp_old == -math.inf or logp == -math.inf:
                         logp = map_posterior(net, context, evidence, log_p_evidence)
                     else:
                         logp = logp + lp_new - lp_old
                 if logp > best_logp + IMPROVE_EPS:
-                    best, best_logp = context.restricted(problem.map_vars), logp
+                    best, best_logp = {v: s for v, s in context.items() if v in map_set}, logp
                     best_found = sweep + 1
                     improved = True
                 costs.append(best_logp - logp)
@@ -277,10 +278,10 @@ def _solve_components(pruned: PrunedNetwork,
     counts the sweeps of the components before it. Answers are mapped back
     to original ids and merged; ln p(x|E), sweeps and reheats add up over
     the components, and best_found_sweep is the largest of theirs."""
-    total = SolveReport(best=Assignment(), logp=0.0)
+    total = SolveReport(best={}, logp=0.0)
     for index, comp in enumerate(pruned.components):
         part = solve(index, comp, total.sweeps)
-        total.best = total.best.merged(comp.to_original(part.best))
+        total.best.update(comp.to_original(part.best))
         total.logp += part.logp
         total.sweeps += part.sweeps
         total.reheats += part.reheats
@@ -319,7 +320,7 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
     rule). Returns the visited MAP-set configuration after every sweep, as
     state tuples in map-variable order. Every proposal is accepted: the
     acceptance probability at temperature 1 is identically 1."""
-    context = problem.evidence.merged(sequential_init(net, problem))
+    context = {**problem.evidence, **sequential_init(net, problem)}
     plans = _site_plans(net, problem)
     out: List[Tuple[int, ...]] = []
     for _ in range(sweeps):
@@ -328,8 +329,8 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
             # every proposal is accepted; drawing it anyway keeps the random
             # stream, and so every seeded chain, as it has always been.
             rng.random()
-            context.set(j, _sample_index(_site(net, j, context, plan).probs, rng))
-        out.append(context.as_tuple(problem.map_vars))
+            context[j] = _sample_index(_site(net, j, context, plan).probs, rng)
+        out.append(tuple(map(context.__getitem__, problem.map_vars)))
     return out
 
 
@@ -358,7 +359,7 @@ def _brute_force(comp: Component) -> SolveReport:
     idx = int(np.argmax(flat))  # first maximum = lexicographically lowest
     best_val = float(flat[idx])
     states = np.unravel_index(idx, f.values.shape) if f.values.ndim else ()
-    best = Assignment({v: int(s) for v, s in zip(comp.problem.map_vars, states)})
+    best = {v: int(s) for v, s in zip(comp.problem.map_vars, states)}
     logp = -math.inf if best_val == 0.0 else math.log(best_val) - math.log(total)
     return SolveReport(best=best, logp=logp, restarts_used=0)
 
@@ -383,7 +384,7 @@ def _climb(comp: Component) -> SolveReport:
     plan = _indicator_plan(net, problem)
     # zero-probability evidence raises in sequential_init, on this plan
     log_pe = _log_total(plan, problem.evidence)
-    context = problem.evidence.merged(sequential_init(net, problem))
+    context = {**problem.evidence, **sequential_init(net, problem)}
     score = _log_total(plan, context)
     steps = 0
     for _ in range(_MAX_CLIMB_STEPS):
@@ -393,16 +394,17 @@ def _climb(comp: Component) -> SolveReport:
             state = context[j]
             for s in range(net.cardinality(j)):
                 if s != state:
-                    context.set(j, s)
+                    context[j] = s
                     flip = _log_total(plan, context)
                     if flip > best_score:
                         best_score, best_move = flip, (j, s)
-            context.set(j, state)
+            context[j] = state
         if best_move is None:
             break
-        context.set(*best_move)
+        j, s = best_move
+        context[j] = s
         score = best_score
         steps += 1
-    x = context.restricted(problem.map_vars)
+    x = {v: s for v, s in context.items() if v in problem.map_vars}
     return SolveReport(best=x, logp=map_posterior(net, x, problem.evidence, log_pe),
                        sweeps=steps)

@@ -31,6 +31,16 @@ cpt C | A B { 0.888889 0.111111 ; 0.888889 0.111111 ; 0.454545 0.545455 ; 0.7272
 
 LOCAL_OPT_PROBLEM_TEXT = "map A B\nevidence C=c0\n"
 
+# C's CPT lists parent A twice; its four rows match card(A)^2, so only the
+# repeated-parent check rejects it (at the child token, line 5 column 5).
+REPEATED_PARENT_TEXT = """\
+network dup
+var A { t, f }
+var C { t, f }
+cpt A { 0.6 0.4 }
+cpt C | A A { 0.9 0.1 ; 0.5 0.5 ; 0.5 0.5 ; 0.2 0.8 }
+"""
+
 
 @pytest.fixture
 def sprinkler():

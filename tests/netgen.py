@@ -59,7 +59,7 @@ def enum_factor(net: BayesianNetwork, keep, evidence: Assignment) -> dict:
     for combo in itertools.product(*(range(net.cardinality(v)) for v in keep)):
         partial = evidence.copy()
         for v, s in zip(keep, combo):
-            partial.set(v, s)
+            partial[v] = s
         total = 0.0
         for full in complete(partial, net):
             lp = joint_log_prob(net, full)
@@ -79,7 +79,7 @@ def enum_conditional(net: BayesianNetwork, target: int, context: Assignment):
 
 def enum_map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment) -> float:
     pe = sum(enum_factor(net, (), evidence).values())
-    combined = evidence.merged(x)
+    combined = {**evidence, **x}
     px = sum(enum_factor(net, (), combined).values())
     if px == 0.0:
         return -math.inf

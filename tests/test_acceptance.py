@@ -75,8 +75,8 @@ def test_criterion_1_oracle_optimality_rate():
         report = annealed_map(net, problem, PAPER_DEFAULTS,
                               rng=random.Random(1000 + i), restarts=5)
         total += 1
-        if report.best.as_tuple(problem.map_vars) == \
-                oracle.best.as_tuple(problem.map_vars):
+        if tuple(map(report.best.__getitem__, problem.map_vars)) == \
+                tuple(map(oracle.best.__getitem__, problem.map_vars)):
             matches += 1
         else:
             ratio = math.exp(report.logp - oracle.logp)
@@ -275,10 +275,11 @@ def test_criterion_6_decomposition():
     expected = Assignment()
     for comp in pruned.components:
         sub = brute_force_map(comp.net, comp.problem)
-        expected = expected.merged(comp.to_original(sub.best))
+        expected = {**expected, **comp.to_original(sub.best)}
     report = annealed_map(net, problem, PAPER_DEFAULTS,
                           rng=random.Random(17), restarts=5)
-    same = report.best.as_tuple(map_vars) == expected.as_tuple(map_vars)
+    same = (tuple(map(report.best.__getitem__, map_vars)) ==
+            tuple(map(expected.__getitem__, map_vars)))
     ok = n_components >= 10 and same
     _report(6, "decomposition behavior", ok,
             f"{n_components} components, matches per-component oracle: {same}")
@@ -355,13 +356,13 @@ def test_criterion_7_determinism_and_robustness(tmp_path, capsys):
 def test_criterion_8_local_optimum_separation(trap_net, trap_problem):
     hill = hill_climb_map(trap_net, trap_problem)
     oracle = brute_force_map(trap_net, trap_problem)
-    trapped = hill.best.as_tuple(trap_problem.map_vars) == (0, 0)
-    global_opt = oracle.best.as_tuple(trap_problem.map_vars)
+    trapped = tuple(map(hill.best.__getitem__, trap_problem.map_vars)) == (0, 0)
+    global_opt = tuple(map(oracle.best.__getitem__, trap_problem.map_vars))
     hits = 0
     for seed in range(100):
         r = annealed_map(trap_net, trap_problem, PAPER_DEFAULTS,
                          rng=random.Random(seed), restarts=5)
-        if r.best.as_tuple(trap_problem.map_vars) == global_opt:
+        if tuple(map(r.best.__getitem__, trap_problem.map_vars)) == global_opt:
             hits += 1
     ok = trapped and global_opt == (1, 1) and hits >= 90
     _report(8, "local-optimum separation", ok,

@@ -8,7 +8,7 @@ import pytest
 
 from amap import parse_network, parse_problem, solver
 from amap.cli import generate_problem, main, _mix_seed, _pool_size
-from conftest import SPRINKLER_TEXT, SPRINKLER_PROBLEM_TEXT
+from conftest import REPEATED_PARENT_TEXT, SPRINKLER_TEXT, SPRINKLER_PROBLEM_TEXT
 from netgen import random_network
 from amap.fileio import REPORT_COLUMNS, serialize_network, serialize_problem
 
@@ -86,6 +86,23 @@ class TestSolveCommand:
         code = main(["solve", "--net", str(bad), "--problem", problem_file])
         assert code == 1
         assert "row sums" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["anneal", "hillclimb", "oracle"])
+    def test_repeated_parent_rejected(self, algo, tmp_path, capsys):
+        net, problem = tmp_path / "dup.bnet", tmp_path / "dup.prob"
+        net.write_text(REPEATED_PARENT_TEXT)
+        problem.write_text("map A\nevidence C=t\n")
+        code = main(["solve", "--net", str(net), "--problem", str(problem), "--algo", algo])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err,
+                         "error: parse failed at 5:5: cpt for 'C' lists parent 'A' twice")
+
+    def test_non_finite_k_rejected(self, net_file, problem_file, capsys):
+        code = main(["solve", "--net", net_file, "--problem", problem_file, "--k", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, "error: k must be finite and >= 0, got nan")
 
     def test_trace_file(self, net_file, problem_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -13,7 +13,7 @@ from amap import (
     serialize_problem,
     write_report,
 )
-from conftest import SPRINKLER_TEXT
+from conftest import REPEATED_PARENT_TEXT, SPRINKLER_TEXT
 from netgen import random_network
 
 
@@ -95,6 +95,11 @@ class TestParseNetwork:
         with pytest.raises(ParseError, match="1 rows, expected 2"):
             parse_network(text)
 
+    def test_repeated_parent_at_its_cpt(self):
+        with pytest.raises(ParseError, match="lists parent 'A' twice") as info:
+            parse_network(REPEATED_PARENT_TEXT)
+        assert (info.value.line, info.value.column) == (5, 5)
+
 
 class TestRoundTrip:
     def test_one_variable(self):
@@ -133,7 +138,7 @@ class TestParseProblem:
         p = parse_problem("map Sprinkler Rain\nevidence WetGrass=t\n", sprinkler)
         assert p.map_vars == (sprinkler.by_name("Sprinkler").id,
                               sprinkler.by_name("Rain").id)
-        assert p.evidence.bindings == {sprinkler.by_name("WetGrass").id: 0}
+        assert p.evidence == {sprinkler.by_name("WetGrass").id: 0}
 
     def test_disjointness(self, sprinkler):
         with pytest.raises(ParseError, match="both map and evidence"):

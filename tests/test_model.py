@@ -115,7 +115,7 @@ class TestComplete:
     def test_two_unbound_binary(self, sprinkler):
         out = list(complete(Assignment({2: 0}), sprinkler))
         assert len(out) == 4
-        assert [a.as_tuple((0, 1)) for a in out] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [(a[0], a[1]) for a in out] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_empty_network(self):
         net = BayesianNetwork("empty", [], [])
@@ -141,6 +141,13 @@ class TestValidation:
         variables = [Variable(0, "A", ("t", "f")), Variable(1, "A", ("t", "f"))]
         cpts = [Cpt(0, (), ((0.5, 0.5),)), Cpt(1, (), ((0.5, 0.5),))]
         with pytest.raises(ValueError, match="unique"):
+            BayesianNetwork("dup", variables, cpts)
+
+    def test_repeated_parent_rejected(self):
+        variables = [Variable(0, "A", ("t", "f")), Variable(1, "C", ("t", "f"))]
+        cpts = [Cpt(0, (), ((0.6, 0.4),)),
+                Cpt(1, (0, 0), ((0.9, 0.1), (0.5, 0.5), (0.5, 0.5), (0.2, 0.8)))]
+        with pytest.raises(ValueError, match="lists parent 'A' twice"):
             BayesianNetwork("dup", variables, cpts)
 
     def test_map_problem_disjointness(self):

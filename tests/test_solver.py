@@ -38,8 +38,8 @@ from netgen import disjoint_union, enum_best, joint_size, random_network, random
 def _reference_site(net, j, x, evidence):
     """p(x_j | E, x without j) computed from scratch: E and x merged into a
     new context, eliminated on a freshly built network, then normalised."""
-    context = evidence.merged(x)
-    context.discard(j)
+    context = {**evidence, **x}
+    context.pop(j, None)
     f = eliminate(BayesianNetwork(net.name, net.variables, net.cpts), (j,), context)
     if f.total() <= 0.0:
         raise ImpossibleContextError("context has probability zero")
@@ -52,7 +52,7 @@ def _reference_kernel(net, j, context, plan):
     left unbound in it, and the conditional comes back as a site record
     whose floats and logs are computed here."""
     dist = _reference_site(net, j, context, Assignment())
-    context.discard(j)
+    context.pop(j, None)
     probs = tuple(dist.tolist())
     return engine._Site(dist, probs, tuple(math.log(p) if p > 0.0 else -math.inf
                                            for p in probs))
@@ -133,6 +133,10 @@ class TestScheduleArithmetic:
             AnnealSchedule(wait=30, stop=20)
         with pytest.raises(ValueError):
             AnnealSchedule(k=-0.1)
+        with pytest.raises(ValueError):
+            AnnealSchedule(k=math.nan)
+        with pytest.raises(ValueError):
+            AnnealSchedule(k=math.inf)
 
 
 class TestSequentialInit:
@@ -177,7 +181,7 @@ class TestBruteForce:
             "network d\nvar A { t, f }\nvar B { t, f }\n"
             "cpt A { 1.0 0.0 }\ncpt B | A { 0.0 1.0 ; 0.5 0.5 }\n")
         report = brute_force_map(net, MapProblem((0, 1), Assignment()))
-        assert report.best.as_tuple((0, 1)) == (0, 1)
+        assert tuple(map(report.best.__getitem__, (0, 1))) == (0, 1)
         assert report.logp == pytest.approx(0.0, abs=1e-12)
 
     def test_cap(self, sprinkler, sprinkler_problem):
@@ -201,7 +205,7 @@ class TestBruteForce:
         problem = MapProblem((0, 1, 2, 4, 5, 6), Assignment({3: 0, 7: 1}))
         report = brute_force_map(net, problem, cap=8)
         want_states, want_lp = enum_best(net, problem)
-        assert report.best.as_tuple(problem.map_vars) == want_states
+        assert tuple(map(report.best.__getitem__, problem.map_vars)) == want_states
         assert report.logp == pytest.approx(want_lp, abs=1e-9)
         with pytest.raises(OracleCapError, match="has 8 configurations, cap is 7"):
             brute_force_map(net, problem, cap=7)
@@ -220,7 +224,7 @@ class TestBruteForce:
                 continue
             checked += 1
             want_states, want_lp = enum_best(net, problem)
-            assert report.best.as_tuple(problem.map_vars) == want_states
+            assert tuple(map(report.best.__getitem__, problem.map_vars)) == want_states
             assert report.logp == pytest.approx(want_lp, abs=1e-9)
 
 
@@ -236,8 +240,8 @@ class TestAnnealedMap:
         report = annealed_map(sprinkler, sprinkler_problem,
                               rng=random.Random(7), debug_check=True)
         oracle = brute_force_map(sprinkler, sprinkler_problem)
-        assert report.best.as_tuple(sprinkler_problem.map_vars) == \
-            oracle.best.as_tuple(sprinkler_problem.map_vars)
+        assert tuple(map(report.best.__getitem__, sprinkler_problem.map_vars)) == \
+            tuple(map(oracle.best.__getitem__, sprinkler_problem.map_vars))
         assert report.logp == pytest.approx(oracle.logp, abs=1e-9)
 
     def test_determinism(self, sprinkler, sprinkler_problem):
@@ -246,7 +250,7 @@ class TestAnnealedMap:
             r = annealed_map(sprinkler, sprinkler_problem,
                              rng=random.Random(42), restarts=3,
                              collect_trace=True)
-            runs.append((r.best.as_tuple(sprinkler_problem.map_vars), r.logp,
+            runs.append((tuple(map(r.best.__getitem__, sprinkler_problem.map_vars)), r.logp,
                          r.sweeps, r.reheats, r.best_found_sweep,
                          [(t.sweep, t.temperature, t.current_logp, t.best_logp)
                           for t in r.trace]))
@@ -295,8 +299,8 @@ class TestAnnealedMap:
             total += 1
             report = annealed_map(net, problem, rng=random.Random(total),
                                   restarts=3, debug_check=True)
-            if report.best.as_tuple(problem.map_vars) == \
-                    oracle.best.as_tuple(problem.map_vars):
+            if tuple(map(report.best.__getitem__, problem.map_vars)) == \
+                    tuple(map(oracle.best.__getitem__, problem.map_vars)):
                 hits += 1
         assert hits >= 14
 
@@ -324,8 +328,8 @@ class TestGibbsChain:
             for j in sprinkler_problem.map_vars:
                 rng.random()
                 dist = _reference_site(sprinkler, j, x, sprinkler_problem.evidence)
-                x.set(j, _sample_index(dist.tolist(), rng))
-            want.append(x.as_tuple(sprinkler_problem.map_vars))
+                x[j] = _sample_index(dist.tolist(), rng)
+            want.append(tuple(map(x.__getitem__, sprinkler_problem.map_vars)))
         assert chain == want
 
 
@@ -337,7 +341,7 @@ def _reference_init(net, problem):
     for v in net.order():
         if v in problem.map_vars:
             dist = _reference_site(net, v, x, problem.evidence).tolist()
-            x.set(v, dist.index(max(dist)))
+            x[v] = dist.index(max(dist))
     return x
 
 
@@ -362,16 +366,17 @@ def _reference_climb(net, problem):
                 for s in range(comp.net.cardinality(j)):
                     if s != x[j]:
                         y = x.copy()
-                        y.set(j, s)
+                        y[j] = s
                         flip = score(y)
                         if flip > best_score:
                             best_move, best_score = (j, s), flip
             if best_move is None:
                 break
-            x.set(*best_move)
+            j, s = best_move
+            x[j] = s
             here = best_score
             total.sweeps += 1
-        total.best = total.best.merged(comp.to_original(x))
+        total.best = {**total.best, **comp.to_original(x)}
         total.logp += map_posterior(comp.net, x, evidence)
     return total
 
@@ -452,8 +457,8 @@ class TestHillClimb:
     def test_sprinkler(self, sprinkler, sprinkler_problem):
         r = hill_climb_map(sprinkler, sprinkler_problem)
         oracle = brute_force_map(sprinkler, sprinkler_problem)
-        assert r.best.as_tuple(sprinkler_problem.map_vars) == \
-            oracle.best.as_tuple(sprinkler_problem.map_vars)
+        assert tuple(map(r.best.__getitem__, sprinkler_problem.map_vars)) == \
+            tuple(map(oracle.best.__getitem__, sprinkler_problem.map_vars))
 
     def test_local_maximum_under_exact_scoring(self):
         # moves are ranked from site conditionals; the answer must still be
@@ -468,7 +473,7 @@ class TestHillClimb:
                 for s in range(net.cardinality(j)):
                     if s != r.best[j]:
                         flip = r.best.copy()
-                        flip.set(j, s)
+                        flip[j] = s
                         assert map_posterior(net, flip, problem.evidence) <= here
             exact = 0.0
             for comp in prune(net, problem).components:
@@ -497,7 +502,7 @@ class TestComponentPipeline:
 
         oracle = brute_force_map(net, problem)
         want, want_logp = enum_best(net, problem)
-        assert oracle.best.as_tuple(problem.map_vars) == want
+        assert tuple(map(oracle.best.__getitem__, problem.map_vars)) == want
         assert oracle.logp == pytest.approx(want_logp, abs=1e-9)
         # the oracle scores from its kept table, not with map_posterior
         assert oracle.logp == pytest.approx(sum(parts(oracle.best)), abs=1e-9)
@@ -538,16 +543,16 @@ class TestLocalOptimumInstance:
 
     def test_hill_climb_trapped(self, trap_net, trap_problem):
         r = hill_climb_map(trap_net, trap_problem)
-        assert r.best.as_tuple(trap_problem.map_vars) == (0, 0)
+        assert tuple(map(r.best.__getitem__, trap_problem.map_vars)) == (0, 0)
 
     def test_anneal_escapes(self, trap_net, trap_problem):
         oracle = brute_force_map(trap_net, trap_problem)
-        assert oracle.best.as_tuple(trap_problem.map_vars) == (1, 1)
+        assert tuple(map(oracle.best.__getitem__, trap_problem.map_vars)) == (1, 1)
         hits = 0
         for seed in range(40):
             r = annealed_map(trap_net, trap_problem, rng=random.Random(seed),
                              restarts=5)
-            if r.best.as_tuple(trap_problem.map_vars) == (1, 1):
+            if tuple(map(r.best.__getitem__, trap_problem.map_vars)) == (1, 1):
                 hits += 1
         assert hits >= 36
 
