@@ -276,8 +276,6 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             related = [s for s, alive in enumerate(live) if alive]
         else:
             related = [s for s in holders[v] if live[s]]
-            if not related:
-                continue
         pos = {}  # each output variable's axis, in order of first appearance
         for s in related:
             live[s] = False
@@ -576,38 +574,23 @@ class PrunedNetwork:
     dropped: Tuple[int, ...]
 
 
-def _subnetwork(net: BayesianNetwork, ids: Sequence[int]) -> Tuple[BayesianNetwork, Tuple[int, ...]]:
-    orig = tuple(sorted(ids))
-    remap = {old: new for new, old in enumerate(orig)}
-    variables = [Variable(remap[old], net.var(old).name, net.var(old).states)
-                 for old in orig]
-    cpts = [Cpt(remap[old], tuple(remap[p] for p in net.cpts[old].parents),
-                net.cpts[old].table) for old in orig]
-    return BayesianNetwork(net.name, variables, cpts), orig
-
-
 def prune(net: BayesianNetwork, problem: MapProblem) -> PrunedNetwork:
     """Barren-node removal plus decomposition into weakly-connected components;
     components without MAP variables are discarded (their contribution to
-    p(X|E) cancels in the normalization)."""
+    p(X|E) cancels in the normalization). A variable is barren unless it is
+    a MAP or evidence variable or has a child that is not; visiting children
+    before parents settles every variable in one sweep."""
     problem.validate_for(net)
     protected = set(problem.map_vars) | set(problem.evidence.keys())
-    alive = set(range(len(net)))
-    children: Dict[int, Set[int]] = {v: set(net.children(v)) for v in alive}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if v not in protected and not children[v]:
-                alive.discard(v)
-                for p in net.parents(v):
-                    children[p].discard(v)
-                changed = True
-    dropped = tuple(sorted(set(range(len(net))) - alive))
+    alive: Set[int] = set()
+    for v in reversed(net.order()):
+        if v in protected or not alive.isdisjoint(net.children(v)):
+            alive.add(v)
+    dropped = tuple(v for v in range(len(net)) if v not in alive)
 
     # weakly-connected components of the surviving DAG
     seen: Set[int] = set()
-    groups: List[List[int]] = []
+    components: List[Component] = []
     for start in sorted(alive):
         if start in seen:
             continue
@@ -616,23 +599,20 @@ def prune(net: BayesianNetwork, problem: MapProblem) -> PrunedNetwork:
         while stack:
             v = stack.pop()
             group.append(v)
-            for u in list(net.parents(v)) + list(children[v]):
+            for u in net.parents(v) + net.children(v):
                 if u in alive and u not in seen:
                     seen.add(u)
                     stack.append(u)
-        groups.append(sorted(group))
-
-    components: List[Component] = []
-    for group in groups:
-        gset = set(group)
-        gmap = [v for v in problem.map_vars if v in gset]
-        if not gmap:
-            continue
-        subnet, orig = _subnetwork(net, group)
+        orig = tuple(sorted(group))
         remap = {old: new for new, old in enumerate(orig)}
+        map_vars = tuple(remap[v] for v in problem.map_vars if v in remap)
+        if not map_vars:
+            continue
+        variables = [Variable(new, net.var(old).name, net.var(old).states)
+                     for new, old in enumerate(orig)]
+        cpts = [Cpt(new, tuple(remap[p] for p in net.parents(old)), net.cpts[old].table)
+                for new, old in enumerate(orig)]
         sub_problem = MapProblem(
-            tuple(remap[v] for v in gmap),
-            {remap[v]: s for v, s in problem.evidence.items() if v in gset},
-        )
-        components.append(Component(subnet, sub_problem, orig))
+            map_vars, {remap[v]: s for v, s in problem.evidence.items() if v in remap})
+        components.append(Component(BayesianNetwork(net.name, variables, cpts), sub_problem, orig))
     return PrunedNetwork(tuple(components), dropped)

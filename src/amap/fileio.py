@@ -162,11 +162,7 @@ def parse_network(text: str) -> BayesianNetwork:
         while True:
             row: List[float] = []
             while p.at("number"):
-                num = p.next()
-                try:
-                    row.append(float(num[1]))
-                except ValueError:
-                    raise p.error(num, f"bad number {num[1]!r}")
+                row.append(float(p.next()[1]))
             if not row:
                 raise p.error(p.peek(), "expected a probability")
             rows.append(tuple(row))

@@ -110,7 +110,6 @@ class BayesianNetwork:
             raise ValueError("exactly one cpt per variable is required")
         self.cpts: Tuple[Cpt, ...] = tuple(by_child[i] for i in range(n))
         self._by_name = {v.name: v.id for v in self.variables}
-        self._children: Tuple[Tuple[int, ...], ...] = ()
         children: Dict[int, list] = {i: [] for i in range(n)}
         for cpt in self.cpts:
             for p in cpt.parents:
@@ -211,14 +210,10 @@ def topological_order(net: BayesianNetwork) -> Tuple[int, ...]:
     ready = [i for i in range(n) if indeg[i] == 0]
     heapq.heapify(ready)
     out = []
-    children: Dict[int, list] = {i: [] for i in range(n)}
-    for cpt in net.cpts:
-        for p in cpt.parents:
-            children[p].append(cpt.child)
     while ready:
         v = heapq.heappop(ready)
         out.append(v)
-        for c in children[v]:
+        for c in net.children(v):
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(ready, c)

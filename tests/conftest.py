@@ -41,6 +41,27 @@ cpt A { 0.6 0.4 }
 cpt C | A A { 0.9 0.1 ; 0.5 0.5 ; 0.5 0.5 ; 0.2 0.8 }
 """
 
+# A and B are each other's parent; the cycle is found once every CPT is
+# read, at the end of input (line 6 column 1).
+CYCLE_TEXT = """\
+network cyc
+var A { t, f }
+var B { t, f }
+cpt A | B { 0.5 0.5 ; 0.5 0.5 }
+cpt B | A { 0.5 0.5 ; 0.5 0.5 }
+"""
+
+# C = f has probability zero whatever A is, so evidence C=f is impossible.
+ZERO_EVIDENCE_TEXT = """\
+network zero
+var A { t, f }
+var C { t, f }
+cpt A { 0.5 0.5 }
+cpt C | A { 1.0 0.0 ; 1.0 0.0 }
+"""
+
+ZERO_EVIDENCE_PROBLEM_TEXT = "map A\nevidence C=f\n"
+
 
 @pytest.fixture
 def sprinkler():

@@ -1,14 +1,16 @@
 import csv
 import io
+import math
 import random
 import resource
 import time
 
 import pytest
 
-from amap import parse_network, parse_problem, solver
+from amap import SolveReport, parse_network, parse_problem, solver
 from amap.cli import generate_problem, main, _mix_seed, _pool_size
-from conftest import REPEATED_PARENT_TEXT, SPRINKLER_TEXT, SPRINKLER_PROBLEM_TEXT
+from conftest import (CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_PROBLEM_TEXT, SPRINKLER_TEXT,
+                      ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT)
 from netgen import random_network
 from amap.fileio import REPORT_COLUMNS, serialize_network, serialize_problem
 
@@ -97,6 +99,25 @@ class TestSolveCommand:
         assert code == 1 and captured.out == ""
         assert_one_error(captured.err,
                          "error: parse failed at 5:5: cpt for 'C' lists parent 'A' twice")
+
+    def test_cyclic_network_rejected(self, tmp_path, problem_file, capsys):
+        net = tmp_path / "cyc.bnet"
+        net.write_text(CYCLE_TEXT)
+        code = main(["solve", "--net", str(net), "--problem", problem_file])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err,
+                         "error: parse failed at 6:1: cycle detected through variable 'A'")
+
+    @pytest.mark.parametrize("algo", ["anneal", "hillclimb", "oracle"])
+    def test_zero_probability_evidence(self, algo, tmp_path, capsys):
+        net, problem = tmp_path / "zero.bnet", tmp_path / "zero.prob"
+        net.write_text(ZERO_EVIDENCE_TEXT)
+        problem.write_text(ZERO_EVIDENCE_PROBLEM_TEXT)
+        code = main(["solve", "--net", str(net), "--problem", str(problem), "--algo", algo])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, "error: evidence has probability zero")
 
     def test_non_finite_k_rejected(self, net_file, problem_file, capsys):
         code = main(["solve", "--net", net_file, "--problem", problem_file, "--k", "nan"])
@@ -307,6 +328,24 @@ class TestBenchCommand:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 3
         assert all(float(r["wall_ms"]) >= 50.0 for r in rows)
+
+    def test_mean_ratio_on_mismatch(self, net_file, tmp_path, capsys, monkeypatch):
+        # Rain is the only root, so the one MAP variable; the oracle picks
+        # Rain=f on every case, and this stand-in always answers Rain=t
+        monkeypatch.setattr(solver, "annealed_map",
+                            lambda *args, **kwargs: SolveReport({0: 0}, math.log(0.1)))
+        text = self.run_bench(tmp_path, net_file, "r.csv", ("--algos", "anneal,oracle"))
+        stdout = capsys.readouterr().out
+        rows = list(csv.DictReader(io.StringIO(text)))
+        anneal = [r for r in rows if r["algorithm"] == "anneal"]
+        oracle = [r for r in rows if r["algorithm"] == "oracle"]
+        assert len(anneal) == len(oracle) == 3
+        assert all(r["matches_oracle"] == "0" for r in anneal)
+        ratios = [10.0 ** (float(a["log10_prob"]) - float(o["log10_prob"]))
+                  for a, o in zip(anneal, oracle)]
+        mean = sum(ratios) / len(ratios)
+        assert stdout.splitlines() == [
+            f"network=sprinkler cases=3 anneal_optimal=0/3 mean_ratio_on_mismatch={mean:.6g}"]
 
     def test_unknown_algorithm_rejected_before_any_case(self, net_file, tmp_path,
                                                         capsys, monkeypatch):

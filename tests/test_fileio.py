@@ -13,7 +13,7 @@ from amap import (
     serialize_problem,
     write_report,
 )
-from conftest import REPEATED_PARENT_TEXT, SPRINKLER_TEXT
+from conftest import CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_TEXT
 from netgen import random_network
 
 
@@ -100,6 +100,11 @@ class TestParseNetwork:
             parse_network(REPEATED_PARENT_TEXT)
         assert (info.value.line, info.value.column) == (5, 5)
 
+    def test_cycle_at_end_of_input(self):
+        with pytest.raises(ParseError, match="cycle detected through variable 'A'") as info:
+            parse_network(CYCLE_TEXT)
+        assert (info.value.line, info.value.column) == (6, 1)
+
 
 class TestRoundTrip:
     def test_one_variable(self):
@@ -167,6 +172,8 @@ class TestParseProblem:
         ("map Rain\nevidence WetGrass=t WetGrass=f\n", 2, 21, "duplicate evidence"),
         ("map Rain\n  observe WetGrass=t\n", 2, 3, "expected 'map' or 'evidence'"),
         ("  map\nevidence\n", 1, 3, "at least one MAP variable"),
+        ("evidence WetGrass=t\n", 1, 1, "at least one MAP variable"),
+        ("map Rain\n", 1, 1, "missing 'evidence' line"),
     ])
     def test_error_points_at_the_offending_item(self, sprinkler, text, line, column, message):
         with pytest.raises(ParseError, match=message) as info:

@@ -23,6 +23,7 @@ from amap import (
     hill_climb_map,
     map_posterior,
     parse_network,
+    parse_problem,
     prune,
     reheat_temperature,
     sequential_init,
@@ -32,6 +33,7 @@ from amap import (
 from amap import engine, solver
 from amap.cli import generate_problem
 from amap.engine import PrunedNetwork, _sample_index
+from conftest import ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT
 from netgen import disjoint_union, enum_best, joint_size, random_network, random_problem
 
 
@@ -184,6 +186,11 @@ class TestBruteForce:
         assert tuple(map(report.best.__getitem__, (0, 1))) == (0, 1)
         assert report.logp == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_probability_evidence(self):
+        net = parse_network(ZERO_EVIDENCE_TEXT)
+        with pytest.raises(InconsistentEvidenceError, match="probability zero"):
+            brute_force_map(net, parse_problem(ZERO_EVIDENCE_PROBLEM_TEXT, net))
+
     def test_cap(self, sprinkler, sprinkler_problem):
         with pytest.raises(OracleCapError, match="cap is 2"):
             brute_force_map(sprinkler, sprinkler_problem, cap=2)
@@ -310,6 +317,32 @@ class TestAnnealedMap:
             "cpt A { 1.0 0.0 }\ncpt B | A { 1.0 0.0 ; 0.5 0.5 }\n")
         with pytest.raises(InconsistentEvidenceError):
             annealed_map(net, MapProblem((0,), Assignment({1: 1})))
+
+    def test_zero_context_resample(self, monkeypatch):
+        # Only (a1, b1) explains C = c1. A restart from a prior sample such
+        # as (a0, b0) has p(E, x) = 0 and no site has a context of positive
+        # probability, so the sweep resamples such a site uniformly.
+        net = parse_network(
+            "network z\nvar A { a0, a1 }\nvar B { b0, b1 }\nvar C { c0, c1 }\n"
+            "cpt A { 0.9 0.1 }\ncpt B { 0.9 0.1 }\n"
+            "cpt C | A B { 1 0 ; 1 0 ; 1 0 ; 0 1 }\n")
+        problem = parse_problem("map A B\nevidence C=c1\n", net)
+        real = solver._site
+        resampled = []
+
+        def counting_site(*args):
+            try:
+                return real(*args)
+            except ImpossibleContextError:
+                resampled.append(args[1])
+                raise
+
+        monkeypatch.setattr(solver, "_site", counting_site)
+        for seed in range(5):
+            report = annealed_map(net, problem, AnnealSchedule(wait=2, stop=4),
+                                  random.Random(seed), restarts=3, debug_check=True)
+            assert report.best == {0: 1, 1: 1} and report.logp == 0.0
+        assert resampled
 
 
 class TestGibbsChain:
