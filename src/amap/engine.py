@@ -80,8 +80,7 @@ class Factor:
         return -math.inf if t == 0.0 else math.log(t) + self.log_scale
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(NamedTuple):
     """Multiply the factors in `slots` into a table of `shape`, each input
     transposed by `perms[i]` and reshaped by `shapes[i]` (None where that
     is a no-op), then sum out `axis` (None for the final product)."""
@@ -182,7 +181,7 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
     local = {v: i for i, v in enumerate(ids)}
     adj = [0] * len(ids)
     for scope in scopes:
-        clique = sum(1 << local[v] for v in scope)
+        clique = sum([1 << local[v] for v in scope])
         for v in scope:
             adj[local[v]] |= clique
     for i in range(len(adj)):
@@ -201,16 +200,20 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
         return (d * (d - 1) - present) // 2
 
     sign = -1 if tie_break == "high" else 1
-    score = {i: fill(i) for i in map(local.__getitem__, elim)}
-    heap = [(f, sign * i, i) for i, f in score.items()]
+    # score[i]: vertex i's fill while it is still to be eliminated, else -1
+    score = [-1] * len(ids)
+    heap = []
+    for i in map(local.__getitem__, elim):
+        score[i] = fill(i)
+        heap.append((score[i], sign * i, i))
     heapq.heapify(heap)
     order: List[int] = []
     while heap:
         f, _, i = heapq.heappop(heap)
-        if score.get(i) != f:
+        if score[i] != f:
             continue  # stale entry, or i already eliminated
         order.append(ids[i])
-        del score[i]
+        score[i] = -1
         nbrs = adj[i]
         outside = ~(nbrs | (1 << i))
         delta: Dict[int, int] = {}
@@ -221,11 +224,11 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
                     delta[w] = delta.get(w, 0) + 1
             adj[a] = (adj[a] | new) & ~(1 << i)
         for w, d in delta.items():
-            if w in score:
+            if score[w] >= 0:
                 score[w] -= d
                 heapq.heappush(heap, (score[w], sign * w, w))
         for u in _bits(nbrs):
-            if u in score:
+            if score[u] >= 0:
                 f = fill(u)
                 if f != score[u]:
                     score[u] = f
@@ -253,8 +256,8 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
     select: List[Optional[Tuple[int, ...]]] = []
     for cpt in net.cpts:
         full = cpt.parents + (cpt.child,)
-        sel = None if bound.isdisjoint(full) else tuple(v if v in bound else -1 for v in full)
-        scopes.append(full if sel is None else tuple(v for v in full if v not in bound))
+        sel = None if bound.isdisjoint(full) else tuple([v if v in bound else -1 for v in full])
+        scopes.append(full if sel is None else tuple([v for v in full if v not in bound]))
         select.append(sel)
     elim = set(range(len(cards))) - set(keep) - bound
     order = _min_fill_order(scopes, elim, tie_break)
@@ -277,20 +280,26 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
         else:
             related = [s for s in holders[v] if live[s]]
         pos = {}  # each output variable's axis, in order of first appearance
+        inputs = []  # per input, its axes and whether all were new to pos
         for s in related:
             live[s] = False
-            for u in scopes[s]:
-                pos.setdefault(u, len(pos))
+            before = len(pos)
+            axes = [pos.setdefault(u, len(pos)) for u in scopes[s]]
+            inputs.append((axes, len(pos) - before == len(axes)))
         shape = tuple(map(cards.__getitem__, pos))
         perms: List[Optional[Tuple[int, ...]]] = []
         shapes: List[Optional[Tuple[int, ...]]] = []
-        for s in related:
-            axes = list(map(pos.__getitem__, scopes[s]))
-            ordered = sorted(axes)
-            perms.append(None if ordered == axes else tuple(map(axes.index, ordered)))
+        for s, (axes, new) in zip(related, inputs):
+            if new:  # axes handed out in scope order are ascending
+                perms.append(None)
+                low = axes[0] if axes else 0
+            else:
+                ordered = sorted(axes)
+                perms.append(None if ordered == axes else tuple(map(axes.index, ordered)))
+                low = ordered[0]
             # broadcasting already supplies leading unit axes, so a reshape
             # is needed only when the input's axes do not end the output's
-            if not axes or ordered[0] == len(shape) - len(axes):
+            if not axes or low == len(shape) - len(axes):
                 shapes.append(None)
             else:
                 padded = [1] * len(shape)
@@ -334,7 +343,7 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
                 if s >= n:
                     support.update(nodes[s - n].support)
                 else:
-                    support.update(v for v in select[s] or () if v >= 0)
+                    support.update([v for v in select[s] or () if v >= 0])
                     if s in indicators:
                         support.add(s)
             keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
@@ -415,7 +424,7 @@ def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) ->
         values = tuple(map(context.get, nodes[k].support))
         if values != nodes[k].values:
             todo.append((k, values))
-            stack.extend(s - n for s in steps[k].slots if s >= n)
+            stack.extend([s - n for s in steps[k].slots if s >= n])
     todo.sort()
     for k, values in todo:
         step, node = steps[k], nodes[k]
@@ -427,7 +436,7 @@ def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) ->
                 if masks and s in masks and s in context:
                     a = masks[s][context[s]]
                 if sel is not None:
-                    a = a[tuple(_ALL if v < 0 else context[v] for v in sel)]
+                    a = a[tuple([_ALL if v < 0 else context[v] for v in sel])]
             else:
                 kid = nodes[s - n]
                 a = kid.output
@@ -443,12 +452,13 @@ def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) ->
             out = a if out is None else np.multiply(out, a, order="C")
         if len(step.slots) == 1:
             out = np.array(out, order="C")  # a lone input may be a view of a CPT
-        m = float(out.max())
+        # the ufunc reductions that `.max()` and `.sum(axis=)` call
+        m = float(np.maximum.reduce(out, None))
         if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
             out = out / m
             log_scale += math.log(m)
         if step.axis is not None:
-            out = out.sum(axis=step.axis)
+            out = np.add.reduce(out, step.axis)
         node.output, node.scale = out, log_scale
         if node.keeps:
             if isinstance(out, np.ndarray):
@@ -482,14 +492,14 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
     if site is not None:
         return site
     out = _output(plan, context)
-    total = float(out.sum())
+    total = float(np.add.reduce(out, None))
     if total <= 0.0:
         raise ImpossibleContextError(
             f"context has probability zero (variable {net.var(target).name!r})")
     dist = out / total
     dist.setflags(write=False)
     probs = tuple(dist.tolist())
-    site = _Site(dist, probs, tuple(math.log(p) if p > 0.0 else -math.inf for p in probs))
+    site = _Site(dist, probs, tuple([math.log(p) if p > 0.0 else -math.inf for p in probs]))
     cpts = plan.cpts
     size = 3 * len(probs) + len(values)
     if cpts.retained + size <= MAX_TABLE_ENTRIES:

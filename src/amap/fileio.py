@@ -9,8 +9,8 @@ Grammar (BNET v1, UTF-8, `#` comments to end of line, whitespace-insensitive):
 A ROW holds cardinality(child) decimal numbers; rows follow the model's
 parent-configuration order (last-listed parent varies fastest).
 
-Problem files hold `map NAME+` and `evidence (NAME=STATE)*` lines, in either
-order; evidence may be empty.
+A problem file holds one `map NAME+` line and one `evidence (NAME=STATE)*`
+line, in either order; evidence may be empty.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .model import (
     BayesianNetwork,
     Cpt,
+    CycleError,
     MapProblem,
     Variable,
     check_table,
@@ -42,20 +43,37 @@ class ParseError(Exception):
 
 # -- tokenizer ---------------------------------------------------------------
 
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+
+# A brace body on one line is one token if it holds only ASCII digits,
+# `+-.eE`, blanks and `;` (`rows`), or only names separated by commas
+# (`states`). An item of either is delimited by a blank, `,`, `;` or `}`,
+# none of which a number or a name can hold, so a name is the one the fine
+# groups would read there. A rows body stays one token only if each of its
+# `;`-separated rows is a nonempty run of blank-separated items that
+# `float` converts: on these characters `float` accepts exactly the texts
+# `_NUMBER` matches, so those are the numbers the fine groups would read.
+# Any other body is read as fine tokens, from its `{` on.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<comment>\#[^\n]*)
+    rf"""
+    (?P<rows>\{{[-+.0-9eE \t\r;]*\}})
+  | (?P<states>\{{[ \t\r]*{_IDENT}(?:[ \t\r]*,[ \t\r]*{_IDENT})*[ \t\r]*\}})
+  | (?P<comment>\#[^\n]*)
   | (?P<newline>\n)
-  | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
-  | (?P<punct>[{},;|=])
+  | (?P<number>{_NUMBER})
+  | (?P<ident>{_IDENT})
+  | (?P<punct>[{{}},;|=])
   | (?P<bad>[^ \t\r])
     """,
     re.VERBOSE,
 )
+_BODIES = ("rows", "states")
 
-# (kind, text, line, column); kind is "ident", "number", "punct" or "eof"
-_Token = Tuple[str, str, int, int]
+# (kind, text, line, column); kind is "ident", "number", "punct", "eof", or
+# one of _BODIES, whose text runs from its `{` to its `}` and whose items
+# (`_items`) follow as a fifth element.
+_Token = Tuple[Any, ...]
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -72,10 +90,41 @@ def _tokenize(text: str) -> List[_Token]:
         elif kind == "bad":
             raise ParseError(line, m.start() - start + 1,
                              f"unexpected character {m.group()!r}")
+        elif kind in _BODIES:
+            tok = (kind, m.group(), line, m.start() - start + 1)
+            items = _items(kind, tok[1][1:-1])
+            if items is None:
+                tokens += _fine(tok)
+            else:
+                tokens.append(tok + (items,))
         elif kind != "comment":
             tokens.append((kind, m.group(), line, m.start() - start + 1))
     tokens.append(("eof", "", line, len(text) - start + 1))
     return tokens
+
+
+def _items(kind: str, inside: str) -> Optional[list]:
+    """The state names or the rows of numbers inside a body of `kind`, or
+    None if a row is empty or holds an item that is not a number."""
+    if kind == "states":
+        return [name.strip() for name in inside.split(",")]
+    try:
+        rows = [tuple(map(float, row.split())) for row in inside.split(";")]
+    except ValueError:
+        return None
+    return rows if all(rows) else None
+
+
+def _fine(body: _Token) -> List[_Token]:
+    """The tokens the fine groups read from a body token: its `{`, then the
+    scan of the rest, which holds no `{` and no newline."""
+    text, line, column = body[1:4]
+    try:
+        rest = _tokenize(text[1:])[:-1]
+    except ParseError as exc:
+        raise ParseError(line, column + exc.column, exc.message) from None
+    return [("punct", "{", line, column)] + [
+        (kind, item, line, column + col) for kind, item, _, col in rest]
 
 
 class _Parser:
@@ -84,18 +133,34 @@ class _Parser:
         self.pos = 0
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        """The next token; a body token, which only `body` takes whole, is
+        replaced by its fine tokens first."""
+        tok = self.tokens[self.pos]
+        if tok[0] in _BODIES:
+            self.tokens[self.pos:self.pos + 1] = _fine(tok)
+            tok = self.tokens[self.pos]
+        return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        """Whether the next token is a `kind` token, reading `text` if given."""
+        """Whether the next token is a `kind` token, reading `text` if given.
+        No caller asks for a `{`, so a body token is left whole."""
         tok = self.tokens[self.pos]
         return tok[0] == kind and (text is None or tok[1] == text)
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok[0] != "eof":
             self.pos += 1
         return tok
+
+    def body(self, kind: str) -> Optional[list]:
+        """The items of the next token if it is a `kind` body token, which
+        is then taken; otherwise None."""
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            return None
+        self.pos += 1
+        return tok[4]
 
     def error(self, tok: _Token, message: str) -> ParseError:
         return ParseError(tok[2], tok[3], message)
@@ -127,18 +192,21 @@ def parse_network(text: str) -> BayesianNetwork:
         name = name_tok[1]
         if name in index:
             raise p.error(name_tok, f"duplicate variable {name!r}")
-        p.expect("punct", "{")
-        states = [p.expect_ident("state name")]
-        while p.at("punct", ","):
-            p.next()
-            states.append(p.expect_ident("state name"))
-        p.expect("punct", "}")
+        states = p.body("states")
+        if states is None:
+            p.expect("punct", "{")
+            states = [p.expect_ident("state name")]
+            while p.at("punct", ","):
+                p.next()
+                states.append(p.expect_ident("state name"))
+            p.expect("punct", "}")
         if len(set(states)) != len(states):
             raise p.error(name_tok, f"duplicate state name in variable {name!r}")
         index[name] = len(variables)
         variables.append(Variable(len(variables), name, tuple(states)))
 
     cpts: Dict[int, Cpt] = {}
+    child_toks: Dict[int, _Token] = {}
     while p.at("ident", "cpt"):
         p.next()
         child_tok = p.expect("ident", what="variable name")
@@ -157,26 +225,29 @@ def parse_network(text: str) -> BayesianNetwork:
                 parents.append(index[par_tok[1]])
             if not parents:
                 raise p.error(p.peek(), "expected at least one parent after '|'")
-        p.expect("punct", "{")
-        rows: List[Tuple[float, ...]] = []
-        while True:
-            row: List[float] = []
-            while p.at("number"):
-                row.append(float(p.next()[1]))
-            if not row:
-                raise p.error(p.peek(), "expected a probability")
-            rows.append(tuple(row))
-            if p.at("punct", ";"):
-                p.next()
-                continue
-            break
-        p.expect("punct", "}")
+        rows = p.body("rows")
+        if rows is None:
+            p.expect("punct", "{")
+            rows = []
+            while True:
+                row: List[float] = []
+                while p.at("number"):
+                    row.append(float(p.next()[1]))
+                if not row:
+                    raise p.error(p.peek(), "expected a probability")
+                rows.append(tuple(row))
+                if p.at("punct", ";"):
+                    p.next()
+                    continue
+                break
+            p.expect("punct", "}")
         try:
             cpt = Cpt(child, tuple(parents), tuple(rows))
             check_table(cpt, variables)
         except ValueError as exc:
             raise p.error(child_tok, str(exc)) from None
         cpts[child] = cpt
+        child_toks[child] = child_tok
 
     tail = p.peek()
     if tail[0] != "eof":
@@ -186,6 +257,8 @@ def parse_network(text: str) -> BayesianNetwork:
         raise p.error(tail, f"missing cpt for {missing[0]!r}")
     try:
         return BayesianNetwork(net_name, variables, [cpts[i] for i in range(len(variables))])
+    except CycleError as exc:
+        raise p.error(child_toks[exc.variable], str(exc)) from None
     except ValueError as exc:
         raise p.error(tail, str(exc)) from None
 
@@ -213,8 +286,7 @@ def parse_problem(text: str, net: BayesianNetwork) -> MapProblem:
     """Parse a problem file against a network; raises ParseError."""
     map_names: List[Tuple[str, int, int]] = []
     evidence: Dict[int, int] = {}
-    saw_map = False
-    saw_evidence = False
+    seen: Set[str] = set()  # the keywords of the lines read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # each item with its 1-based column, which errors about it report
         items = [(m.group(), m.start() + 1)
@@ -222,13 +294,14 @@ def parse_problem(text: str, net: BayesianNetwork) -> MapProblem:
         if not items:
             continue
         keyword, col = items[0]
+        if keyword in seen:
+            raise ParseError(lineno, col, f"duplicate {keyword!r} line")
+        seen.add(keyword)
         if keyword == "map":
-            saw_map = True
             if len(items) == 1:
                 raise ParseError(lineno, col, "at least one MAP variable required")
             map_names += [(name, lineno, item_col) for name, item_col in items[1:]]
         elif keyword == "evidence":
-            saw_evidence = True
             for item, item_col in items[1:]:
                 if "=" not in item:
                     raise ParseError(lineno, item_col, f"expected NAME=STATE, got {item!r}")
@@ -244,9 +317,9 @@ def parse_problem(text: str, net: BayesianNetwork) -> MapProblem:
                 evidence[var.id] = var.states.index(state)
         else:
             raise ParseError(lineno, col, f"expected 'map' or 'evidence', got {keyword!r}")
-    if not saw_map:
+    if "map" not in seen:
         raise ParseError(1, 1, "at least one MAP variable required")
-    if not saw_evidence:
+    if "evidence" not in seen:
         raise ParseError(1, 1, "missing 'evidence' line (may be empty)")
     map_vars: List[int] = []
     for name, lineno, col in map_names:

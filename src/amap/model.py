@@ -16,7 +16,12 @@ ROW_SUM_TOL = 1e-6
 
 
 class CycleError(ValueError):
-    """The parent relation contains a directed cycle."""
+    """The parent relation contains a directed cycle; `variable` is the
+    lowest id on one of its cycles, which the message names."""
+
+    def __init__(self, message: str, variable: int) -> None:
+        super().__init__(message)
+        self.variable = variable
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,7 @@ class Variable:
             raise ValueError("variable name must be nonempty")
         if len(self.states) < 1:
             raise ValueError(f"variable {self.name!r} needs at least one state")
-        if any(not s for s in self.states):
+        if not all(self.states):
             raise ValueError(f"variable {self.name!r} has an empty state name")
         if len(set(self.states)) != len(self.states):
             raise ValueError(f"variable {self.name!r} has duplicate state names")
@@ -54,7 +59,7 @@ class Cpt:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         for row in self.table:
             for p in row:
                 if not (0.0 <= p <= 1.0):
@@ -67,6 +72,7 @@ def check_table(cpt: Cpt, variables: Sequence[Variable]) -> None:
     child state, each row summing to 1 within ROW_SUM_TOL. (Cpt itself
     checks that entries lie in [0, 1].) Raises ValueError."""
     child = variables[cpt.child]
+    card = child.cardinality
     for i, p in enumerate(cpt.parents):
         if p in cpt.parents[:i]:
             raise ValueError(f"cpt for {child.name!r} lists parent {variables[p].name!r} twice")
@@ -77,10 +83,9 @@ def check_table(cpt: Cpt, variables: Sequence[Variable]) -> None:
         raise ValueError(
             f"cpt for {child.name!r} has {len(cpt.table)} rows, expected {n_rows}")
     for i, row in enumerate(cpt.table):
-        if len(row) != child.cardinality:
+        if len(row) != card:
             raise ValueError(
-                f"cpt for {child.name!r}, row {i + 1}: {len(row)} entries, "
-                f"expected {child.cardinality}")
+                f"cpt for {child.name!r}, row {i + 1}: {len(row)} entries, expected {card}")
         s = math.fsum(row)
         if abs(s - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"cpt for {child.name!r}: row sums to {s:.6g}")
@@ -218,8 +223,17 @@ def topological_order(net: BayesianNetwork) -> Tuple[int, ...]:
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
     if len(out) != n:
-        stuck = min(i for i in range(n) if indeg[i] > 0)
-        raise CycleError(f"cycle detected through variable {net.variables[stuck].name!r}")
+        # a variable left out has a parent left out: follow the first such
+        # parent from the lowest such id until a variable repeats
+        path = [min(i for i in range(n) if indeg[i] > 0)]
+        while True:
+            v = next(p for p in net.parents(path[-1]) if indeg[p] > 0)
+            if v in path:
+                break
+            path.append(v)
+        stuck = min(path[path.index(v):])
+        raise CycleError(f"cycle detected through variable {net.variables[stuck].name!r}",
+                         stuck)
     return tuple(out)
 
 

@@ -42,7 +42,7 @@ cpt C | A A { 0.9 0.1 ; 0.5 0.5 ; 0.5 0.5 ; 0.2 0.8 }
 """
 
 # A and B are each other's parent; the cycle is found once every CPT is
-# read, at the end of input (line 6 column 1).
+# read and reported at A's CPT, the lowest id on it (line 4 column 5).
 CYCLE_TEXT = """\
 network cyc
 var A { t, f }

@@ -1,8 +1,12 @@
 import csv
 import io
 import math
+import os
+import pathlib
 import random
 import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -107,7 +111,7 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert_one_error(captured.err,
-                         "error: parse failed at 6:1: cycle detected through variable 'A'")
+                         "error: parse failed at 4:5: cycle detected through variable 'A'")
 
     @pytest.mark.parametrize("algo", ["anneal", "hillclimb", "oracle"])
     def test_zero_probability_evidence(self, algo, tmp_path, capsys):
@@ -430,3 +434,33 @@ class TestSeedMixing:
         assert _mix_seed(1, 2, 3) == _mix_seed(1, 2, 3)
         assert _mix_seed(1, 2, 3) != _mix_seed(1, 3, 2)
         assert _mix_seed(1, 2, 3) != _mix_seed(2, 2, 3)
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """`python -m amap.cli ARGS` in a process of its own, importing the
+    package from this checkout's `src/`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "amap.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcess:
+    def test_solve_prints_what_main_prints(self, net_file, problem_file, capsys):
+        args = ["solve", "--net", net_file, "--problem", problem_file, "--seed", "3"]
+        run = run_cli(*args)
+        assert main(args) == 0
+        assert run.returncode == 0 and run.stderr == ""
+        assert run.stdout == capsys.readouterr().out != ""
+
+    def test_cyclic_network_is_one_error_line(self, tmp_path, problem_file):
+        net = tmp_path / "cyc.bnet"
+        net.write_text(CYCLE_TEXT)
+        run = run_cli("solve", "--net", str(net), "--problem", problem_file)
+        assert run.returncode == 1 and run.stdout == ""
+        assert "Traceback" not in run.stderr
+        assert_one_error(run.stderr,
+                         "error: parse failed at 4:5: cycle detected through variable 'A'")

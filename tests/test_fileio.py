@@ -1,18 +1,24 @@
 import csv
 import io
 import random
+import re
 
 import pytest
 
 from amap import (
+    BayesianNetwork,
+    Cpt,
+    CycleError,
     ParseError,
     ReportRow,
+    Variable,
     parse_network,
     parse_problem,
     serialize_network,
     serialize_problem,
     write_report,
 )
+from amap.model import check_table
 from conftest import CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_TEXT
 from netgen import random_network
 
@@ -100,10 +106,20 @@ class TestParseNetwork:
             parse_network(REPEATED_PARENT_TEXT)
         assert (info.value.line, info.value.column) == (5, 5)
 
+    def test_cycle_named_by_a_variable_on_it(self):
+        # C is a child of the A-B cycle and has the lowest id of the three
+        text = ("network cyc\nvar C { t, f }\nvar A { t, f }\nvar B { t, f }\n"
+                "cpt C | A { 0.5 0.5 ; 0.5 0.5 }\n"
+                "cpt A | B { 0.5 0.5 ; 0.5 0.5 }\n"
+                "cpt B | A { 0.5 0.5 ; 0.5 0.5 }\n")
+        with pytest.raises(ParseError, match="cycle detected through variable 'A'") as info:
+            parse_network(text)
+        assert (info.value.line, info.value.column) == (6, 5)
+
     def test_cycle_at_end_of_input(self):
         with pytest.raises(ParseError, match="cycle detected through variable 'A'") as info:
             parse_network(CYCLE_TEXT)
-        assert (info.value.line, info.value.column) == (6, 1)
+        assert (info.value.line, info.value.column) == (4, 5)
 
 
 class TestRoundTrip:
@@ -174,6 +190,8 @@ class TestParseProblem:
         ("  map\nevidence\n", 1, 3, "at least one MAP variable"),
         ("evidence WetGrass=t\n", 1, 1, "at least one MAP variable"),
         ("map Rain\n", 1, 1, "missing 'evidence' line"),
+        ("map Rain\nmap Sprinkler\nevidence\n", 2, 1, "duplicate 'map' line"),
+        ("evidence\nmap Rain\n  evidence WetGrass=t\n", 3, 3, "duplicate 'evidence' line"),
     ])
     def test_error_points_at_the_offending_item(self, sprinkler, text, line, column, message):
         with pytest.raises(ParseError, match=message) as info:
@@ -241,3 +259,207 @@ class TestFuzz:
                 parse_network("".join(chars))
             except ParseError:
                 pass
+
+
+# -- reference parser: one token per number, name and punctuation mark -------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
+  | (?P<punct>[{},;|=])
+  | (?P<bad>[^ \t\r])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    line, start = 1, 0
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line += 1
+            start = m.end()
+        elif kind == "bad":
+            raise ParseError(line, m.start() - start + 1,
+                             f"unexpected character {m.group()!r}")
+        elif kind != "comment":
+            tokens.append((kind, m.group(), line, m.start() - start + 1))
+    tokens.append(("eof", "", line, len(text) - start + 1))
+    return tokens
+
+
+def _reference_parse_network(text):
+    """`parse_network` as it was before brace bodies became single tokens,
+    reading every number, name and punctuation mark as a token of its own;
+    a cycle is reported at the CPT of the variable `CycleError` names."""
+    tokens = _reference_tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def at(kind, text=None):
+        tok = tokens[pos]
+        return tok[0] == kind and (text is None or tok[1] == text)
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        if tok[0] != "eof":
+            pos += 1
+        return tok
+
+    def error(tok, message):
+        return ParseError(tok[2], tok[3], message)
+
+    def expect(kind, text="", what=""):
+        tok = take()
+        if tok[0] != kind or (text and tok[1] != text):
+            got = repr(tok[1]) if tok[1] else "end of input"
+            raise error(tok, f"expected {what or repr(text)}, got {got}")
+        return tok
+
+    expect("ident", "network")
+    net_name = expect("ident", what="network name")[1]
+    variables, index = [], {}
+    while at("ident", "var"):
+        take()
+        name_tok = expect("ident", what="variable name")
+        name = name_tok[1]
+        if name in index:
+            raise error(name_tok, f"duplicate variable {name!r}")
+        expect("punct", "{")
+        states = [expect("ident", what="state name")[1]]
+        while at("punct", ","):
+            take()
+            states.append(expect("ident", what="state name")[1])
+        expect("punct", "}")
+        if len(set(states)) != len(states):
+            raise error(name_tok, f"duplicate state name in variable {name!r}")
+        index[name] = len(variables)
+        variables.append(Variable(len(variables), name, tuple(states)))
+    cpts, child_toks = {}, {}
+    while at("ident", "cpt"):
+        take()
+        child_tok = expect("ident", what="variable name")
+        if child_tok[1] not in index:
+            raise error(child_tok, f"unknown variable {child_tok[1]!r}")
+        child = index[child_tok[1]]
+        if child in cpts:
+            raise error(child_tok, f"duplicate cpt for {child_tok[1]!r}")
+        parents = []
+        if at("punct", "|"):
+            take()
+            while at("ident"):
+                par_tok = take()
+                if par_tok[1] not in index:
+                    raise error(par_tok, f"unknown parent {par_tok[1]!r}")
+                parents.append(index[par_tok[1]])
+            if not parents:
+                raise error(peek(), "expected at least one parent after '|'")
+        expect("punct", "{")
+        rows = []
+        while True:
+            row = []
+            while at("number"):
+                row.append(float(take()[1]))
+            if not row:
+                raise error(peek(), "expected a probability")
+            rows.append(tuple(row))
+            if at("punct", ";"):
+                take()
+                continue
+            break
+        expect("punct", "}")
+        try:
+            cpt = Cpt(child, tuple(parents), tuple(rows))
+            check_table(cpt, variables)
+        except ValueError as exc:
+            raise error(child_tok, str(exc)) from None
+        cpts[child] = cpt
+        child_toks[child] = child_tok
+    tail = peek()
+    if tail[0] != "eof":
+        raise error(tail, f"unexpected {tail[1]!r}")
+    missing = [v.name for v in variables if v.id not in cpts]
+    if missing:
+        raise error(tail, f"missing cpt for {missing[0]!r}")
+    try:
+        return BayesianNetwork(net_name, variables, [cpts[i] for i in range(len(variables))])
+    except CycleError as exc:
+        raise error(child_toks[exc.variable], str(exc)) from None
+    except ValueError as exc:
+        raise error(tail, str(exc)) from None
+
+
+def _outcome(parse, text):
+    """A parse's network, tables by the bits of each entry, or its error."""
+    try:
+        net = parse(text)
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, exc.message)
+    return (net.name, [(v.id, v.name, v.states) for v in net.variables],
+            [(c.child, c.parents, [[x.hex() for x in row] for row in c.table])
+             for c in net.cpts])
+
+
+def _mutate(rng, text, alphabet):
+    """`text` after one to four edits, half of them within 40 characters
+    after a `{`: a character of `alphabet` replaced, inserted or deleted, a
+    comment, newline, ` ; `, `e`, `E`, `1e` or `.5` inserted, or a run of up
+    to 8 characters repeated."""
+    chars = list(text)
+    bodies = [i for i, c in enumerate(text) if c == "{"]
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            start = rng.choice(bodies)
+            pos = min(start + rng.randint(0, 40), len(chars) - 1)
+        else:
+            pos = rng.randrange(len(chars))
+        op = rng.randrange(5)
+        if op == 0:
+            chars[pos] = rng.choice(alphabet)
+        elif op == 1:
+            chars.insert(pos, rng.choice(alphabet))
+        elif op == 2:
+            del chars[pos]
+        elif op == 3:
+            chars.insert(pos, rng.choice(["# c\n", "\n", " ; ", "e", "E", "1e", ".5"]))
+        else:
+            chars[pos:pos] = chars[pos:pos + rng.randint(1, 8)]
+    return "".join(chars)
+
+
+def _e_states(text):
+    """`text` with its states renamed e, E and e1, which read like parts of
+    numbers."""
+    return (text.replace("{ t, f }", "{ e, E }")
+            .replace("{ s0, s1 }", "{ e, E }").replace("{ s0, s1, s2 }", "{ e, E, e1 }"))
+
+
+class TestDifferentialParse:
+    def test_matches_reference_parser_on_mutations(self):
+        net30 = serialize_network(random_network(random.Random(30), 30, name="n30"))
+        one_state = SPRINKLER_TEXT.replace("var WetGrass", "var U { e }\nvar WetGrass") \
+            + "cpt U { 1.0 }\n"
+        bases = [[SPRINKLER_TEXT, _e_states(SPRINKLER_TEXT), _e_states(one_state)],
+                 [net30, _e_states(net30)]]
+        for text in (b for group in bases for b in group):
+            assert _outcome(parse_network, text) == _outcome(_reference_parse_network, text)
+            assert _outcome(parse_network, text)[0] != "error"
+        rng = random.Random(2024)
+        alphabet = "0123456789.eE+-;{},|=#\n\t abzs_"
+        parsed = errors = 0
+        for group in bases:
+            for _ in range(2000):
+                text = _mutate(rng, rng.choice(group), alphabet)
+                got = _outcome(parse_network, text)
+                assert got == _outcome(_reference_parse_network, text), text
+                parsed += got[0] != "error"
+                errors += got[0] == "error"
+        assert parsed >= 300 and errors >= 2000

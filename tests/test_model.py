@@ -49,6 +49,17 @@ class TestTopologicalOrder:
         with pytest.raises(CycleError, match="A|B"):
             BayesianNetwork("cyclic", variables, cpts)
 
+    def test_cycle_error_names_the_lowest_id_on_a_cycle(self):
+        # 0 is a child of the cycle 1 -> 3 -> 2 -> 1 and the lowest stuck id
+        names = ["D", "A", "B", "C"]
+        variables = [Variable(i, name, ("t", "f")) for i, name in enumerate(names)]
+        two_rows = ((0.5, 0.5), (0.5, 0.5))
+        cpts = [Cpt(0, (3,), two_rows), Cpt(1, (2,), two_rows),
+                Cpt(2, (3,), two_rows), Cpt(3, (1,), two_rows)]
+        with pytest.raises(CycleError, match="through variable 'A'") as info:
+            BayesianNetwork("cyclic", variables, cpts)
+        assert info.value.variable == 1
+
     def test_respects_edges_on_random_nets(self):
         rng = random.Random(11)
         for _ in range(25):
