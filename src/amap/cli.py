@@ -4,6 +4,7 @@ and run seeded benchmark sweeps to CSV."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
@@ -115,13 +116,12 @@ def _run_algo(algo: str, net: BayesianNetwork, problem: MapProblem,
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _write_trace(path: str, trace: List[solver.TraceRow]) -> None:
-    with _create(path) as fh:
-        fh.write("component,restart,sweep,temperature,current_logp,best_logp,specific_heat\n")
-        for row in trace:
-            fh.write(f"{row.component},{row.restart},{row.sweep},"
-                     f"{row.temperature:.17g},{row.current_logp:.17g},"
-                     f"{row.best_logp:.17g},{row.specific_heat:.17g}\n")
+def _write_trace(fh: TextIO, trace: List[solver.TraceRow]) -> None:
+    fh.write("component,restart,sweep,temperature,current_logp,best_logp,specific_heat\n")
+    for row in trace:
+        fh.write(f"{row.component},{row.restart},{row.sweep},"
+                 f"{row.temperature:.17g},{row.current_logp:.17g},"
+                 f"{row.best_logp:.17g},{row.specific_heat:.17g}\n")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -131,8 +131,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     net = fileio.parse_network(_read(args.net))
     problem = fileio.parse_problem(_read(args.problem), net)
     schedule = _schedule_from_args(args)
-    report = _run_algo(args.algo, net, problem, schedule, args.seed,
-                       args.restarts, collect_trace=bool(args.trace))
+    # opened before the solve, so an unwritable trace file ends the command
+    # before any work
+    with _create(args.trace) if args.trace else contextlib.nullcontext() as trace:
+        report = _run_algo(args.algo, net, problem, schedule, args.seed,
+                           args.restarts, collect_trace=trace is not None)
+        if trace is not None:
+            _write_trace(trace, report.trace)
     for v in problem.map_vars:
         var = net.var(v)
         print(f"{var.name}={var.states[report.best[v]]}")
@@ -142,8 +147,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"log10_p = {log10:.12g}")
     print(f"sweeps = {report.sweeps}")
     print(f"reheats = {report.reheats}")
-    if args.trace:
-        _write_trace(args.trace, report.trace)
     return 0
 
 
@@ -178,6 +181,8 @@ class BenchConfig:
         _check_counts(self.map_count, self.evid_count)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 def _timed_run(algo: str, net: BayesianNetwork, problem: MapProblem,
@@ -290,6 +295,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         evid_count=args.evid_count, algos=args.algos, seed=args.seed,
         schedule=_schedule_from_args(args), restarts=args.restarts,
         output=args.output, workers=args.workers)
+    _oracle_cap()  # every case runs the oracle: a bad cap ends the command here
     with _create(config.output) as fh:  # before any case runs
         fh.write(fileio.write_report(run_bench(config)))
     return 0

@@ -2,12 +2,14 @@
 plus prior forward sampling.
 
 Each elimination is compiled once per network, kept variables, set of
-bound variables and set of indicator variables into a plan of steps.
-Identical steps of all of a network's plans are one node, which keeps its
-output while the bound and indicator variables that output depends on
-keep their values, so a call runs only the steps whose output is not
-already held for the current values. The final node of a site plan (keep
-one variable) also memoises the site records `conditional` makes from its
+bound variables and set of indicator variables into a plan. The steps of
+all of a network's plans form one graph: a step is a node whose inputs are
+CPTs and earlier nodes, identical steps are one node, and a plan is its
+final node. A node keeps its output while the bound and indicator
+variables that output depends on keep their values, so a call walks down
+from the final node and runs only the nodes whose output is not already
+held for the current values. The final node of a site plan (keep one
+variable) also memoises the site records `conditional` makes from its
 output, one per value tuple of its support: the normalised conditional as
 a read-only array, as Python floats and as their logs. A site update that
 returns to an earlier neighbourhood costs one dictionary lookup. Records
@@ -80,31 +82,32 @@ class Factor:
         return -math.inf if t == 0.0 else math.log(t) + self.log_scale
 
 
-class _Step(NamedTuple):
-    """Multiply the factors in `slots` into a table of `shape`, each input
-    transposed by `perms[i]` and reshaped by `shapes[i]` (None where that
-    is a no-op), then sum out `axis` (None for the final product)."""
+@dataclass(eq=False)
+class _Node:
+    """One elimination step and its output, one object for every plan of
+    the network that runs an identical step: multiply `inputs` into a table
+    of `shape`, each input transposed by `perms[i]` and reshaped by
+    `shapes[i]` (None where that is a no-op), then sum out `axis` (None for
+    a plan's final product). An input is a CPT, as (index, selection
+    pattern or None, whether it takes an indicator), or another node, whose
+    `rank`, its creation number within the network, is below this one's.
 
-    slots: Tuple[int, ...]
+    The output depends only on the values of `support`, the bound variables
+    that the step's subtree selects on and the indicator variables whose
+    CPTs it reads (None while unbound). A node that `keeps` (its `entries`
+    fit in the network's budget) holds its output read-only and its log
+    scale, valid while its support has the values in `values` (None until
+    an evaluation completes). Any other node holds an output only until the
+    node that reads it has run. `memo` maps a value tuple of the support to
+    the `_Site` that `conditional` made from the output for those values;
+    only a site plan's final node fills it."""
+
+    inputs: Tuple[object, ...]
     perms: Tuple[Optional[Tuple[int, ...]], ...]
     shapes: Tuple[Optional[Tuple[int, ...]], ...]
     shape: Tuple[int, ...]
     axis: Optional[int]
-
-
-@dataclass(eq=False)
-class _Node:
-    """The output of a step, one object for every plan of the network that
-    runs an identical step. It depends only on the values of `support`, the
-    bound variables that the step's subtree selects on and the indicator
-    variables whose CPTs it reads (None while unbound). A node that `keeps`
-    (its `entries` fit in the network's budget) holds its output read-only
-    and its log scale, valid while its support has the values in `values`
-    (None until an evaluation completes). Any other node holds an output
-    only until the step that reads it has run. `memo` maps a value tuple of
-    the support to the `_Site` that `conditional` made from the output for
-    those values; only a site plan's final node fills it."""
-
+    rank: int
     support: Tuple[int, ...]
     entries: int
     keeps: bool
@@ -126,34 +129,29 @@ class _Site(NamedTuple):
 
 @dataclass(eq=False)
 class _Cpts:
-    """A network's CPT arrays and step nodes, shared by its plans, and the
-    number of table entries those nodes keep, a site record counting as its
-    three values per state and its key's values (at most MAX_TABLE_ENTRIES
-    in all).
-    A node's key is its step's inputs in product order, a CPT by its index,
-    selection pattern and whether it takes an indicator, and a step by its
-    node, plus the step's `perms`, `shapes`, `shape` and `axis`."""
+    """A network's CPT arrays, each indicator variable's CPT masked to each
+    of its states, and the nodes, all shared by its plans, with the number
+    of table entries those nodes keep, a site record counting as its three
+    values per state and its key's values (at most MAX_TABLE_ENTRIES in
+    all). A node's key is its `inputs`, `perms`, `shapes`, `shape` and
+    `axis`."""
 
     arrays: Tuple[np.ndarray, ...]
+    masks: Dict[int, Tuple[np.ndarray, ...]] = field(default_factory=dict)
     nodes: Dict[tuple, _Node] = field(default_factory=dict)
     retained: int = 0
 
 
 @dataclass(eq=False)
 class _Plan:
-    """A compiled elimination. Slot i < len(net) holds CPT i, masked to its
-    indicator's state if `masks` has it and the context binds variable i,
-    with its bound axes selected; step k writes slot len(net) + k, whose
-    output lives in `nodes[k]`; the last step is the final product, whose
-    axes `perm` puts into `keep` order."""
+    """A compiled elimination: the network's shared `cpts`, and the `final`
+    node, whose inputs lead to every other node of the plan and whose axes
+    `perm` puts into `keep` order."""
 
     cpts: _Cpts
-    select: Tuple[Optional[Tuple[int, ...]], ...]  # per CPT axis: bound id or -1
-    steps: Tuple[_Step, ...]
-    nodes: Tuple[_Node, ...]
+    final: _Node
     keep: Tuple[int, ...]
     perm: Tuple[int, ...]
-    masks: Dict[int, Tuple[np.ndarray, ...]]  # per indicator: its CPT per state
 
 
 def _bits(b: int) -> Iterator[int]:
@@ -270,7 +268,7 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
         for u in sc:
             holders[u].append(s)
     live = [True] * len(scopes)
-    steps: List[_Step] = []
+    steps: List[tuple] = []  # per step, its slots and then a node's fields
     sizes: List[int] = []  # per step, the entries of its output
     max_entries = 1
     pos: Dict[int, int] = {}
@@ -310,7 +308,7 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
         max_entries = max(max_entries, size)
         sizes.append(size // (1 if v is None else cards[v]))
         axis = None if v is None else pos[v]
-        steps.append(_Step(tuple(related), tuple(perms), tuple(shapes), shape, axis))
+        steps.append((tuple(related), tuple(perms), tuple(shapes), shape, axis))
         if v is not None:
             out = list(pos)
             del out[axis]
@@ -329,33 +327,33 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             np.asarray(cpt.table, dtype=float).reshape(
                 tuple(cards[v] for v in cpt.parents + (cpt.child,)))
             for cpt in net.cpts))
-    # intern each step as a node; keys[s] is slot s's part of a node key
-    keys: List[object] = [(s, sel, s in indicators) for s, sel in enumerate(select)]
-    n = len(select)
-    nodes: List[_Node] = []
-    for step, size in zip(steps, sizes):
-        node_key = (tuple(map(keys.__getitem__, step.slots)),
-                    step.perms, step.shapes, step.shape, step.axis)
+    # intern each step as a node; refs[s] is what node inputs hold for slot
+    # s: CPT s as (s, selection pattern, takes-indicator), or a step's node
+    refs: List[object] = [(s, sel, s in indicators) for s, sel in enumerate(select)]
+    for (related, *fields), size in zip(steps, sizes):
+        inputs = tuple(map(refs.__getitem__, related))
+        node_key = (inputs, *fields)
         node = cpts.nodes.get(node_key)
         if node is None:
             support: Set[int] = set()
-            for s in step.slots:
-                if s >= n:
-                    support.update(nodes[s - n].support)
+            for a in inputs:
+                if isinstance(a, _Node):
+                    support.update(a.support)
                 else:
-                    support.update([v for v in select[s] or () if v >= 0])
-                    if s in indicators:
+                    s, sel, indicator = a
+                    support.update([v for v in sel or () if v >= 0])
+                    if indicator:
                         support.add(s)
             keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
             cpts.retained += size if keeps else 0
-            node = cpts.nodes[node_key] = _Node(tuple(sorted(support)), size, keeps)
-        keys.append(node)
-        nodes.append(node)
-    # CPT v's last axis is v's own column
-    masks = {v: tuple(cpts.arrays[v] * (np.arange(cards[v]) == s) for s in range(cards[v]))
-             for v in indicators}
-    plan = _Plan(cpts, tuple(select), tuple(steps), tuple(nodes), keep,
-                 tuple(pos[v] for v in keep), masks)
+            node = cpts.nodes[node_key] = _Node(*node_key, len(cpts.nodes),
+                                                tuple(sorted(support)), size, keeps)
+        refs.append(node)
+    for v in indicators - cpts.masks.keys():
+        # CPT v's last axis is v's own column
+        cpts.masks[v] = tuple(cpts.arrays[v] * (np.arange(cards[v]) == s)
+                              for s in range(cards[v]))
+    plan = _Plan(cpts, node, keep, tuple(pos[v] for v in keep))
     net._plans[key] = plan
     return plan
 
@@ -382,7 +380,7 @@ def _factor(plan: _Plan, context: Assignment) -> Factor:
     it. `context` binds every bound variable of the plan and, of its other
     variables, only indicators."""
     out = _output(plan, context)
-    final = plan.nodes[-1]
+    final = plan.final
     # a C-ordered array of its own, of shape () for the empty scope: a kept
     # output is copied, one that is not is only made contiguous
     return Factor(plan.keep, (np.array if final.keeps else np.asarray)(
@@ -393,13 +391,13 @@ def _log_total(plan: _Plan, context: Assignment) -> float:
     """`_factor(plan, context).log_total()` for a plan with keep (), without
     building the factor."""
     total = float(_output(plan, context))
-    return -math.inf if total == 0.0 else math.log(total) + plan.nodes[-1].scale
+    return -math.inf if total == 0.0 else math.log(total) + plan.final.scale
 
 
 def _output(plan: _Plan, context: Assignment) -> np.ndarray:
     """The plan's final output for the context's values, which the final
     node keeps only if it `keeps`."""
-    final = plan.nodes[-1]
+    final = plan.final
     values = tuple(map(context.get, final.support))
     if values != final.values:
         _run(plan, context, values)
@@ -411,38 +409,33 @@ def _output(plan: _Plan, context: Assignment) -> np.ndarray:
 
 def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) -> None:
     """Bring the plan's final node, which holds no output for `values`, up to
-    date: from it down, each such node's step inputs are checked in turn,
-    and then the steps found are run in plan order. A node's values are set
+    date: from it down, each such node's input nodes are checked in turn,
+    and then the nodes found are run in rank order. A node's values are set
     only once its output is, so a failed evaluation leaves nothing stale."""
-    steps, nodes, select, masks = plan.steps, plan.nodes, plan.select, plan.masks
-    arrays = plan.cpts.arrays
-    n = len(arrays)
-    todo = [(len(steps) - 1, values)]
-    stack = [s - n for s in steps[-1].slots if s >= n]
+    arrays, masks = plan.cpts.arrays, plan.cpts.masks
+    todo = [(plan.final, values)]
+    stack = [a for a in plan.final.inputs if isinstance(a, _Node)]
     while stack:
-        k = stack.pop()
-        values = tuple(map(context.get, nodes[k].support))
-        if values != nodes[k].values:
-            todo.append((k, values))
-            stack.extend([s - n for s in steps[k].slots if s >= n])
-    todo.sort()
-    for k, values in todo:
-        step, node = steps[k], nodes[k]
+        node = stack.pop()
+        values = tuple(map(context.get, node.support))
+        if values != node.values:
+            todo.append((node, values))
+            stack.extend([a for a in node.inputs if isinstance(a, _Node)])
+    todo.sort(key=lambda job: job[0].rank)
+    for node, values in todo:
         out = None
         log_scale = 0.0
-        for s, perm, shape in zip(step.slots, step.perms, step.shapes):
-            if s < n:
-                a, sel = arrays[s], select[s]
-                if masks and s in masks and s in context:
-                    a = masks[s][context[s]]
-                if sel is not None:
-                    a = a[tuple([_ALL if v < 0 else context[v] for v in sel])]
-            else:
-                kid = nodes[s - n]
-                a = kid.output
+        for a, perm, shape in zip(node.inputs, node.perms, node.shapes):
+            if isinstance(a, _Node):
+                kid, a = a, a.output
                 log_scale += kid.scale
                 if not kid.keeps:
                     kid.output = None  # read once
+            else:
+                s, sel, indicator = a
+                a = masks[s][context[s]] if indicator and s in context else arrays[s]
+                if sel is not None:
+                    a = a[tuple([_ALL if v < 0 else context[v] for v in sel])]
             if perm is not None:
                 a = a.transpose(perm)
             if shape is not None:
@@ -450,15 +443,15 @@ def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) ->
             # the product starts from the first input (1.0 * a == a) and is
             # laid out in C order, as the sums below assume
             out = a if out is None else np.multiply(out, a, order="C")
-        if len(step.slots) == 1:
+        if len(node.inputs) == 1:
             out = np.array(out, order="C")  # a lone input may be a view of a CPT
         # the ufunc reductions that `.max()` and `.sum(axis=)` call
         m = float(np.maximum.reduce(out, None))
         if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
             out = out / m
             log_scale += math.log(m)
-        if step.axis is not None:
-            out = np.add.reduce(out, step.axis)
+        if node.axis is not None:
+            out = np.add.reduce(out, node.axis)
         node.output, node.scale = out, log_scale
         if node.keeps:
             if isinstance(out, np.ndarray):
@@ -486,7 +479,7 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
     """`conditional` on `plan`, the plan it would look up for `context`, as
     a site record. A record is memoised by the values of the final node's
     support while the network's budget has room for it."""
-    final = plan.nodes[-1]
+    final = plan.final
     values = tuple(map(context.get, final.support))
     site = final.memo.get(values)
     if site is not None:

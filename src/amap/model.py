@@ -125,8 +125,8 @@ class BayesianNetwork:
         for cpt in self.cpts:
             check_table(cpt, self.variables)
         self._order = topological_order(self)
-        # engine's compiled elimination plans, and the CPT arrays and step
-        # nodes they share
+        # engine's compiled elimination plans, and the CPT arrays, masked
+        # indicator CPTs and graph of step nodes they share
         self._plans: Dict[object, object] = {}
 
     # -- lookups -----------------------------------------------------------

@@ -23,9 +23,7 @@ from .engine import (
     _conditional,
     _indicator_plan,
     _log_total,
-    _Plan,
     _sample_index,
-    _Site,
     _site_plans,
     eliminate,
     forward_sample,
@@ -137,19 +135,7 @@ def reheat_temperature(c_b: float, t_at_max_ch: float, k: float, t0: float) -> f
     return min(t0, k * c_b + t_at_max_ch)
 
 
-# -- the site update and initialization --------------------------------------
-
-def _site(net: BayesianNetwork, j: int, context: Assignment, plan: _Plan) -> _Site:
-    """The site update anneal and Gibbs share: p(x_j | context without j),
-    with every variable outside the context summed out, as a site record
-    (its probabilities and their logs as floats), on `plan`, j's entry of
-    `_site_plans`, looked up once per run. `context` is E together with the
-    current assignment x, which the caller keeps in step with x: this call
-    unbinds j, and the caller binds it again to x_j's next state. Raises
-    ImpossibleContextError when the context has probability zero."""
-    context.pop(j, None)
-    return _conditional(net, j, plan, context)
-
+# -- initialization ----------------------------------------------------------
 
 def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
     """Greedy start: fix MAP variables in topological order, each to the
@@ -212,8 +198,11 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
             for j, plan in zip(problem.map_vars, plans):
                 u = rng.random()
                 cur = context[j]
+                # the site conditional p(x_j | E, x without j): j is unbound
+                # for it and bound again below to x_j's next state
+                del context[j]
                 try:
-                    site = _site(net, j, context, plan)
+                    site = _conditional(net, j, plan, context)
                 except ImpossibleContextError:
                     # current neighborhood has probability zero: resample uniformly
                     context[j] = rng.randrange(net.cardinality(j))
@@ -329,7 +318,8 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
             # every proposal is accepted; drawing it anyway keeps the random
             # stream, and so every seeded chain, as it has always been.
             rng.random()
-            context[j] = _sample_index(_site(net, j, context, plan).probs, rng)
+            del context[j]  # unbound for its site conditional, then bound again
+            context[j] = _sample_index(_conditional(net, j, plan, context).probs, rng)
         out.append(tuple(map(context.__getitem__, problem.map_vars)))
     return out
 

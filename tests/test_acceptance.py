@@ -9,6 +9,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -30,6 +31,7 @@ from amap import (
     hill_climb_map,
     map_posterior,
     parse_network,
+    parse_problem,
     prune,
     reheat_temperature,
     serialize_network,
@@ -130,6 +132,46 @@ def test_criterion_3_gibbs_limit():
     ok = accept_ok and zero_visited == 0 and chi.pvalue > 0.01
     _report(3, "Gibbs limit at T=1", ok,
             f"chi2 p-value {chi.pvalue:.4f}, zero-cell visits {zero_visited}")
+
+
+def _autocorrelation(x, lag):
+    x = x - x.mean()
+    return float(np.dot(x[:-lag], x[lag:]) / np.dot(x, x))
+
+
+def test_criterion_3_gibbs_limit_thinned():
+    """Criterion 3's check made sound for a correlated chain: one seeded
+    chain of 10^5 sweeps is thinned by the smallest lag at which every
+    configuration indicator's sample autocorrelation is below 0.05 in
+    absolute value (171 at this seed, leaving 585 draws), and the thinned
+    counts get a Pearson chi-square test at the 0.01 level. One
+    configuration expects about three draws, too few for the chi-square
+    distribution, so the p-value is the share of 20,000 seeded multinomial
+    draws of the same size whose statistic is at least as large. The
+    nominal false-alarm rate is 1%: the thinned draws are treated as
+    independent, which they are only approximately."""
+    net = parse_network(SPRINKLER_TEXT)
+    problem = parse_problem(SPRINKLER_PROBLEM_TEXT, net)
+    chain = np.array(gibbs_chain(net, problem, 10 ** 5, random.Random(5)))
+    exact = enum_factor(net, problem.map_vars, problem.evidence)
+    support = [cfg for cfg in sorted(exact) if exact[cfg] > 0.0]
+    indicators = [np.all(chain == cfg, axis=1).astype(float) for cfg in support]
+    lag = 1
+    while not all(abs(_autocorrelation(x, lag)) < 0.05 for x in indicators):
+        lag += 1
+    thinned = chain[::lag]
+    observed = np.array([np.all(thinned == cfg, axis=1).sum() for cfg in support])
+    probs = np.array([exact[cfg] for cfg in support]) / sum(exact.values())
+    expected = probs * len(thinned)
+
+    def pearson(counts):
+        return ((counts - expected) ** 2 / expected).sum(axis=-1)
+
+    null = np.random.default_rng(0).multinomial(len(thinned), probs, size=20000)
+    pvalue = (1 + int((pearson(null) >= pearson(observed)).sum())) / (1 + len(null))
+    ok = len(thinned) >= 100 and observed.sum() == len(thinned) and pvalue > 0.01
+    _report(3, "Gibbs limit at T=1, thinned", ok,
+            f"lag {lag}, {len(thinned)} draws, chi2 p-value {pvalue:.4f}")
 
 
 def test_criterion_4_schedule_arithmetic():

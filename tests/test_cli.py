@@ -138,12 +138,18 @@ class TestSolveCommand:
         assert lines[0].startswith("component,restart,sweep,temperature")
         assert len(lines) > 1
 
-    def test_unwritable_trace(self, net_file, problem_file, tmp_path, capsys):
+    def test_unwritable_trace(self, net_file, problem_file, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(solver, "annealed_map", no_solve)
         trace = tmp_path / "missing" / "trace.csv"
         code = main(["solve", "--net", net_file, "--problem", problem_file,
                      "--trace", str(trace)])
         assert code == 1
-        assert_one_error(capsys.readouterr().err,
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error(captured.err,
                          f"error: cannot write {trace}: No such file or directory")
 
     @pytest.mark.parametrize("algo", ["hillclimb", "oracle"])
@@ -398,14 +404,16 @@ class TestBenchCommand:
                          f"error: cannot write {out}: No such file or directory")
 
     def test_workers_below_one_rejected(self, net_file, tmp_path, capsys):
+        # and restarts below one, both before the output is created
         out = tmp_path / "r.csv"
-        code = main(["bench", "--net", net_file, "--cases", "1",
-                     "--map-count", "1", "--evid-count", "1",
-                     "--workers", "0", "-o", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "workers" in err and len(err.strip().splitlines()) == 1
-        assert not out.exists()
+        for flag in ("--workers", "--restarts"):
+            code = main(["bench", "--net", net_file, "--cases", "1",
+                         "--map-count", "1", "--evid-count", "1",
+                         flag, "0", "-o", str(out)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert flag[2:] in err and len(err.strip().splitlines()) == 1
+            assert not out.exists()
 
     def test_pool_size_capped(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
@@ -427,6 +435,7 @@ class TestBenchCommand:
         assert code == 1
         assert "AMAP_ORACLE_CAP" in err and repr(raw) in err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestSeedMixing:

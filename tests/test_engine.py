@@ -162,11 +162,31 @@ def _quadratic_min_fill_order(scopes, elim, tie_break):
     return order
 
 
+def _tree(node, plain=False):
+    """A node as a nested tuple (inputs, perms, shapes, shape, axis), each
+    input a CPT as (index, selection pattern, takes-indicator), or as
+    (index, selection pattern) if `plain`, or an input node's tree."""
+    return (tuple(_tree(a, plain) if isinstance(a, engine._Node) else (a[:2] if plain else a)
+                  for a in node.inputs), node.perms, node.shapes, node.shape, node.axis)
+
+
+def _nodes(plan):
+    """The plan's nodes, its final node first and each node's input nodes
+    after it, depth first."""
+    out, stack = [], [plan.final]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(a for a in reversed(node.inputs) if isinstance(a, engine._Node))
+    return out
+
+
 def _reference_plan(net, keep, bound, tie_break):
-    """(select, bound, steps, perm, entries) of the plan `engine._plan`
-    compiles, assembled as the engine did before it indexed live slots by
-    variable: two scans of every live slot per eliminated variable, and
-    each input's permutation and shape found by list searches."""
+    """(tree, bound, perm, entries) of the plan `engine._plan` compiles,
+    its tree rendered as `_tree` renders it, assembled as the engine did
+    before it indexed live slots by variable: two scans of every live slot
+    per eliminated variable, and each input's permutation and shape found
+    by list searches."""
     cards = [v.cardinality for v in net.variables]
     scopes, select = [], []
     for cpt in net.cpts:
@@ -178,7 +198,7 @@ def _reference_plan(net, keep, bound, tie_break):
     order = _min_fill_order(scopes, elim, tie_break)
 
     live = list(range(len(scopes)))
-    steps = []
+    trees = [(s, sel, False) for s, sel in enumerate(select)]  # per slot
     entries = 0
     scope = []
     for v in order + [None]:
@@ -204,12 +224,12 @@ def _reference_plan(net, keep, bound, tie_break):
         shape = tuple(cards[u] for u in scope)
         entries += math.prod(shape) // (1 if v is None else cards[v])
         axis = None if v is None else scope.index(v)
-        steps.append(engine._Step(tuple(related), tuple(perms), tuple(shapes), shape, axis))
+        trees.append((tuple(trees[s] for s in related), tuple(perms), tuple(shapes),
+                      shape, axis))
         if v is not None:
             live.append(len(scopes))
             scopes.append(tuple(u for u in scope if u != v))
-    return (tuple(select), tuple(sorted(bound)), tuple(steps),
-            tuple(scope.index(v) for v in keep), entries)
+    return (trees[-1], tuple(sorted(bound)), tuple(scope.index(v) for v in keep), entries)
 
 
 def _fill_edges(scopes, order):
@@ -344,9 +364,33 @@ class TestPlans:
                 plan = engine._plan(net, keep, bound, tie_break)
                 # the final node's support is the bound set; the nodes'
                 # entries add up to the plan's
-                got = (plan.select, plan.nodes[-1].support, plan.steps, plan.perm,
-                       sum(node.entries for node in plan.nodes))
+                got = (_tree(plan.final), plan.final.support, plan.perm,
+                       sum(node.entries for node in _nodes(plan)))
                 assert got == _reference_plan(net, keep, bound, tie_break)
+
+    def test_node_ranks_and_shared_masks(self):
+        # A node's input nodes were all created before it, and indicator
+        # plans of one network with overlapping indicators read one masked
+        # CPT per indicator and state, built when the first plan compiles.
+        net = random_network(random.Random(17), 20, max_parents=3, cards=(2, 3))
+        ev = frozenset(range(14, 20))
+        first = engine._plan(net, (), ev, "low", frozenset({0, 1, 2, 3}))
+        cpts = first.cpts
+        masks = dict(cpts.masks)
+        plans = [first, engine._plan(net, (), ev, "low", frozenset({2, 3, 4})),
+                 engine._plan(net, (5,), ev, "high", frozenset({0, 4}))]
+        plans += engine._site_plans(net, MapProblem((0, 1, 2, 3), {v: 0 for v in ev}))
+        assert all(plan.cpts is cpts for plan in plans)
+        assert sorted(cpts.masks) == [0, 1, 2, 3, 4]
+        assert all(cpts.masks[v] is masks[v] for v in masks)
+        for v, per_state in cpts.masks.items():
+            for state, masked in enumerate(per_state):
+                want = cpts.arrays[v] * (np.arange(net.cardinality(v)) == state)
+                assert masked.tobytes() == want.tobytes()
+        nodes = list(cpts.nodes.values())
+        assert sorted(node.rank for node in nodes) == list(range(len(nodes)))
+        for node in nodes:
+            assert all(a.rank < node.rank for a in node.inputs if isinstance(a, engine._Node))
 
     def test_width_cap_raised_before_allocating(self):
         net, problem = _wide_instance()
@@ -411,34 +455,39 @@ def _zeroed(net, rng):
 
 
 def _evaluated(plan, context):
-    """The plan's result for the context, computed step by step with no node
-    reuse, each product started from ones in C order: the reference for the
-    bits `engine._factor` gives."""
-    slots = []
-    for s, a in enumerate(plan.cpts.arrays):
-        if s in plan.masks and s in context:
-            a = plan.masks[s][context[s]]
-        if plan.select[s] is not None:
-            a = a[tuple(slice(None) if v < 0 else context[v] for v in plan.select[s])]
-        slots.append((a, 0.0))
-    for step in plan.steps:
-        out, log_scale = np.ones(step.shape), 0.0
-        for s, perm, shape in zip(step.slots, step.perms, step.shapes):
-            a, scale = slots[s]
+    """The plan's result for the context, computed from `_tree` with no
+    node reuse, each product started from ones in C order, and an indicator
+    CPT masked here: the reference for the bits `engine._factor` gives."""
+    arrays = plan.cpts.arrays
+
+    def run(tree):
+        inputs, perms, shapes, shape, axis = tree
+        out, log_scale = np.ones(shape), 0.0
+        for a, perm, reshape in zip(inputs, perms, shapes):
+            if len(a) == 3:  # a CPT
+                s, sel, indicator = a
+                a, scale = arrays[s], 0.0
+                if indicator and s in context:
+                    a = a * (np.arange(a.shape[-1]) == context[s])
+                if sel is not None:
+                    a = a[tuple(slice(None) if v < 0 else context[v] for v in sel)]
+            else:
+                a, scale = run(a)
             log_scale += scale
             if perm is not None:
                 a = a.transpose(perm)
-            if shape is not None:
-                a = a.reshape(shape)
+            if reshape is not None:
+                a = a.reshape(reshape)
             out = out * a
         m = float(out.max())
         if m > engine._RESCALE_HI or 0.0 < m < engine._RESCALE_LO:
             out = out / m
             log_scale += math.log(m)
-        if step.axis is not None:
-            out = out.sum(axis=step.axis)
-        slots.append((out, log_scale))
-    out, log_scale = slots[-1]
+        if axis is not None:
+            out = out.sum(axis=axis)
+        return out, log_scale
+
+    out, log_scale = run(_tree(plan.final))
     return engine.Factor(plan.keep, np.array(out.transpose(plan.perm) if plan.keep else out,
                                              order="C"), log_scale)
 
@@ -500,7 +549,7 @@ class TestStepReuse:
                                        rtol=1e-12, atol=0.0)
                 for ind in (frozenset(), indicators):
                     plan = net._plans[(keep, frozenset(bound), ind, tie_break)]
-                    assert all(node.keeps and node.values is not None for node in plan.nodes)
+                    assert all(node.keeps and node.values is not None for node in _nodes(plan))
         # the sharpened nets go through the rescaling path
         assert any(scales) == sharpen
 
@@ -517,8 +566,13 @@ class TestStepReuse:
             plan = engine._indicator_plan(net, problem)
             ev = problem.evidence
             want = eliminate(_rebuilt(net), (), ev)
-            # the same steps as the plain plan, which the indicators leave as they are
-            assert plan.steps == engine._plan(net, (), frozenset(ev.keys()), "low").steps
+            # the same steps as the plain plan, which the indicators leave as
+            # they are, with the MAP variables' CPTs taking indicators
+            plain = engine._plan(net, (), frozenset(ev.keys()), "low")
+            assert _tree(plan.final, plain=True) == _tree(plain.final, plain=True)
+            cpts = [a for node in _nodes(plan) for a in node.inputs
+                    if not isinstance(a, engine._Node)]
+            assert sorted(a[0] for a in cpts if a[2]) == sorted(problem.map_vars)
             for y in ({}, {v: 0 for v in problem.map_vars}, {problem.map_vars[0]: 1}, {}):
                 context = {**ev, **y}
                 got = engine._factor(plan, context)
@@ -537,7 +591,7 @@ class TestStepReuse:
                 _same_bits(f, want)
                 f.values[...] = 7.0
             plan = net._plans[(keep, frozenset(ev.keys()), frozenset(), "low")]
-            kept = [node.output for node in plan.nodes]
+            kept = [node.output for node in _nodes(plan)]
             assert not any(isinstance(a, np.ndarray) and a.flags.writeable for a in kept)
 
     def test_products_match_stepwise_reference(self):
@@ -573,7 +627,7 @@ class TestStepReuse:
             f = eliminate(net, (0,), Assignment())
             assert f.values.tolist() == [0.2, 0.8]
             f.values[...] = 7.0
-        assert not net._plans[((0,), frozenset(), frozenset(), "low")].nodes[-1].keeps
+        assert not net._plans[((0,), frozenset(), frozenset(), "low")].final.keeps
 
     def test_failed_evaluation_leaves_no_stale_output(self):
         # An out-of-range state fails part-way, after the steps before it
@@ -680,28 +734,28 @@ class TestStepReuse:
             contexts[j].pop(j, None)
             plan = engine._plan(comp.net, (j,), frozenset(contexts[j].keys()), "low")
             # every site plan after the first finds nodes held by the others
-            held = sum(node.values is not None for node in plan.nodes)
+            held = sum(node.values is not None for node in _nodes(plan))
             assert (held > 0) == bool(plans)
             conditional(comp.net, j, contexts[j])
             plans.append(plan)
-        steps = sum(len(plan.nodes) for plan in plans)
+        steps = sum(len(_nodes(plan)) for plan in plans)
         assert 2 * len(comp.net._plans[engine._CPTS].nodes) < steps
         # a repeat call at unchanged values recomputes no node
-        outputs = [[node.output for node in plan.nodes] for plan in plans]
+        outputs = [[node.output for node in _nodes(plan)] for plan in plans]
         for j, plan, before in zip(contexts, plans, outputs):
             want = conditional(_rebuilt(comp.net), j, contexts[j])
             assert conditional(comp.net, j, contexts[j]).tobytes() == want.tobytes()
-            assert all(node.output is out for node, out in zip(plan.nodes, before))
+            assert all(node.output is out for node, out in zip(_nodes(plan), before))
         # after one MAP variable changes, only nodes that read it run again
         m, j = comp.problem.map_vars[:2]
         contexts[j][m] = 1
         plan = plans[1]
-        before = [node.output for node in plan.nodes]
+        before = [node.output for node in _nodes(plan)]
         want = conditional(_rebuilt(comp.net), j, contexts[j])
         assert conditional(comp.net, j, contexts[j]).tobytes() == want.tobytes()
-        rerun = [node.output is not out for node, out in zip(plan.nodes, before)]
+        rerun = [node.output is not out for node, out in zip(_nodes(plan), before)]
         assert 0 < sum(rerun) < len(rerun)
-        assert all(m in node.support for node, r in zip(plan.nodes, rerun) if r)
+        assert all(m in node.support for node, r in zip(_nodes(plan), rerun) if r)
 
     def test_empty_scope(self, sprinkler):
         # total() and log_total() as float.hex, as they were when the
@@ -797,7 +851,8 @@ class TestConditional:
 
 
 def _memo_calls(seed, calls):
-    """Interleaved `solver._site` and `conditional` calls on one network with
+    """Interleaved site updates, as anneal and Gibbs make them with
+    `engine._conditional`, and `conditional` calls on one network with
     zeros in its CPTs, each checked against a rebuilt network; returns how
     many calls repeated an earlier context and how many had probability
     zero. Each call draws its site from `pick` and, by `move`, first keeps
@@ -813,7 +868,7 @@ def _memo_calls(seed, calls):
     for pick, via_site, move, r in calls:
         draw = random.Random(r)
         i = pick % len(map_vars)
-        j, final = map_vars[i], plans[i].nodes[-1]
+        j, final = map_vars[i], plans[i].final
         if move == "other":
             v = draw.choice(map_vars)
             x[v] = draw.randrange(net.cardinality(v))
@@ -827,11 +882,11 @@ def _memo_calls(seed, calls):
         seen.add(key)
 
         def call():
-            if via_site:
+            if via_site:  # as anneal and Gibbs update a site
                 full = {**ev, **x}
-                site = solver._site(net, j, full, plans[i])
-                assert full == context  # j unbound
-                return site
+                del full[j]
+                assert full == context
+                return engine._conditional(net, j, plans[i], full)
             return conditional(net, j, context)
 
         values = tuple(map(context.get, final.support))
@@ -897,7 +952,7 @@ class TestSiteMemo:
                                      restarts=3, collect_trace=True)
 
         plans = engine._site_plans(net, problem)
-        finals = [plan.nodes[-1] for plan in plans]
+        finals = [plan.final for plan in plans]
         cpts = net._plans[engine._CPTS]
         nodes_kept = cpts.retained
         # room for a few records: each counts its 3 * 2 values and its key

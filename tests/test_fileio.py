@@ -116,7 +116,7 @@ class TestParseNetwork:
             parse_network(text)
         assert (info.value.line, info.value.column) == (6, 5)
 
-    def test_cycle_at_end_of_input(self):
+    def test_cycle_reported_at_cpt_name_token(self):
         with pytest.raises(ParseError, match="cycle detected through variable 'A'") as info:
             parse_network(CYCLE_TEXT)
         assert (info.value.line, info.value.column) == (4, 5)

@@ -48,13 +48,13 @@ def _reference_site(net, j, x, evidence):
     return f.values / f.total()
 
 
-def _reference_kernel(net, j, context, plan):
-    """solver._site's contract on top of _reference_site, which does not
-    read `plan`: the caller's context, E together with x, is copied, j is
-    left unbound in it, and the conditional comes back as a site record
-    whose floats and logs are computed here."""
+def _reference_kernel(net, j, plan, context):
+    """The site update's contract on top of _reference_site, which does not
+    read `plan`: the caller's context, E together with x, has j unbound, and
+    the conditional comes back as a site record whose floats and logs are
+    computed here."""
+    assert j not in context
     dist = _reference_site(net, j, context, Assignment())
-    context.pop(j, None)
     probs = tuple(dist.tolist())
     return engine._Site(dist, probs, tuple(math.log(p) if p > 0.0 else -math.inf
                                            for p in probs))
@@ -327,7 +327,7 @@ class TestAnnealedMap:
             "cpt A { 0.9 0.1 }\ncpt B { 0.9 0.1 }\n"
             "cpt C | A B { 1 0 ; 1 0 ; 1 0 ; 0 1 }\n")
         problem = parse_problem("map A B\nevidence C=c1\n", net)
-        real = solver._site
+        real = solver._conditional
         resampled = []
 
         def counting_site(*args):
@@ -337,7 +337,7 @@ class TestAnnealedMap:
                 resampled.append(args[1])
                 raise
 
-        monkeypatch.setattr(solver, "_site", counting_site)
+        monkeypatch.setattr(solver, "_conditional", counting_site)
         for seed in range(5):
             report = annealed_map(net, problem, AnnealSchedule(wait=2, stop=4),
                                   random.Random(seed), restarts=3, debug_check=True)
@@ -440,7 +440,7 @@ class TestSiteContext:
                     for net, problem, seed in runs]
 
         got = anneal_all()
-        monkeypatch.setattr(solver, "_site", _reference_kernel)
+        monkeypatch.setattr(solver, "_conditional", _reference_kernel)
         want = anneal_all()
         assert got == want
         assert all(r.trace for r in got)
