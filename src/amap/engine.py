@@ -518,20 +518,25 @@ def _indicator_plan(net: BayesianNetwork, problem: MapProblem) -> _Plan:
 
 def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
                   log_p_evidence: Optional[float] = None) -> float:
-    """ln p(x | evidence) with the non-MAP variables summed out.
+    """ln p(x | evidence) with the non-MAP variables summed out; x's states
+    override the evidence's.
 
-    `log_p_evidence` may carry a precomputed ln p(E) to avoid recomputing it
-    in scoring loops. A variable or state that `net` does not have raises
-    ValueError.
+    Both terms come from one plan, ln p(E) with an indicator on each variable
+    x binds and E does not: its tables are those of the ln p(E) plan, built
+    anyway when `log_p_evidence`, a precomputed ln p(E) for scoring loops, is
+    not given, and a full MAP assignment scores on the indicator plan. A
+    variable or state that `net` does not have raises ValueError, p(E) = 0
+    InconsistentEvidenceError.
     """
     context = {**evidence, **x}
     check_context(net, context)
+    plan = _plan(net, (), frozenset(evidence), "low", frozenset(x.keys() - evidence.keys()))
     if log_p_evidence is None:
-        log_p_evidence = eliminate(net, (), evidence).log_total()
+        check_context(net, evidence)  # x may override a state it does not have
+        log_p_evidence = _log_total(plan, evidence)
     if log_p_evidence == -math.inf:
         raise InconsistentEvidenceError("evidence has probability zero")
-    joint = eliminate(net, (), context).log_total()
-    return joint - log_p_evidence
+    return _log_total(plan, context) - log_p_evidence
 
 
 def _sample_index(dist: Sequence[float], rng: random.Random) -> int:

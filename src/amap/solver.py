@@ -365,7 +365,7 @@ def hill_climb_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
     only the steps above the flipped variable's indicator; ties keep the
     first move in map-variable, then state, order. The best move's score
     becomes the current score, so the climb strictly ascends that one
-    function. The final assignment is re-scored exactly with map_posterior."""
+    function; its final score less ln p(E) is the ln p(x|E) reported."""
     return _solve_components(prune(net, problem), lambda _, comp, __: _climb(comp))
 
 
@@ -396,5 +396,4 @@ def _climb(comp: Component) -> SolveReport:
         score = best_score
         steps += 1
     x = {v: s for v, s in context.items() if v in problem.map_vars}
-    return SolveReport(best=x, logp=map_posterior(net, x, problem.evidence, log_pe),
-                       sweeps=steps)
+    return SolveReport(best=x, logp=score - log_pe, sweeps=steps)

@@ -80,10 +80,11 @@ class TestEliminate:
         lambda net: map_posterior(net, Assignment({0: -1}), Assignment({2: 0})),
         lambda net: map_posterior(net, Assignment({0: 0}), Assignment({2: 2})),
         lambda net: map_posterior(net, Assignment({9: 0}), Assignment({2: 0})),
+        lambda net: map_posterior(net, Assignment({2: 0}), Assignment({2: -1})),
     ], ids=["cond-negative-state", "cond-state-too-high", "cond-unknown-var",
             "cond-unknown-target", "elim-negative-state", "elim-unknown-var",
             "elim-unknown-keep", "post-negative-state", "post-evidence-state",
-            "post-unknown-var"])
+            "post-unknown-var", "post-overridden-evidence-state"])
     def test_context_outside_the_network_rejected(self, sprinkler, call):
         # a negative state would wrap around to the last one, an unknown
         # variable would be ignored or raise a bare KeyError or IndexError
@@ -1018,6 +1019,67 @@ class TestMapPosterior:
                 assert got == -math.inf
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+    def test_matches_two_eliminations(self):
+        # ln p(E, x) - ln p(E) by two plain eliminations on a rebuilt network,
+        # for x empty, x a subset of the non-evidence variables, and x moving
+        # an evidence variable to another state; with and without ln p(E)
+        # supplied, and by enumeration where the joint is small
+        rng = random.Random(1616)
+        checked = 0
+        for i in range(60):
+            net = random_network(rng, rng.randint(2, 9) if i < 45 else rng.randint(20, 40),
+                                 max_parents=3)
+            problem = random_problem(rng, net)
+            evidence = problem.evidence
+            free = [v for v in range(len(net)) if v not in evidence]
+            xs = [Assignment(),
+                  Assignment({v: rng.randrange(net.cardinality(v)) for v in problem.map_vars}),
+                  Assignment({v: rng.randrange(net.cardinality(v))
+                              for v in rng.sample(free, rng.randint(1, len(free)))})]
+            if evidence:
+                v, s = next(iter(evidence.items()))
+                moved = Assignment({u: rng.randrange(net.cardinality(u))
+                                    for u in rng.sample(free, rng.randint(0, len(free)))})
+                moved[v] = (s + 1) % net.cardinality(v)
+                xs.append(moved)
+            ref = _rebuilt(net)
+            log_pe = eliminate(ref, (), evidence).log_total()
+            for x in xs:
+                if log_pe == -math.inf:
+                    with pytest.raises(InconsistentEvidenceError):
+                        map_posterior(net, x, evidence)
+                    continue
+                want = eliminate(ref, (), {**evidence, **x}).log_total() - log_pe
+                enum = (enum_map_posterior(net, x, evidence) if joint_size(net) <= 4096
+                        else None)
+                for got in (map_posterior(net, x, evidence),
+                            map_posterior(net, x, evidence, log_pe)):
+                    if want == -math.inf:
+                        assert got == -math.inf
+                        assert enum in (None, -math.inf)
+                        continue
+                    assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+                    if not x:  # no indicator bound: the plain ln p(E) plan
+                        assert got == 0.0
+                    if enum is not None:
+                        assert got == pytest.approx(enum, abs=1e-9)
+                    checked += 1
+        assert checked > 300
+
+    def test_full_map_assignment_scores_on_the_indicator_plan(self):
+        rng = random.Random(1617)
+        for _ in range(20):
+            net = random_network(rng, rng.randint(4, 30), max_parents=3)
+            problem = random_problem(rng, net)
+            engine._indicator_plan(net, problem)
+            plans = dict(net._plans)
+            x = Assignment({v: rng.randrange(net.cardinality(v)) for v in problem.map_vars})
+            try:
+                map_posterior(net, x, problem.evidence)
+            except InconsistentEvidenceError:
+                pass
+            assert net._plans == plans
 
 
 class TestForwardSample:

@@ -464,8 +464,9 @@ class TestSiteContext:
             assert sequential_init(net, problem) == _reference_init(net, problem)
 
     def test_plans_compiled_per_component(self, monkeypatch):
-        # hill climbing: the indicator plan and map_posterior's joint plan;
-        # anneal: those and one site plan per MAP variable
+        # hill climbing: the indicator plan alone, on which map_posterior
+        # scores a full MAP assignment; anneal: it and one site plan per MAP
+        # variable
         net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
         problem = generate_problem(net, 20, 20, random.Random(7))
         for k in range(len(prune(net, problem).components)):
@@ -474,10 +475,10 @@ class TestSiteContext:
                 monkeypatch.setattr(solver, "prune", lambda n, p: PrunedNetwork((comp,), ()))
                 if climb:
                     hill_climb_map(net, problem)
-                    want = 2
+                    want = 1
                 else:
                     annealed_map(net, problem, rng=random.Random(k), restarts=2)
-                    want = len(comp.problem.map_vars) + 2
+                    want = len(comp.problem.map_vars) + 1
                 assert len([key for key in comp.net._plans if key != engine._CPTS]) == want
 
 
@@ -591,6 +592,29 @@ class TestLocalOptimumInstance:
 
 
 class TestTrackingIdentity:
+    def test_drift_is_caught(self, monkeypatch):
+        # site records whose logs are shifted by 0.5 per state index make the
+        # tracked ln p(x|E) drift from exact elimination on the indicator plan
+        rng = random.Random(4)
+        net = random_network(rng, 8, max_parents=2)
+        problem = random_problem(rng, net)
+
+        def run(debug_check):
+            return annealed_map(net, problem, rng=random.Random(4), debug_check=debug_check)
+
+        run(True)  # exact sites track
+        real = solver._conditional
+
+        def shifted(net, j, plan, context):
+            site = real(net, j, plan, context)
+            return site._replace(logs=tuple(lp + 0.5 * s for s, lp in enumerate(site.logs)))
+
+        monkeypatch.setattr(solver, "_conditional", shifted)
+        with pytest.raises(solver.TrackingError, match=r"^final: tracked"):
+            run(False)
+        with pytest.raises(solver.TrackingError, match=r"^sweep \d+: tracked"):
+            run(True)
+
     def test_tracked_logp_matches_exact_each_sweep(self):
         rng = random.Random(300)
         for i in range(10):
