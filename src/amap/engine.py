@@ -146,12 +146,11 @@ class _Cpts:
 class _Plan:
     """A compiled elimination: the network's shared `cpts`, and the `final`
     node, whose inputs lead to every other node of the plan and whose axes
-    `perm` puts into `keep` order."""
+    are the `keep` variables in that order."""
 
     cpts: _Cpts
     final: _Node
     keep: Tuple[int, ...]
-    perm: Tuple[int, ...]
 
 
 def _bits(b: int) -> Iterator[int]:
@@ -163,13 +162,14 @@ def _bits(b: int) -> Iterator[int]:
 
 
 def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
-                    tie_break: str) -> List[int]:
-    """Elimination order over `elim` by the min-fill heuristic.
+                    cards: Sequence[int]) -> Tuple[List[int], int]:
+    """Elimination order over `elim` by the min-fill heuristic, ties to the
+    lowest id, and its width: the entries of the largest table it multiplies,
+    an eliminated variable and its neighbours then, of `cards[v]` states
+    each v (1 if `elim` is empty).
 
-    tie_break "low" picks the lowest variable id among equals; "high" the
-    highest (used only to check order-independence of results). Vertices
-    are renumbered 0.. in id order and each neighbourhood is an int bitset.
-    Each fill score is computed in full once, and again only for the
+    Vertices are renumbered 0.. in id order and each neighbourhood is an int
+    bitset. Each fill score is computed in full once, and again only for the
     neighbours N(v) of an eliminated v. No other vertex gains or loses a
     neighbour, so its score falls by exactly one per new fill edge with both
     ends among its neighbours: that is applied as a delta to the common
@@ -197,17 +197,17 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
         d = nbrs.bit_count()
         return (d * (d - 1) - present) // 2
 
-    sign = -1 if tie_break == "high" else 1
     # score[i]: vertex i's fill while it is still to be eliminated, else -1
     score = [-1] * len(ids)
     heap = []
     for i in map(local.__getitem__, elim):
         score[i] = fill(i)
-        heap.append((score[i], sign * i, i))
+        heap.append((score[i], i))
     heapq.heapify(heap)
     order: List[int] = []
+    width = 1
     while heap:
-        f, _, i = heapq.heappop(heap)
+        f, i = heapq.heappop(heap)
         if score[i] != f:
             continue  # stale entry, or i already eliminated
         order.append(ids[i])
@@ -215,40 +215,41 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
         nbrs = adj[i]
         outside = ~(nbrs | (1 << i))
         delta: Dict[int, int] = {}
+        size = cards[ids[i]]
         for a in _bits(nbrs):
+            size *= cards[ids[a]]
             new = nbrs & ~adj[a] & ~(1 << a)  # fill edges at a
             for b in _bits(new & ~((2 << a) - 1)):  # each edge once, as a < b
                 for w in _bits(adj[a] & adj[b] & outside):
                     delta[w] = delta.get(w, 0) + 1
             adj[a] = (adj[a] | new) & ~(1 << i)
+        width = max(width, size)
         for w, d in delta.items():
             if score[w] >= 0:
                 score[w] -= d
-                heapq.heappush(heap, (score[w], sign * w, w))
+                heapq.heappush(heap, (score[w], w))
         for u in _bits(nbrs):
             if score[u] >= 0:
                 f = fill(u)
                 if f != score[u]:
                     score[u] = f
-                    heapq.heappush(heap, (f, sign * u, u))
-    return order
+                    heapq.heappush(heap, (f, u))
+    return order, width
 
 
 def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
-          tie_break: str, indicators: FrozenSet[int] = frozenset()) -> _Plan:
+          indicators: FrozenSet[int] = frozenset()) -> _Plan:
     """The network's compiled plan for eliminating all but `keep` with the
     variables in `bound` fixed, compiled on first use. Each variable in
     `indicators` (disjoint from both) is eliminated, its CPT column masked
     to the state an evaluation's context binds it to, if any; the
     indicators do not change the order or the steps. Raises WidthCapError,
-    before any array is built, if a table would exceed MAX_TABLE_ENTRIES,
-    and ValueError for a tie_break other than "low" or "high"."""
-    key = (keep, bound, indicators, tie_break)
+    before any array is built or step interned, if the order's width or the
+    final product, laid out in `keep` order, exceeds MAX_TABLE_ENTRIES."""
+    key = (keep, bound, indicators)
     plan = net._plans.get(key)
     if plan is not None:
         return plan
-    if tie_break not in ("low", "high"):
-        raise ValueError(f"tie_break must be 'low' or 'high', not {tie_break!r}")
     cards = [v.cardinality for v in net.variables]
     scopes: List[Tuple[int, ...]] = []
     select: List[Optional[Tuple[int, ...]]] = []
@@ -258,36 +259,46 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
         scopes.append(full if sel is None else tuple([v for v in full if v not in bound]))
         select.append(sel)
     elim = set(range(len(cards))) - set(keep) - bound
-    order = _min_fill_order(scopes, elim, tie_break)
+    order, width = _min_fill_order(scopes, elim, cards)
+    width = max(width, math.prod([cards[v] for v in keep]))
+    if width > MAX_TABLE_ENTRIES:
+        raise WidthCapError(
+            f"elimination needs a table of {width} entries "
+            f"(2^{math.log2(width):.1f}), cap is {MAX_TABLE_ENTRIES}")
 
+    cpts = net._plans.get(_CPTS)
+    if cpts is None:
+        cpts = net._plans[_CPTS] = _Cpts(tuple(
+            np.asarray(cpt.table, dtype=float).reshape(
+                tuple(cards[v] for v in cpt.parents + (cpt.child,)))
+            for cpt in net.cpts))
     # holders[u]: the slots whose scope holds u, in slot order (the product
     # order); a slot stays listed once a step has consumed it, so `live`
-    # tells which are left
+    # tells which are left. refs[s] is what node inputs hold for slot s:
+    # CPT s as (s, selection pattern, takes-indicator), or a step's node
     holders: List[List[int]] = [[] for _ in cards]
     for s, sc in enumerate(scopes):
         for u in sc:
             holders[u].append(s)
     live = [True] * len(scopes)
-    steps: List[tuple] = []  # per step, its slots and then a node's fields
-    sizes: List[int] = []  # per step, the entries of its output
-    max_entries = 1
-    pos: Dict[int, int] = {}
+    refs: List[object] = [(s, sel, s in indicators) for s, sel in enumerate(select)]
     for v in order + [None]:
         if v is None:
             related = [s for s, alive in enumerate(live) if alive]
+            pos = {u: a for a, u in enumerate(keep)}  # the kept variables' axes
         else:
             related = [s for s in holders[v] if live[s]]
-        pos = {}  # each output variable's axis, in order of first appearance
-        inputs = []  # per input, its axes and whether all were new to pos
+            pos = {}  # each output variable's axis, in order of first appearance
+        placed = []  # per input, its axes and whether all were new to pos
         for s in related:
             live[s] = False
             before = len(pos)
             axes = [pos.setdefault(u, len(pos)) for u in scopes[s]]
-            inputs.append((axes, len(pos) - before == len(axes)))
+            placed.append((axes, len(pos) - before == len(axes)))
         shape = tuple(map(cards.__getitem__, pos))
         perms: List[Optional[Tuple[int, ...]]] = []
         shapes: List[Optional[Tuple[int, ...]]] = []
-        for s, (axes, new) in zip(related, inputs):
+        for s, (axes, new) in zip(related, placed):
             if new:  # axes handed out in scope order are ascending
                 perms.append(None)
                 low = axes[0] if axes else 0
@@ -304,35 +315,9 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
                 for a, u in zip(axes, scopes[s]):
                     padded[a] = cards[u]
                 shapes.append(tuple(padded))
-        size = math.prod(shape)
-        max_entries = max(max_entries, size)
-        sizes.append(size // (1 if v is None else cards[v]))
         axis = None if v is None else pos[v]
-        steps.append((tuple(related), tuple(perms), tuple(shapes), shape, axis))
-        if v is not None:
-            out = list(pos)
-            del out[axis]
-            for u in out:
-                holders[u].append(len(scopes))
-            live.append(True)
-            scopes.append(tuple(out))
-    if max_entries > MAX_TABLE_ENTRIES:
-        raise WidthCapError(
-            f"elimination needs a table of {max_entries} entries "
-            f"(2^{math.log2(max_entries):.1f}), cap is {MAX_TABLE_ENTRIES}")
-
-    cpts = net._plans.get(_CPTS)
-    if cpts is None:
-        cpts = net._plans[_CPTS] = _Cpts(tuple(
-            np.asarray(cpt.table, dtype=float).reshape(
-                tuple(cards[v] for v in cpt.parents + (cpt.child,)))
-            for cpt in net.cpts))
-    # intern each step as a node; refs[s] is what node inputs hold for slot
-    # s: CPT s as (s, selection pattern, takes-indicator), or a step's node
-    refs: List[object] = [(s, sel, s in indicators) for s, sel in enumerate(select)]
-    for (related, *fields), size in zip(steps, sizes):
         inputs = tuple(map(refs.__getitem__, related))
-        node_key = (inputs, *fields)
+        node_key = (inputs, tuple(perms), tuple(shapes), shape, axis)
         node = cpts.nodes.get(node_key)
         if node is None:
             support: Set[int] = set()
@@ -341,38 +326,47 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
                     support.update(a.support)
                 else:
                     s, sel, indicator = a
-                    support.update([v for v in sel or () if v >= 0])
+                    support.update([u for u in sel or () if u >= 0])
                     if indicator:
                         support.add(s)
+            size = math.prod(shape) // (1 if v is None else cards[v])
             keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
             cpts.retained += size if keeps else 0
             node = cpts.nodes[node_key] = _Node(*node_key, len(cpts.nodes),
                                                 tuple(sorted(support)), size, keeps)
         refs.append(node)
+        if v is not None:
+            out = list(pos)
+            del out[axis]
+            for u in out:
+                holders[u].append(len(scopes))
+            live.append(True)
+            scopes.append(tuple(out))
     for v in indicators - cpts.masks.keys():
         # CPT v's last axis is v's own column
         cpts.masks[v] = tuple(cpts.arrays[v] * (np.arange(cards[v]) == s)
                               for s in range(cards[v]))
-    plan = _Plan(cpts, node, keep, tuple(pos[v] for v in keep))
-    net._plans[key] = plan
+    plan = net._plans[key] = _Plan(cpts, node, keep)
     return plan
 
 
-def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment,
-              tie_break: str = "low") -> Factor:
+def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment) -> Factor:
     """Unnormalized f(keep) = sum over the rest of the CPT product, with
-    evidence rows selected. Scope order of the result follows `keep`.
+    evidence rows selected, on the plan compiled from the min-fill order
+    (ties to the lowest id). Scope order of the result follows `keep`.
 
     Only the steps whose node holds no output for the current values of its
     support are run; every other node's output and log scale are the ones
     running its step would give, bit for bit. A variable or state that
-    `net` does not have raises ValueError."""
+    `net` does not have, or a variable kept twice, raises ValueError."""
     keep_t = tuple(keep)
     check_context(net, evidence, keep_t)
     bound = frozenset(evidence.keys())
     if not bound.isdisjoint(keep_t):
         raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep_t))}")
-    return _factor(_plan(net, keep_t, bound, tie_break), evidence)
+    if len(set(keep_t)) != len(keep_t):
+        raise ValueError(f"keep lists a variable twice: {keep_t}")
+    return _factor(_plan(net, keep_t, bound), evidence)
 
 
 def _factor(plan: _Plan, context: Assignment) -> Factor:
@@ -383,8 +377,8 @@ def _factor(plan: _Plan, context: Assignment) -> Factor:
     final = plan.final
     # a C-ordered array of its own, of shape () for the empty scope: a kept
     # output is copied, one that is not is only made contiguous
-    return Factor(plan.keep, (np.array if final.keeps else np.asarray)(
-        out.transpose(plan.perm) if plan.keep else out, order="C"), final.scale)
+    return Factor(plan.keep, (np.array if final.keeps else np.asarray)(out, order="C"),
+                  final.scale)
 
 
 def _log_total(plan: _Plan, context: Assignment) -> float:
@@ -470,7 +464,7 @@ def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.nd
     check_context(net, context, (target,))
     if target in context:
         raise ValueError(f"target variable {target} is bound in the context")
-    return _conditional(net, target, _plan(net, (target,), frozenset(context.keys()), "low"),
+    return _conditional(net, target, _plan(net, (target,), frozenset(context.keys())),
                         context).dist
 
 
@@ -505,15 +499,14 @@ def _site_plans(net: BayesianNetwork, problem: MapProblem) -> Tuple[_Plan, ...]:
     """`conditional`'s plan for each MAP variable, in map-variable order,
     given the evidence and every other MAP variable."""
     bound = frozenset(problem.evidence.keys()).union(problem.map_vars)
-    return tuple(_plan(net, (j,), bound - {j}, "low") for j in problem.map_vars)
+    return tuple(_plan(net, (j,), bound - {j}) for j in problem.map_vars)
 
 
 def _indicator_plan(net: BayesianNetwork, problem: MapProblem) -> _Plan:
     """The plan of ln p(E) with an indicator on each MAP variable: on a
     context of E and any of the MAP variables, `_log_total` gives
     ln p(context), the unbound MAP variables summed out."""
-    return _plan(net, (), frozenset(problem.evidence.keys()), "low",
-                 frozenset(problem.map_vars))
+    return _plan(net, (), frozenset(problem.evidence.keys()), frozenset(problem.map_vars))
 
 
 def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
@@ -530,7 +523,7 @@ def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
     """
     context = {**evidence, **x}
     check_context(net, context)
-    plan = _plan(net, (), frozenset(evidence), "low", frozenset(x.keys() - evidence.keys()))
+    plan = _plan(net, (), frozenset(evidence), frozenset(x.keys() - evidence.keys()))
     if log_p_evidence is None:
         check_context(net, evidence)  # x may override a state it does not have
         log_p_evidence = _log_total(plan, evidence)

@@ -27,7 +27,6 @@ from .engine import (
     _site_plans,
     eliminate,
     forward_sample,
-    map_posterior,
     prune,
 )
 from .model import Assignment, BayesianNetwork, MapProblem
@@ -173,8 +172,10 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
     `sweeps_before`."""
     net, problem = comp.net, comp.problem
     evidence = problem.evidence
+    # every ln p(E, x) is scored on the indicator plan, as in hill climbing;
     # zero-probability evidence raises in sequential_init, on this plan
-    log_p_evidence = _log_total(_indicator_plan(net, problem), evidence)
+    indicator = _indicator_plan(net, problem)
+    log_p_evidence = _log_total(indicator, evidence)
     plans = _site_plans(net, problem)
     map_set = set(problem.map_vars)
     out = SolveReport(best={}, logp=-math.inf, restarts_used=restarts)
@@ -185,7 +186,7 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
         else:
             init = {v: s for v, s in forward_sample(net, rng).items() if v in map_set}
         context = {**evidence, **init}  # E and the current assignment x
-        logp = map_posterior(net, init, evidence, log_p_evidence)
+        logp = _log_total(indicator, context) - log_p_evidence
         best, best_logp, best_found = init.copy(), logp, sweep
         t = schedule.t0
         no_improve = 0
@@ -206,7 +207,7 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
                 except ImpossibleContextError:
                     # current neighborhood has probability zero: resample uniformly
                     context[j] = rng.randrange(net.cardinality(j))
-                    logp = map_posterior(net, context, evidence, log_p_evidence)
+                    logp = _log_total(indicator, context) - log_p_evidence
                     costs.append(best_logp - logp)
                     continue
                 cand = _sample_index(site.probs, rng)
@@ -215,7 +216,7 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
                 context[j] = cand if accept else cur
                 if accept:
                     if lp_old == -math.inf or logp == -math.inf:
-                        logp = map_posterior(net, context, evidence, log_p_evidence)
+                        logp = _log_total(indicator, context) - log_p_evidence
                     else:
                         logp = logp + lp_new - lp_old
                 if logp > best_logp + IMPROVE_EPS:
@@ -235,7 +236,7 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
             if trace is not None:
                 trace.append(TraceRow(index, restart, sweep, t, logp, best_logp, ch))
             if debug_check:
-                exact = map_posterior(net, context, evidence, log_p_evidence)
+                exact = _log_total(indicator, context) - log_p_evidence
                 if not math.isclose(logp, exact, rel_tol=0.0, abs_tol=TRACK_TOL):
                     raise TrackingError(f"sweep {sweep}: tracked {logp} vs exact {exact}")
 
@@ -251,7 +252,7 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
             else:
                 t = geometric_cool(t, schedule.alpha, schedule.t_min)
 
-        exact = map_posterior(net, best, evidence, log_p_evidence)
+        exact = _log_total(indicator, {**evidence, **best}) - log_p_evidence
         if not math.isclose(best_logp, exact, rel_tol=0.0, abs_tol=TRACK_TOL):
             raise TrackingError(f"final: tracked {best_logp} vs exact {exact}")
         if restart == 0 or exact > out.logp:
@@ -308,7 +309,10 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
     """Plain Gibbs sampling (temperature pinned at 1, no cooling, no stop
     rule). Returns the visited MAP-set configuration after every sweep, as
     state tuples in map-variable order. Every proposal is accepted: the
-    acceptance probability at temperature 1 is identically 1."""
+    acceptance probability at temperature 1 is identically 1. A negative
+    `sweeps` raises ValueError."""
+    if sweeps < 0:
+        raise ValueError(f"sweeps must be >= 0, got {sweeps}")
     context = {**problem.evidence, **sequential_init(net, problem)}
     plans = _site_plans(net, problem)
     out: List[Tuple[int, ...]] = []

@@ -107,3 +107,15 @@ def random_problem(rng: random.Random, net: BayesianNetwork) -> MapProblem:
     sample = forward_sample(net, rng)
     evidence = Assignment({v: sample[v] for v in leaves})
     return MapProblem(map_vars, evidence)
+
+
+def relabelled(net: BayesianNetwork) -> BayesianNetwork:
+    """The same network with its variable ids reversed: variable v becomes
+    n - 1 - v, a map that is its own inverse. Names, states, parent order
+    and tables are unchanged, so every probability is the same, but min-fill
+    meets the variables, and breaks its ties, in the opposite order."""
+    n = len(net)
+    variables = [Variable(n - 1 - v.id, v.name, v.states) for v in reversed(net.variables)]
+    cpts = [Cpt(n - 1 - c.child, tuple(n - 1 - p for p in c.parents), c.table)
+            for c in net.cpts]
+    return BayesianNetwork(net.name, variables, cpts)

@@ -415,6 +415,14 @@ class TestBenchCommand:
             assert flag[2:] in err and len(err.strip().splitlines()) == 1
             assert not out.exists()
 
+    def test_zero_cases_rejected(self, net_file, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--net", net_file, "--cases", "0",
+                     "--map-count", "1", "--evid-count", "1", "-o", str(out)])
+        assert code == 1
+        assert_one_error(capsys.readouterr().err, "error: cases must be >= 1")
+        assert not out.exists()
+
     def test_pool_size_capped(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         assert _pool_size(1, 10) == 1

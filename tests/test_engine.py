@@ -33,6 +33,7 @@ from netgen import (
     joint_size,
     random_network,
     random_problem,
+    relabelled,
 )
 
 # Brute-force sums over the sprinkler joint with W=t:
@@ -68,6 +69,11 @@ class TestEliminate:
     def test_overlap_rejected(self, sprinkler):
         with pytest.raises(ValueError, match="overlap"):
             eliminate(sprinkler, (0,), Assignment({0: 0}))
+
+    def test_repeated_keep_rejected(self, sprinkler):
+        with pytest.raises(ValueError, match=r"^keep lists a variable twice: \(1, 0, 1\)$"):
+            eliminate(sprinkler, (1, 0, 1), Assignment())
+        assert not sprinkler._plans
 
     @pytest.mark.parametrize("call", [
         lambda net: conditional(net, 1, Assignment({0: -1})),
@@ -116,18 +122,21 @@ class TestEliminate:
                     assert math.log(got) == pytest.approx(math.log(val), abs=1e-9)
 
     def test_tie_break_independence(self):
+        # min-fill breaks ties by the lowest id, so with the ids reversed it
+        # eliminates in another order
         rng = random.Random(77)
         for _ in range(20):
             net = random_network(rng, rng.randint(3, 9))
             keep = (rng.randrange(len(net)),)
-            f_low = eliminate(net, keep, Assignment(), tie_break="low")
-            f_high = eliminate(net, keep, Assignment(), tie_break="high")
-            np.testing.assert_allclose(f_low.values, f_high.values, rtol=1e-12)
+            f = eliminate(net, keep, Assignment())
+            g = eliminate(relabelled(net), (len(net) - 1 - keep[0],), Assignment())
+            np.testing.assert_allclose(f.values, g.values, rtol=1e-12)
 
 
-def _quadratic_min_fill_order(scopes, elim, tie_break):
+def _quadratic_min_fill_order(scopes, elim, cards):
     """Reference min-fill that rescans every remaining vertex at every step
-    (the engine's implementation before fill scores were kept)."""
+    (the engine's implementation before fill scores were kept), and its
+    width: the most entries of an eliminated vertex and its neighbours."""
     adjacency = {}
     for scope in scopes:
         for v in scope:
@@ -137,11 +146,10 @@ def _quadratic_min_fill_order(scopes, elim, tie_break):
                 if a != b:
                     adjacency[a].add(b)
     remaining = set(elim)
-    order = []
+    order, width = [], 1
     while remaining:
         best_v, best_fill = -1, None
-        candidates = sorted(remaining, reverse=(tie_break == "high"))
-        for v in candidates:
+        for v in sorted(remaining):
             nbrs = [u for u in adjacency.get(v, ()) if u in adjacency]
             fill = 0
             for i in range(len(nbrs)):
@@ -152,6 +160,7 @@ def _quadratic_min_fill_order(scopes, elim, tie_break):
                 best_v, best_fill = v, fill
         order.append(best_v)
         nbrs = [u for u in adjacency.get(best_v, ()) if u in adjacency]
+        width = max(width, cards[best_v] * math.prod(cards[u] for u in nbrs))
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 adjacency[nbrs[i]].add(nbrs[j])
@@ -160,7 +169,14 @@ def _quadratic_min_fill_order(scopes, elim, tie_break):
             adjacency[u].discard(best_v)
         adjacency.pop(best_v, None)
         remaining.discard(best_v)
-    return order
+    return order, width
+
+
+def _reversed_ids(n, scopes, elim, cards):
+    """The graph of `scopes` over vertices 0..n-1 with vertex v renamed
+    n - 1 - v, as `relabelled` renames a network's variables."""
+    return ([tuple(n - 1 - v for v in scope) for scope in scopes], {n - 1 - v for v in elim},
+            cards[::-1])
 
 
 def _tree(node, plain=False):
@@ -182,12 +198,13 @@ def _nodes(plan):
     return out
 
 
-def _reference_plan(net, keep, bound, tie_break):
-    """(tree, bound, perm, entries) of the plan `engine._plan` compiles,
+def _reference_plan(net, keep, bound):
+    """(tree, bound, entries, width) of the plan `engine._plan` compiles,
     its tree rendered as `_tree` renders it, assembled as the engine did
     before it indexed live slots by variable: two scans of every live slot
     per eliminated variable, and each input's permutation and shape found
-    by list searches."""
+    by list searches. The final product is laid out in `keep` order, and
+    width is the min-fill order's."""
     cards = [v.cardinality for v in net.variables]
     scopes, select = [], []
     for cpt in net.cpts:
@@ -196,12 +213,11 @@ def _reference_plan(net, keep, bound, tie_break):
         select.append(tuple(v if v in bound else -1 for v in full)
                       if len(scopes[-1]) < len(full) else None)
     elim = set(range(len(cards))) - set(keep) - bound
-    order = _min_fill_order(scopes, elim, tie_break)
+    order, width = _min_fill_order(scopes, elim, cards)
 
     live = list(range(len(scopes)))
     trees = [(s, sel, False) for s, sel in enumerate(select)]  # per slot
     entries = 0
-    scope = []
     for v in order + [None]:
         if v is None:
             related, live = live, []
@@ -210,7 +226,7 @@ def _reference_plan(net, keep, bound, tie_break):
             live = [s for s in live if v not in scopes[s]]
             if not related:
                 continue
-        scope = []
+        scope = list(keep) if v is None else []
         for s in related:
             scope.extend(u for u in scopes[s] if u not in scope)
         perms, shapes = [], []
@@ -230,7 +246,7 @@ def _reference_plan(net, keep, bound, tie_break):
         if v is not None:
             live.append(len(scopes))
             scopes.append(tuple(u for u in scope if u != v))
-    return (trees[-1], tuple(sorted(bound)), tuple(scope.index(v) for v in keep), entries)
+    return trees[-1], tuple(sorted(bound)), entries, width
 
 
 def _fill_edges(scopes, order):
@@ -311,9 +327,9 @@ class TestPlans:
             scopes = [tuple(rng.sample(range(n), rng.randint(0, min(4, n))))
                       for _ in range(rng.randint(0, 20))]
             elim = set(rng.sample(range(n), rng.randint(0, n)))
-            for tie_break in ("low", "high"):
-                assert _min_fill_order(scopes, set(elim), tie_break) == \
-                    _quadratic_min_fill_order(scopes, set(elim), tie_break)
+            cards = [2 + v % 3 for v in range(n)]
+            for graph in ((scopes, elim, cards), _reversed_ids(n, scopes, elim, cards)):
+                assert _min_fill_order(*graph) == _quadratic_min_fill_order(*graph)
 
     def test_min_fill_matches_quadratic_reference_on_wide_graphs(self):
         # graphs the size of r120's pruned components, where one elimination
@@ -325,19 +341,14 @@ class TestPlans:
             scopes = [tuple(rng.sample(range(n), rng.randint(2, 6)))
                       for _ in range(rng.randint(n // 2, n))]
             elim = set(rng.sample(range(n), rng.randint(n // 2, n)))
-            for tie_break in ("low", "high"):
-                order = _min_fill_order(scopes, set(elim), tie_break)
-                assert order == _quadratic_min_fill_order(scopes, set(elim), tie_break)
-                fills = _fill_edges(scopes, order)
+            cards = [2 + v % 3 for v in range(n)]
+            for graph in ((scopes, elim, cards), _reversed_ids(n, scopes, elim, cards)):
+                order, width = _min_fill_order(*graph)
+                assert (order, width) == _quadratic_min_fill_order(*graph)
+                fills = _fill_edges(graph[0], order)
                 several += sum(added >= 3 for added, _ in fills)
                 shared += sum(s for _, s in fills)
         assert several >= 500 and shared >= 5000
-
-    def test_unknown_tie_break_rejected(self, sprinkler):
-        for tie_break in ("middle", "LOW", ""):
-            with pytest.raises(ValueError, match="tie_break"):
-                eliminate(sprinkler, (0,), Assignment(), tie_break=tie_break)
-        assert not sprinkler._plans
 
     def test_plans_match_reference_assembly(self):
         rng = random.Random(13)
@@ -361,13 +372,19 @@ class TestPlans:
                     cases += [(comp.net, (j,), site), (comp.net, (j,), prefix)]
         assert len(cases) > 50
         for net, keep, bound in cases:
-            for tie_break in ("low", "high"):
-                plan = engine._plan(net, keep, bound, tie_break)
+            n = len(net)
+            for net, keep, bound in ((net, keep, bound),
+                                     (relabelled(net), tuple(n - 1 - v for v in keep),
+                                      frozenset(n - 1 - v for v in bound))):
+                plan = engine._plan(net, keep, bound)
                 # the final node's support is the bound set; the nodes'
-                # entries add up to the plan's
-                got = (_tree(plan.final), plan.final.support, plan.perm,
-                       sum(node.entries for node in _nodes(plan)))
-                assert got == _reference_plan(net, keep, bound, tie_break)
+                # entries add up to the plan's; the min-fill width is the
+                # largest table a summing step multiplies
+                got = (_tree(plan.final), plan.final.support,
+                       sum(node.entries for node in _nodes(plan)),
+                       max([math.prod(node.shape) for node in _nodes(plan)
+                            if node.axis is not None], default=1))
+                assert got == _reference_plan(net, keep, bound)
 
     def test_node_ranks_and_shared_masks(self):
         # A node's input nodes were all created before it, and indicator
@@ -375,11 +392,11 @@ class TestPlans:
         # CPT per indicator and state, built when the first plan compiles.
         net = random_network(random.Random(17), 20, max_parents=3, cards=(2, 3))
         ev = frozenset(range(14, 20))
-        first = engine._plan(net, (), ev, "low", frozenset({0, 1, 2, 3}))
+        first = engine._plan(net, (), ev, frozenset({0, 1, 2, 3}))
         cpts = first.cpts
         masks = dict(cpts.masks)
-        plans = [first, engine._plan(net, (), ev, "low", frozenset({2, 3, 4})),
-                 engine._plan(net, (5,), ev, "high", frozenset({0, 4}))]
+        plans = [first, engine._plan(net, (), ev, frozenset({2, 3, 4})),
+                 engine._plan(net, (5,), ev, frozenset({0, 4}))]
         plans += engine._site_plans(net, MapProblem((0, 1, 2, 3), {v: 0 for v in ev}))
         assert all(plan.cpts is cpts for plan in plans)
         assert sorted(cpts.masks) == [0, 1, 2, 3, 4]
@@ -414,8 +431,7 @@ def _rebuilt(net):
 def _unchecked_eliminate(net, keep, evidence):
     """`eliminate` without its check of the context, so that an out-of-range
     state fails part-way through the evaluation instead of before it."""
-    return engine._factor(engine._plan(net, tuple(keep), frozenset(evidence.keys()), "low"),
-                          evidence)
+    return engine._factor(engine._plan(net, tuple(keep), frozenset(evidence.keys())), evidence)
 
 
 def _sharpened(net):
@@ -489,8 +505,7 @@ def _evaluated(plan, context):
         return out, log_scale
 
     out, log_scale = run(_tree(plan.final))
-    return engine.Factor(plan.keep, np.array(out.transpose(plan.perm) if plan.keep else out,
-                                             order="C"), log_scale)
+    return engine.Factor(plan.keep, np.array(out, order="C"), log_scale)
 
 
 class TestStepReuse:
@@ -513,7 +528,10 @@ class TestStepReuse:
             bound = rng.sample(others, rng.randint(1, len(others)))
             free = [v for v in others if v not in bound]
             indicators = frozenset(lam_rng.sample(free, lam_rng.randint(0, len(free))))
-            for tie_break in ("low", "high"):
+            for net, keep, bound, indicators in (
+                    (net, keep, bound, indicators),
+                    (relabelled(net), tuple(n - 1 - v for v in keep), [n - 1 - v for v in bound],
+                     frozenset(n - 1 - v for v in indicators))):
                 ev = {v: rng.randrange(net.cardinality(v)) for v in bound}
                 lam = {}  # the bound indicators
                 for _ in range(12):
@@ -523,8 +541,8 @@ class TestStepReuse:
                         ev[v] = (ev[v] + 1) % net.cardinality(v)
                     elif move == "all":
                         ev = {v: rng.randrange(net.cardinality(v)) for v in bound}
-                    got = eliminate(net, keep, Assignment(ev), tie_break)
-                    want = eliminate(_rebuilt(net), keep, Assignment(ev), tie_break)
+                    got = eliminate(net, keep, Assignment(ev))
+                    want = eliminate(_rebuilt(net), keep, Assignment(ev))
                     _same_bits(got, want)
                     scales.append(got.log_scale)
 
@@ -538,18 +556,18 @@ class TestStepReuse:
                         v = lam_rng.choice(sorted(lam))
                         lam[v] = (lam[v] + 1) % net.cardinality(v)
                     context = Assignment({**ev, **lam})
-                    got = engine._factor(engine._plan(net, keep, frozenset(bound), tie_break,
-                                                      indicators), context)
+                    got = engine._factor(engine._plan(net, keep, frozenset(bound), indicators),
+                                         context)
                     want = engine._factor(engine._plan(_rebuilt(net), keep, frozenset(bound),
-                                                       tie_break, indicators), context)
+                                                       indicators), context)
                     _same_bits(got, want)
                     # a bound indicator selects its state as evidence would
-                    plain = eliminate(net, keep, context, tie_break)
+                    plain = eliminate(net, keep, context)
                     assert np.allclose(got.values * math.exp(got.log_scale),
                                        plain.values * math.exp(plain.log_scale),
                                        rtol=1e-12, atol=0.0)
                 for ind in (frozenset(), indicators):
-                    plan = net._plans[(keep, frozenset(bound), ind, tie_break)]
+                    plan = net._plans[(keep, frozenset(bound), ind)]
                     assert all(node.keeps and node.values is not None for node in _nodes(plan))
         # the sharpened nets go through the rescaling path
         assert any(scales) == sharpen
@@ -569,7 +587,7 @@ class TestStepReuse:
             want = eliminate(_rebuilt(net), (), ev)
             # the same steps as the plain plan, which the indicators leave as
             # they are, with the MAP variables' CPTs taking indicators
-            plain = engine._plan(net, (), frozenset(ev.keys()), "low")
+            plain = engine._plan(net, (), frozenset(ev.keys()))
             assert _tree(plan.final, plain=True) == _tree(plain.final, plain=True)
             cpts = [a for node in _nodes(plan) for a in node.inputs
                     if not isinstance(a, engine._Node)]
@@ -591,7 +609,7 @@ class TestStepReuse:
                 f = eliminate(net, keep, ev)
                 _same_bits(f, want)
                 f.values[...] = 7.0
-            plan = net._plans[(keep, frozenset(ev.keys()), frozenset(), "low")]
+            plan = net._plans[(keep, frozenset(ev.keys()), frozenset())]
             kept = [node.output for node in _nodes(plan)]
             assert not any(isinstance(a, np.ndarray) and a.flags.writeable for a in kept)
 
@@ -609,7 +627,7 @@ class TestStepReuse:
                 bound = rng.sample(others, rng.randint(0, len(others) // 2))
                 free = [v for v in others if v not in bound]
                 indicators = frozenset(rng.sample(free, rng.randint(0, len(free) // 2)))
-                plan = engine._plan(net, keep, frozenset(bound), "low", indicators)
+                plan = engine._plan(net, keep, frozenset(bound), indicators)
                 for _ in range(2):
                     sample = forward_sample(net, rng)
                     kept = bound + rng.sample(sorted(indicators), rng.randint(0, len(indicators)))
@@ -628,7 +646,7 @@ class TestStepReuse:
             f = eliminate(net, (0,), Assignment())
             assert f.values.tolist() == [0.2, 0.8]
             f.values[...] = 7.0
-        assert not net._plans[((0,), frozenset(), frozenset(), "low")].final.keeps
+        assert not net._plans[((0,), frozenset(), frozenset())].final.keeps
 
     def test_failed_evaluation_leaves_no_stale_output(self):
         # An out-of-range state fails part-way, after the steps before it
@@ -733,7 +751,7 @@ class TestStepReuse:
         for j in comp.problem.map_vars:
             contexts[j] = {**comp.problem.evidence, **x}
             contexts[j].pop(j, None)
-            plan = engine._plan(comp.net, (j,), frozenset(contexts[j].keys()), "low")
+            plan = engine._plan(comp.net, (j,), frozenset(contexts[j].keys()))
             # every site plan after the first finds nodes held by the others
             held = sum(node.values is not None for node in _nodes(plan))
             assert (held > 0) == bool(plans)
@@ -787,6 +805,11 @@ class TestConditional:
     def test_empty_context_reads_prior(self, sprinkler):
         dist = conditional(sprinkler, sprinkler.by_name("Rain").id, Assignment())
         assert dist == pytest.approx([0.2, 0.8], rel=1e-12)
+
+    def test_target_in_context_rejected(self, sprinkler):
+        with pytest.raises(ValueError, match="^target variable 1 is bound in the context$"):
+            conditional(sprinkler, 1, Assignment({1: 0, 2: 0}))
+        assert not sprinkler._plans
 
     def test_impossible_context(self):
         net = parse_network(

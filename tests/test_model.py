@@ -88,6 +88,10 @@ class TestJointLogProb:
                               [Cpt(0, (), ((0.8, 0.2),))])
         assert joint_log_prob(net, Assignment({0: 0})) == pytest.approx(math.log(0.8))
 
+    def test_state_out_of_range_raises(self, sprinkler):
+        with pytest.raises(ValueError, match="^state 2 out of range for 'Sprinkler'$"):
+            joint_log_prob(sprinkler, Assignment({0: 0, 1: 2, 2: 0}))
+
     def test_unbound_variable_raises(self, sprinkler):
         with pytest.raises(ValueError, match="bind"):
             joint_log_prob(sprinkler, Assignment({0: 0}))
@@ -168,3 +172,26 @@ class TestValidation:
     def test_map_problem_nonempty(self):
         with pytest.raises(ValueError, match="at least one"):
             MapProblem((), Assignment())
+
+    def test_map_problem_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate MAP variable$"):
+            MapProblem((0, 1, 0), Assignment())
+
+    @pytest.mark.parametrize("variables, cpts, message", [
+        ([Variable(0, "A", ("t", "f")), Variable(2, "B", ("t", "f"))],
+         [Cpt(0, (), ((0.5, 0.5),)), Cpt(1, (), ((0.5, 0.5),))],
+         r"variable ids must be dense 0\.\.1; got 2 at 1"),
+        ([Variable(0, "A", ("t", "f")), Variable(1, "B", ("t", "f"))],
+         [Cpt(0, (), ((0.5, 0.5),))],
+         "expected 2 cpts, got 1"),
+        ([Variable(0, "A", ("t", "f")), Variable(1, "B", ("t", "f"))],
+         [Cpt(0, (), ((0.5, 0.5),)), Cpt(0, (), ((0.4, 0.6),))],
+         "exactly one cpt per variable is required"),
+        ([Variable(0, "A", ("t", "f")), Variable(1, "B", ("t", "f"))],
+         [Cpt(0, (), ((0.5, 0.5),)), Cpt(1, (5,), ((0.5, 0.5), (0.5, 0.5)))],
+         "cpt for 'B' references unknown parent 5"),
+    ], ids=["sparse-ids", "cpt-count", "two-cpts-one-child", "unknown-parent"])
+    def test_network_shape_rejected(self, variables, cpts, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            BayesianNetwork("bad", variables, cpts)
+        assert type(info.value) is ValueError

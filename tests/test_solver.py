@@ -34,7 +34,8 @@ from amap import engine, solver
 from amap.cli import generate_problem
 from amap.engine import PrunedNetwork, _sample_index
 from conftest import ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT
-from netgen import disjoint_union, enum_best, joint_size, random_network, random_problem
+from netgen import (disjoint_union, enum_best, joint_size, random_network, random_problem,
+                    relabelled)
 
 
 def _reference_site(net, j, x, evidence):
@@ -103,6 +104,14 @@ class TestScheduleArithmetic:
         assert specific_heat([1.0, 2.0, 3.0], 0.5) == pytest.approx(8.0 / 3.0, rel=1e-12)
         assert specific_heat([5.0, 5.0, 5.0], 0.3) == 0.0
         assert specific_heat([0.0, 2.0], 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5])
+    def test_nonpositive_temperature_rejected(self, t):
+        message = f"^temperature must be positive, got {t}$"
+        with pytest.raises(ValueError, match=message):
+            geometric_cool(t, 0.8)
+        with pytest.raises(ValueError, match=message):
+            specific_heat([1.0, 2.0], t)
 
     def test_specific_heat_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -235,6 +244,45 @@ class TestBruteForce:
             assert report.logp == pytest.approx(want_lp, abs=1e-9)
 
 
+
+class TestRelabelling:
+    def test_answers_do_not_depend_on_variable_ids(self):
+        # min-fill breaks its ties by the lowest id, so the copy with its ids
+        # reversed is pruned, ordered and eliminated another way
+        rng = random.Random(211)
+        checked = unique = 0
+        while checked < 30:
+            net = random_network(rng, rng.randint(4, 25), max_parents=3)
+            problem = random_problem(rng, net)
+            if math.prod(net.cardinality(v) for v in problem.map_vars) > 4096:
+                continue
+            n = len(net)
+
+            def flip(x):
+                return {n - 1 - v: s for v, s in x.items()}
+
+            flipped = relabelled(net)
+            flipped_problem = MapProblem(tuple(n - 1 - v for v in problem.map_vars),
+                                         flip(problem.evidence))
+            try:
+                want = brute_force_map(net, problem)
+            except InconsistentEvidenceError:
+                continue
+            checked += 1
+            got = brute_force_map(flipped, flipped_problem)
+            assert got.logp == pytest.approx(want.logp, rel=0.0, abs=1e-9)
+            f = eliminate(net, problem.map_vars, problem.evidence)
+            top = sorted(f.values.reshape(-1).tolist(), reverse=True)
+            if len(top) == 1 or math.log(top[0]) - math.log(top[1]) > 1e-9:
+                unique += 1
+                assert flip(got.best) == want.best
+            x = {v: rng.randrange(net.cardinality(v)) for v in problem.map_vars}
+            for y in (want.best, x):
+                assert map_posterior(flipped, flip(y), flipped_problem.evidence) == \
+                    pytest.approx(map_posterior(net, y, problem.evidence), rel=0.0, abs=1e-12)
+        assert unique >= 25
+
+
 class TestAnnealedMap:
     def test_single_variable_exact(self):
         net = parse_network("network n\nvar A { t, f }\ncpt A { 0.2 0.8 }\n")
@@ -318,6 +366,10 @@ class TestAnnealedMap:
         with pytest.raises(InconsistentEvidenceError):
             annealed_map(net, MapProblem((0,), Assignment({1: 1})))
 
+    def test_zero_restarts_rejected(self, sprinkler, sprinkler_problem):
+        with pytest.raises(ValueError, match="^restarts must be >= 1, got 0$"):
+            annealed_map(sprinkler, sprinkler_problem, restarts=0)
+
     def test_zero_context_resample(self, monkeypatch):
         # Only (a1, b1) explains C = c1. A restart from a prior sample such
         # as (a0, b0) has p(E, x) = 0 and no site has a context of positive
@@ -351,6 +403,13 @@ class TestGibbsChain:
         assert len(chain) == 500
         # (S=f, R=f) has zero posterior mass given W=t and must never appear
         assert (1, 1) not in set(chain)
+
+    def test_sweep_count_checked(self, sprinkler, sprinkler_problem):
+        assert gibbs_chain(sprinkler, sprinkler_problem, 0, random.Random(6)) == []
+        rng = random.Random(6)
+        with pytest.raises(ValueError, match="^sweeps must be >= 0, got -1$"):
+            gibbs_chain(sprinkler, sprinkler_problem, -1, rng)
+        assert rng.getstate() == random.Random(6).getstate()
 
     def test_same_chain_as_reference_sites(self, sprinkler, sprinkler_problem):
         chain = gibbs_chain(sprinkler, sprinkler_problem, 300, random.Random(8))
