@@ -202,17 +202,12 @@ def _timed_run(algo: str, net: BayesianNetwork, problem: MapProblem,
     return report, (time.perf_counter() - start) * 1000.0, None
 
 
-def _bench_case(config: BenchConfig, net_text: str, problem_text: str, case: int
+def _bench_case(config: BenchConfig, net: BayesianNetwork, problem: MapProblem, case: int
                 ) -> Tuple[List[ReportRow], List[Tuple[str, str]]]:
     """Run one case; returns its report rows, and the (algorithm, reason)
     of each algorithm skipped because an elimination would exceed the
     table-size cap. An oracle over its MAP-space cap has no row and no
-    reason.
-
-    Re-parses inputs so the job is picklable for worker processes.
-    """
-    net = fileio.parse_network(net_text)
-    problem = fileio.parse_problem(problem_text, net)
+    reason."""
     # the oracle runs first, listed or not, for every row's matches_oracle;
     # it draws no random numbers, so its seed is immaterial
     oracle_run = _timed_run("oracle", net, problem, config, 0)
@@ -243,13 +238,12 @@ def _bench_case(config: BenchConfig, net_text: str, problem_text: str, case: int
 def run_bench(config: BenchConfig) -> List[ReportRow]:
     rows: List[ReportRow] = []
     for net_index, net_path in enumerate(config.net_paths):
-        net_text = _read(net_path)
-        net = fileio.parse_network(net_text)
+        net = fileio.parse_network(_read(net_path))
         jobs = []
         for case in range(config.cases):
             gen_rng = random.Random(_mix_seed(config.seed, net_index, case))
             problem = generate_problem(net, config.map_count, config.evid_count, gen_rng)
-            jobs.append((config, net_text, fileio.serialize_problem(problem, net), case))
+            jobs.append((config, net, problem, case))
         workers = _pool_size(config.workers, config.cases)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

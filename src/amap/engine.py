@@ -3,15 +3,16 @@ plus prior forward sampling.
 
 Each elimination is compiled once per network, kept variables, set of
 bound variables and set of indicator variables into a plan. The steps of
-all of a network's plans form one graph: a step is a node whose inputs are
-CPTs and earlier nodes, identical steps are one node, and a plan is its
-final node. A node keeps its output while the bound and indicator
-variables that output depends on keep their values, so a call walks down
-from the final node and runs only the nodes whose output is not already
-held for the current values. The final node of a site plan (keep one
-variable) also memoises the site records `conditional` makes from its
-output, one per value tuple of its support: the normalised conditional as
-a read-only array, as Python floats and as their logs. A site update that
+all of a network's plans form one graph: a step is a node keyed by the
+CPTs and nodes it multiplies and the variable it sums out, identical steps
+are one node, and a plan is its final node, the root of a tree. A node
+keeps its output while the bound and indicator variables that output
+depends on keep their values, so a call walks down from the final node and
+runs, children first, only the nodes whose output is not already held for
+the current values. The final node of a site plan (keep one variable)
+also memoises the site records `conditional` makes from its output, one
+per value tuple of its support: the normalised conditional as a read-only
+array, as Python floats and as their logs. A site update that
 returns to an earlier neighbourhood costs one dictionary lookup. Records
 count against the same per-network budget as kept outputs, and a context
 of probability zero is never memoised.
@@ -86,11 +87,11 @@ class Factor:
 class _Node:
     """One elimination step and its output, one object for every plan of
     the network that runs an identical step: multiply `inputs` into a table
-    of `shape`, each input transposed by `perms[i]` and reshaped by
-    `shapes[i]` (None where that is a no-op), then sum out `axis` (None for
-    a plan's final product). An input is a CPT, as (index, selection
-    pattern or None, whether it takes an indicator), or another node, whose
-    `rank`, its creation number within the network, is below this one's.
+    over `scope`, the product's variables in axis order, each input
+    transposed by `perms[i]` and reshaped by `shapes[i]` (None where that is
+    a no-op), then sum out `axis` (None for a plan's final product, whose
+    scope is the kept variables). An input is a CPT, as (index, selection
+    pattern or None, whether it takes an indicator), or another node.
 
     The output depends only on the values of `support`, the bound variables
     that the step's subtree selects on and the indicator variables whose
@@ -105,9 +106,8 @@ class _Node:
     inputs: Tuple[object, ...]
     perms: Tuple[Optional[Tuple[int, ...]], ...]
     shapes: Tuple[Optional[Tuple[int, ...]], ...]
-    shape: Tuple[int, ...]
+    scope: Tuple[int, ...]
     axis: Optional[int]
-    rank: int
     support: Tuple[int, ...]
     entries: int
     keeps: bool
@@ -133,8 +133,9 @@ class _Cpts:
     of its states, and the nodes, all shared by its plans, with the number
     of table entries those nodes keep, a site record counting as its three
     values per state and its key's values (at most MAX_TABLE_ENTRIES in
-    all). A node's key is its `inputs`, `perms`, `shapes`, `shape` and
-    `axis`."""
+    all). A node's key is what it multiplies and what it sums out:
+    (`inputs`, v) for a step that sums out variable v, and (`inputs`, keep)
+    for a plan's final product; its layout follows from the key."""
 
     arrays: Tuple[np.ndarray, ...]
     masks: Dict[int, Tuple[np.ndarray, ...]] = field(default_factory=dict)
@@ -145,12 +146,11 @@ class _Cpts:
 @dataclass(eq=False)
 class _Plan:
     """A compiled elimination: the network's shared `cpts`, and the `final`
-    node, whose inputs lead to every other node of the plan and whose axes
-    are the `keep` variables in that order."""
+    node, whose inputs lead to every other node of the plan, each reached
+    once, and whose scope is the kept variables in their given order."""
 
     cpts: _Cpts
     final: _Node
-    keep: Tuple[int, ...]
 
 
 def _bits(b: int) -> Iterator[int]:
@@ -237,6 +237,53 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
     return order, width
 
 
+def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
+          scopes: Sequence[Tuple[int, ...]], v: Optional[int], keep: Tuple[int, ...]) -> _Node:
+    """A new node multiplying `inputs`, of `scopes`, and summing out `v`, or
+    for v None a plan's final product, laid out in `keep` order. Any other
+    variable takes the next axis where it first appears."""
+    pos = {u: a for a, u in enumerate(keep)} if v is None else {}
+    placed = []  # per input, its axes and whether all were new to pos
+    for sc in scopes:
+        before = len(pos)
+        axes = [pos.setdefault(u, len(pos)) for u in sc]
+        placed.append((axes, len(pos) - before == len(axes)))
+    scope = tuple(pos)
+    perms: List[Optional[Tuple[int, ...]]] = []
+    shapes: List[Optional[Tuple[int, ...]]] = []
+    for sc, (axes, new) in zip(scopes, placed):
+        if new:  # axes handed out in scope order are ascending
+            perms.append(None)
+            low = axes[0] if axes else 0
+        else:
+            ordered = sorted(axes)
+            perms.append(None if ordered == axes else tuple(map(axes.index, ordered)))
+            low = ordered[0]
+        # broadcasting already supplies leading unit axes, so a reshape is
+        # needed only when the input's axes do not end the output's
+        if not axes or low == len(scope) - len(axes):
+            shapes.append(None)
+        else:
+            padded = [1] * len(scope)
+            for a, u in zip(axes, sc):
+                padded[a] = cards[u]
+            shapes.append(tuple(padded))
+    support: Set[int] = set()
+    for a in inputs:
+        if isinstance(a, _Node):
+            support.update(a.support)
+        else:
+            s, sel, indicator = a
+            support.update([u for u in sel or () if u >= 0])
+            if indicator:
+                support.add(s)
+    size = math.prod(map(cards.__getitem__, scope)) // (1 if v is None else cards[v])
+    keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
+    cpts.retained += size if keeps else 0
+    return _Node(inputs, tuple(perms), tuple(shapes), scope, None if v is None else pos[v],
+                 tuple(sorted(support)), size, keeps)
+
+
 def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
           indicators: FrozenSet[int] = frozenset()) -> _Plan:
     """The network's compiled plan for eliminating all but `keep` with the
@@ -245,19 +292,24 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
     to the state an evaluation's context binds it to, if any; the
     indicators do not change the order or the steps. Raises WidthCapError,
     before any array is built or step interned, if the order's width or the
-    final product, laid out in `keep` order, exceeds MAX_TABLE_ENTRIES."""
+    final product, laid out in `keep` order, exceeds MAX_TABLE_ENTRIES.
+    Each slot, a CPT or a step's output, goes into the bucket of its first
+    variable in the order, or the final product's if it has none, and the
+    step for v multiplies v's bucket in slot order."""
     key = (keep, bound, indicators)
     plan = net._plans.get(key)
     if plan is not None:
         return plan
     cards = [v.cardinality for v in net.variables]
+    # per slot, its scope, and what node inputs hold for it: CPT s as (s,
+    # selection pattern, takes-indicator), or a step's node
     scopes: List[Tuple[int, ...]] = []
-    select: List[Optional[Tuple[int, ...]]] = []
-    for cpt in net.cpts:
+    refs: List[object] = []
+    for s, cpt in enumerate(net.cpts):
         full = cpt.parents + (cpt.child,)
         sel = None if bound.isdisjoint(full) else tuple([v if v in bound else -1 for v in full])
         scopes.append(full if sel is None else tuple([v for v in full if v not in bound]))
-        select.append(sel)
+        refs.append((s, sel, s in indicators))
     elim = set(range(len(cards))) - set(keep) - bound
     order, width = _min_fill_order(scopes, elim, cards)
     width = max(width, math.prod([cards[v] for v in keep]))
@@ -272,81 +324,30 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             np.asarray(cpt.table, dtype=float).reshape(
                 tuple(cards[v] for v in cpt.parents + (cpt.child,)))
             for cpt in net.cpts))
-    # holders[u]: the slots whose scope holds u, in slot order (the product
-    # order); a slot stays listed once a step has consumed it, so `live`
-    # tells which are left. refs[s] is what node inputs hold for slot s:
-    # CPT s as (s, selection pattern, takes-indicator), or a step's node
-    holders: List[List[int]] = [[] for _ in cards]
+    # at[u]: the bucket of a slot whose first variable is u; kept ones file last
+    at = dict.fromkeys(keep, len(order))
+    at.update(zip(order, range(len(order))))
+    buckets: List[List[int]] = [[] for _ in range(len(order) + 1)]
     for s, sc in enumerate(scopes):
-        for u in sc:
-            holders[u].append(s)
-    live = [True] * len(scopes)
-    refs: List[object] = [(s, sel, s in indicators) for s, sel in enumerate(select)]
-    for v in order + [None]:
-        if v is None:
-            related = [s for s, alive in enumerate(live) if alive]
-            pos = {u: a for a, u in enumerate(keep)}  # the kept variables' axes
-        else:
-            related = [s for s in holders[v] if live[s]]
-            pos = {}  # each output variable's axis, in order of first appearance
-        placed = []  # per input, its axes and whether all were new to pos
-        for s in related:
-            live[s] = False
-            before = len(pos)
-            axes = [pos.setdefault(u, len(pos)) for u in scopes[s]]
-            placed.append((axes, len(pos) - before == len(axes)))
-        shape = tuple(map(cards.__getitem__, pos))
-        perms: List[Optional[Tuple[int, ...]]] = []
-        shapes: List[Optional[Tuple[int, ...]]] = []
-        for s, (axes, new) in zip(related, placed):
-            if new:  # axes handed out in scope order are ascending
-                perms.append(None)
-                low = axes[0] if axes else 0
-            else:
-                ordered = sorted(axes)
-                perms.append(None if ordered == axes else tuple(map(axes.index, ordered)))
-                low = ordered[0]
-            # broadcasting already supplies leading unit axes, so a reshape
-            # is needed only when the input's axes do not end the output's
-            if not axes or low == len(shape) - len(axes):
-                shapes.append(None)
-            else:
-                padded = [1] * len(shape)
-                for a, u in zip(axes, scopes[s]):
-                    padded[a] = cards[u]
-                shapes.append(tuple(padded))
-        axis = None if v is None else pos[v]
-        inputs = tuple(map(refs.__getitem__, related))
-        node_key = (inputs, tuple(perms), tuple(shapes), shape, axis)
+        buckets[min(map(at.__getitem__, sc)) if sc else len(order)].append(s)
+    for i, v in enumerate(order + [None]):
+        slots = buckets[i]
+        inputs = tuple([refs[s] for s in slots])
+        node_key = (inputs, keep if v is None else v)
         node = cpts.nodes.get(node_key)
         if node is None:
-            support: Set[int] = set()
-            for a in inputs:
-                if isinstance(a, _Node):
-                    support.update(a.support)
-                else:
-                    s, sel, indicator = a
-                    support.update([u for u in sel or () if u >= 0])
-                    if indicator:
-                        support.add(s)
-            size = math.prod(shape) // (1 if v is None else cards[v])
-            keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
-            cpts.retained += size if keeps else 0
-            node = cpts.nodes[node_key] = _Node(*node_key, len(cpts.nodes),
-                                                tuple(sorted(support)), size, keeps)
-        refs.append(node)
+            node = cpts.nodes[node_key] = _step(cpts, cards, inputs, [scopes[s] for s in slots],
+                                                v, keep)
         if v is not None:
-            out = list(pos)
-            del out[axis]
-            for u in out:
-                holders[u].append(len(scopes))
-            live.append(True)
-            scopes.append(tuple(out))
+            out = tuple([u for u in node.scope if u != v])
+            buckets[min(map(at.__getitem__, out)) if out else len(order)].append(len(scopes))
+            scopes.append(out)
+            refs.append(node)
     for v in indicators - cpts.masks.keys():
         # CPT v's last axis is v's own column
         cpts.masks[v] = tuple(cpts.arrays[v] * (np.arange(cards[v]) == s)
                               for s in range(cards[v]))
-    plan = net._plans[key] = _Plan(cpts, node, keep)
+    plan = net._plans[key] = _Plan(cpts, node)
     return plan
 
 
@@ -361,6 +362,7 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment) -
     `net` does not have, or a variable kept twice, raises ValueError."""
     keep_t = tuple(keep)
     check_context(net, evidence, keep_t)
+    keep_t = tuple(map(int, keep_t))  # the cached plan builds every result scope from these
     bound = frozenset(evidence.keys())
     if not bound.isdisjoint(keep_t):
         raise ValueError(f"keep and evidence overlap on {sorted(bound.intersection(keep_t))}")
@@ -377,7 +379,7 @@ def _factor(plan: _Plan, context: Assignment) -> Factor:
     final = plan.final
     # a C-ordered array of its own, of shape () for the empty scope: a kept
     # output is copied, one that is not is only made contiguous
-    return Factor(plan.keep, (np.array if final.keeps else np.asarray)(out, order="C"),
+    return Factor(final.scope, (np.array if final.keeps else np.asarray)(out, order="C"),
                   final.scale)
 
 
@@ -392,31 +394,30 @@ def _output(plan: _Plan, context: Assignment) -> np.ndarray:
     """The plan's final output for the context's values, which the final
     node keeps only if it `keeps`."""
     final = plan.final
-    values = tuple(map(context.get, final.support))
-    if values != final.values:
-        _run(plan, context, values)
+    if tuple(map(context.get, final.support)) != final.values:
+        _run(plan, context)
     out = final.output
     if not final.keeps:
         final.output = None
     return out
 
 
-def _run(plan: _Plan, context: Assignment, values: Tuple[Optional[int], ...]) -> None:
-    """Bring the plan's final node, which holds no output for `values`, up to
-    date: from it down, each such node's input nodes are checked in turn,
-    and then the nodes found are run in rank order. A node's values are set
-    only once its output is, so a failed evaluation leaves nothing stale."""
+def _run(plan: _Plan, context: Assignment) -> None:
+    """Bring the plan's final node up to date for the context's values: from
+    it down, each node that holds no output for them has its input nodes
+    checked in turn, and the nodes found then run in reverse order of
+    discovery, so each after the nodes it reads, as a plan is a tree. A
+    node's values are set only once its output is, so a failed evaluation
+    leaves nothing stale."""
     arrays, masks = plan.cpts.arrays, plan.cpts.masks
-    todo = [(plan.final, values)]
-    stack = [a for a in plan.final.inputs if isinstance(a, _Node)]
+    todo, stack = [], [plan.final]
     while stack:
         node = stack.pop()
         values = tuple(map(context.get, node.support))
         if values != node.values:
             todo.append((node, values))
             stack.extend([a for a in node.inputs if isinstance(a, _Node)])
-    todo.sort(key=lambda job: job[0].rank)
-    for node, values in todo:
+    for node, values in reversed(todo):
         out = None
         log_scale = 0.0
         for a, perm, shape in zip(node.inputs, node.perms, node.shapes):

@@ -10,6 +10,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 ROW_SUM_TOL = 1e-6
@@ -198,14 +199,15 @@ class MapProblem:
 
 def check_context(net: BayesianNetwork, context: Assignment, free: Iterable[int] = ()) -> None:
     """Raise ValueError unless every variable in `free` and in `context` is
-    one of `net`'s and every state `context` binds is one of its variable's."""
+    one of `net`'s and every state `context` binds is one of its variable's.
+    Ids and states are Python or numpy integers; a bool is refused."""
     n = len(net)
     for v in itertools.chain(free, context.keys()):
-        if not (0 <= v < n):
-            raise ValueError(f"variable {v} not in network {net.name!r}")
+        if isinstance(v, bool) or not (isinstance(v, Integral) and 0 <= v < n):
+            raise ValueError(f"variable {v!r} not in network {net.name!r}")
     for v, s in context.items():
-        if not (0 <= s < net.cardinality(v)):
-            raise ValueError(f"state {s} out of range for {net.var(v).name!r}")
+        if isinstance(s, bool) or not (isinstance(s, Integral) and 0 <= s < net.cardinality(v)):
+            raise ValueError(f"state {s!r} out of range for {net.var(v).name!r}")
 
 
 def topological_order(net: BayesianNetwork) -> Tuple[int, ...]:

@@ -14,6 +14,7 @@ from amap import (
     ImpossibleContextError,
     InconsistentEvidenceError,
     MapProblem,
+    Variable,
     WidthCapError,
     conditional,
     eliminate,
@@ -98,6 +99,47 @@ class TestEliminate:
             call(sprinkler)
         assert type(info.value) is ValueError
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda net: eliminate(net, (), {2: 0.0}), "state 0.0 out of range for 'WetGrass'"),
+        (lambda net: eliminate(net, (), {2.0: 0}), "variable 2.0 not in network 'sprinkler'"),
+        (lambda net: eliminate(net, (True,), {}), "variable True not in network 'sprinkler'"),
+        (lambda net: conditional(net, 1, {0: True}), "state True out of range for 'Rain'"),
+        (lambda net: conditional(net, 1.0, {}), "variable 1.0 not in network 'sprinkler'"),
+        (lambda net: conditional(net, 1, {"0": 0}), "variable '0' not in network 'sprinkler'"),
+        (lambda net: map_posterior(net, {0: 0}, {2: False}),
+         "state False out of range for 'WetGrass'"),
+        (lambda net: map_posterior(net, {0: 0.5}, {2: 0}), "state 0.5 out of range for 'Rain'"),
+        (lambda net: map_posterior(net, {0.5: 0}, {2: 0}),
+         "variable 0.5 not in network 'sprinkler'"),
+        (lambda net: MapProblem((1.0,), {}).validate_for(net),
+         "variable 1.0 not in network 'sprinkler'"),
+        (lambda net: MapProblem((0,), {True: 0}).validate_for(net),
+         "variable True not in network 'sprinkler'"),
+        (lambda net: MapProblem((0,), {2: True}).validate_for(net),
+         "state True out of range for 'WetGrass'"),
+    ], ids=["elim-float-state", "elim-float-var", "elim-bool-keep", "cond-bool-state",
+            "cond-float-target", "cond-str-var", "post-bool-evidence-state",
+            "post-float-state", "post-float-var", "problem-float-map-var",
+            "problem-bool-evidence-var", "problem-bool-state"])
+    def test_non_integer_context_rejected(self, sprinkler, call, message):
+        # a float or bool would index a CPT as numpy reads it, or fail there
+        with pytest.raises(ValueError) as info:
+            call(sprinkler)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self, sprinkler):
+        i = np.int64
+        ev = {i(2): np.uint8(0)}
+        _same_bits(eliminate(sprinkler, (i(0),), ev), eliminate(_rebuilt(sprinkler), (0,), {2: 0}))
+        # the plan compiled from numpy ids gives a plain call plain ids
+        assert type(eliminate(sprinkler, (0,), {2: 0}).scope[0]) is int
+        assert conditional(sprinkler, i(1), ev).tolist() == \
+            conditional(_rebuilt(sprinkler), 1, {2: 0}).tolist()
+        assert map_posterior(sprinkler, {i(0): i(1)}, ev) == \
+            map_posterior(_rebuilt(sprinkler), {0: 1}, {2: 0})
+        MapProblem((i(0), i(1)), ev).validate_for(sprinkler)
+
     def test_matches_enumeration_on_random_nets(self):
         rng = random.Random(31)
         checked = 0
@@ -180,11 +222,11 @@ def _reversed_ids(n, scopes, elim, cards):
 
 
 def _tree(node, plain=False):
-    """A node as a nested tuple (inputs, perms, shapes, shape, axis), each
+    """A node as a nested tuple (inputs, perms, shapes, scope, axis), each
     input a CPT as (index, selection pattern, takes-indicator), or as
     (index, selection pattern) if `plain`, or an input node's tree."""
     return (tuple(_tree(a, plain) if isinstance(a, engine._Node) else (a[:2] if plain else a)
-                  for a in node.inputs), node.perms, node.shapes, node.shape, node.axis)
+                  for a in node.inputs), node.perms, node.shapes, node.scope, node.axis)
 
 
 def _nodes(plan):
@@ -238,11 +280,10 @@ def _reference_plan(net, keep, bound):
             lead = next((i for i, u in enumerate(scope) if u in scopes[s]), len(scope))
             shapes.append(None if shape[lead:] == tuple(cards[u] for u in present)
                           else shape)
-        shape = tuple(cards[u] for u in scope)
-        entries += math.prod(shape) // (1 if v is None else cards[v])
+        entries += math.prod(cards[u] for u in scope) // (1 if v is None else cards[v])
         axis = None if v is None else scope.index(v)
         trees.append((tuple(trees[s] for s in related), tuple(perms), tuple(shapes),
-                      shape, axis))
+                      tuple(scope), axis))
         if v is not None:
             live.append(len(scopes))
             scopes.append(tuple(u for u in scope if u != v))
@@ -382,12 +423,12 @@ class TestPlans:
                 # largest table a summing step multiplies
                 got = (_tree(plan.final), plan.final.support,
                        sum(node.entries for node in _nodes(plan)),
-                       max([math.prod(node.shape) for node in _nodes(plan)
+                       max([math.prod(map(net.cardinality, node.scope)) for node in _nodes(plan)
                             if node.axis is not None], default=1))
                 assert got == _reference_plan(net, keep, bound)
 
-    def test_node_ranks_and_shared_masks(self):
-        # A node's input nodes were all created before it, and indicator
+    def test_plan_trees_and_shared_masks(self):
+        # No node is reached twice from a plan's final node, and indicator
         # plans of one network with overlapping indicators read one masked
         # CPT per indicator and state, built when the first plan compiles.
         net = random_network(random.Random(17), 20, max_parents=3, cards=(2, 3))
@@ -405,10 +446,38 @@ class TestPlans:
             for state, masked in enumerate(per_state):
                 want = cpts.arrays[v] * (np.arange(net.cardinality(v)) == state)
                 assert masked.tobytes() == want.tobytes()
-        nodes = list(cpts.nodes.values())
-        assert sorted(node.rank for node in nodes) == list(range(len(nodes)))
-        for node in nodes:
-            assert all(a.rank < node.rank for a in node.inputs if isinstance(a, engine._Node))
+        for plan in plans:
+            nodes = _nodes(plan)
+            assert len({id(node) for node in nodes}) == len(nodes)
+
+    def test_deep_chain_matches_backward_messages(self):
+        # X0 -> X1 -> ... -> X2999 with evidence on X2999: keeping X0, the
+        # plan sums out X2998 down to X1, a tree 2,999 nodes deep, beyond
+        # Python's recursion limit
+        n = 3000
+        rng = random.Random(61)
+        rows = [(p, 1.0 - p) for p in (rng.uniform(0.05, 0.95) for _ in range(2 * n))]
+        cpts = [Cpt(0, (), (rows[0],))]
+        cpts += [Cpt(v, (v - 1,), (rows[2 * v], rows[2 * v + 1])) for v in range(1, n)]
+        net = BayesianNetwork("chain", [Variable(v, f"X{v}", ("a", "b")) for v in range(n)],
+                              cpts)
+        ev = Assignment({n - 1: 1})
+        depth, node = 0, engine._plan(net, (0,), frozenset(ev)).final
+        while node.inputs and isinstance(node.inputs[-1], engine._Node):
+            depth, node = depth + 1, node.inputs[-1]
+        assert depth == n - 2
+        f = eliminate(net, (0,), ev)
+        # beta[x] = p(e | X_v = x), normalised at every step, its log scale
+        # carried apart
+        beta, log_scale = np.array([0.0, 1.0]), 0.0
+        for v in range(n - 1, 0, -1):
+            beta = np.array(cpts[v].table) @ beta
+            log_scale += math.log(beta.sum())
+            beta /= beta.sum()
+        want = np.log(np.array(cpts[0].table[0]) * beta) + log_scale
+        got = np.log(f.values) + f.log_scale
+        assert f.scope == (0,)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_width_cap_raised_before_allocating(self):
         net, problem = _wide_instance()
@@ -478,8 +547,9 @@ def _evaluated(plan, context):
     arrays = plan.cpts.arrays
 
     def run(tree):
-        inputs, perms, shapes, shape, axis = tree
-        out, log_scale = np.ones(shape), 0.0
+        inputs, perms, shapes, scope, axis = tree
+        # CPT v's last axis is v's own
+        out, log_scale = np.ones([arrays[v].shape[-1] for v in scope]), 0.0
         for a, perm, reshape in zip(inputs, perms, shapes):
             if len(a) == 3:  # a CPT
                 s, sel, indicator = a
@@ -505,7 +575,7 @@ def _evaluated(plan, context):
         return out, log_scale
 
     out, log_scale = run(_tree(plan.final))
-    return engine.Factor(plan.keep, np.array(out, order="C"), log_scale)
+    return engine.Factor(plan.final.scope, np.array(out, order="C"), log_scale)
 
 
 class TestStepReuse:
