@@ -12,7 +12,6 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 from . import fileio, solver
@@ -78,11 +77,11 @@ def _schedule_from_args(args: argparse.Namespace) -> AnnealSchedule:
 
 
 def _add_schedule_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t0", type=float, default=0.99)
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--k", type=float, default=0.1)
-    p.add_argument("--wait", type=int, default=10)
-    p.add_argument("--stop", type=int, default=20)
+    p.add_argument("--t0", type=float, default=AnnealSchedule.t0)
+    p.add_argument("--alpha", type=float, default=AnnealSchedule.alpha)
+    p.add_argument("--k", type=float, default=AnnealSchedule.k)
+    p.add_argument("--wait", type=int, default=AnnealSchedule.wait)
+    p.add_argument("--stop", type=int, default=AnnealSchedule.stop)
     p.add_argument("--restarts", type=int, default=1)
 
 
@@ -162,65 +161,36 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass
-class BenchConfig:
-    net_paths: List[str]
-    cases: int
-    map_count: int
-    evid_count: int
-    algos: List[str]
-    seed: int
-    schedule: AnnealSchedule
-    restarts: int
-    output: str
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.cases < 1:
-            raise ValueError("cases must be >= 1")
-        _check_counts(self.map_count, self.evid_count)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-
-
 def _timed_run(algo: str, net: BayesianNetwork, problem: MapProblem,
-               config: BenchConfig, seed: int
+               args: argparse.Namespace, seed: int
                ) -> Tuple[Optional[SolveReport], float, Optional[str]]:
     """One algorithm on one bench case: its report and wall time in ms, or
-    no report, with the reason when an elimination would exceed the
-    table-size cap and without one when the oracle is over its MAP-space
-    cap."""
+    no report and the reason it refused the case, an elimination over the
+    table-size cap or the oracle over its MAP-space cap."""
     start = time.perf_counter()
     try:
-        report = _run_algo(algo, net, problem, config.schedule, seed, config.restarts)
-    except OracleCapError:
-        return None, 0.0, None
-    except WidthCapError as exc:
+        report = _run_algo(algo, net, problem, args.schedule, seed, args.restarts)
+    except (OracleCapError, WidthCapError) as exc:
         return None, 0.0, str(exc)
     return report, (time.perf_counter() - start) * 1000.0, None
 
 
-def _bench_case(config: BenchConfig, net: BayesianNetwork, problem: MapProblem, case: int
-                ) -> Tuple[List[ReportRow], List[Tuple[str, str]]]:
+def _bench_case(args: argparse.Namespace, net: BayesianNetwork, problem: MapProblem,
+                case: int) -> Tuple[List[ReportRow], List[Tuple[str, str]]]:
     """Run one case; returns its report rows, and the (algorithm, reason)
-    of each algorithm skipped because an elimination would exceed the
-    table-size cap. An oracle over its MAP-space cap has no row and no
-    reason."""
+    of each listed algorithm that refused it."""
     # the oracle runs first, listed or not, for every row's matches_oracle;
     # it draws no random numbers, so its seed is immaterial
-    oracle_run = _timed_run("oracle", net, problem, config, 0)
+    oracle_run = _timed_run("oracle", net, problem, args, 0)
     oracle = oracle_run[0]
     rows = []
     skipped = []
-    for ai, algo in enumerate(config.algos):
-        seed = _mix_seed(config.seed, case, ai)
-        report, wall_ms, skip = (oracle_run if algo == "oracle" else
-                                 _timed_run(algo, net, problem, config, seed))
+    for ai, algo in enumerate(args.algos):
+        seed = _mix_seed(args.seed, case, ai)
+        report, wall_ms, reason = (oracle_run if algo == "oracle" else
+                                   _timed_run(algo, net, problem, args, seed))
         if report is None:
-            if skip is not None:
-                skipped.append((algo, skip))
+            skipped.append((algo, reason))
             continue
         matches: Optional[bool] = None
         if oracle is not None:
@@ -235,16 +205,17 @@ def _bench_case(config: BenchConfig, net: BayesianNetwork, problem: MapProblem, 
     return rows, skipped
 
 
-def run_bench(config: BenchConfig) -> List[ReportRow]:
+def run_bench(args: argparse.Namespace, nets: Sequence[BayesianNetwork]) -> List[ReportRow]:
+    """`bench` on the parsed networks, given its checked arguments and
+    their `schedule`: every case's rows, each network's summary printed."""
     rows: List[ReportRow] = []
-    for net_index, net_path in enumerate(config.net_paths):
-        net = fileio.parse_network(_read(net_path))
+    for net_index, net in enumerate(nets):
         jobs = []
-        for case in range(config.cases):
-            gen_rng = random.Random(_mix_seed(config.seed, net_index, case))
-            problem = generate_problem(net, config.map_count, config.evid_count, gen_rng)
-            jobs.append((config, net, problem, case))
-        workers = _pool_size(config.workers, config.cases)
+        for case in range(args.cases):
+            gen_rng = random.Random(_mix_seed(args.seed, net_index, case))
+            problem = generate_problem(net, args.map_count, args.evid_count, gen_rng)
+            jobs.append((args, net, problem, case))
+        workers = _pool_size(args.workers, args.cases)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_bench_case, *zip(*jobs)))
@@ -267,7 +238,7 @@ def run_bench(config: BenchConfig) -> List[ReportRow]:
                         optimal += 1
                     elif oracle is not None:
                         mismatch_ratios.append(10.0 ** (row.log10_prob - oracle.log10_prob))
-        summary = (f"network={net.name} cases={config.cases} "
+        summary = (f"network={net.name} cases={args.cases} "
                    f"anneal_optimal={optimal}/{oracle_cases}")
         if mismatch_ratios:
             mean = sum(mismatch_ratios) / len(mismatch_ratios)
@@ -284,14 +255,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     repeated = [a for i, a in enumerate(args.algos) if a in args.algos[:i]]
     if repeated:
         raise SystemExit(f"error: algorithm {repeated[0]!r} appears twice in --algos")
-    config = BenchConfig(
-        net_paths=args.net, cases=args.cases, map_count=args.map_count,
-        evid_count=args.evid_count, algos=args.algos, seed=args.seed,
-        schedule=_schedule_from_args(args), restarts=args.restarts,
-        output=args.output, workers=args.workers)
+    args.schedule = _schedule_from_args(args)
+    if args.cases < 1:
+        raise ValueError("cases must be >= 1")
+    _check_counts(args.map_count, args.evid_count)
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    if args.restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     _oracle_cap()  # every case runs the oracle: a bad cap ends the command here
-    with _create(config.output) as fh:  # before any case runs
-        fh.write(fileio.write_report(run_bench(config)))
+    nets = [fileio.parse_network(_read(path)) for path in args.net]
+    with _create(args.output) as fh:  # before any case runs
+        fh.write(fileio.write_report(run_bench(args, nets)))
     return 0
 
 

@@ -243,25 +243,19 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
     for v None a plan's final product, laid out in `keep` order. Any other
     variable takes the next axis where it first appears."""
     pos = {u: a for a, u in enumerate(keep)} if v is None else {}
-    placed = []  # per input, its axes and whether all were new to pos
     for sc in scopes:
-        before = len(pos)
-        axes = [pos.setdefault(u, len(pos)) for u in sc]
-        placed.append((axes, len(pos) - before == len(axes)))
+        for u in sc:
+            pos.setdefault(u, len(pos))
     scope = tuple(pos)
     perms: List[Optional[Tuple[int, ...]]] = []
     shapes: List[Optional[Tuple[int, ...]]] = []
-    for sc, (axes, new) in zip(scopes, placed):
-        if new:  # axes handed out in scope order are ascending
-            perms.append(None)
-            low = axes[0] if axes else 0
-        else:
-            ordered = sorted(axes)
-            perms.append(None if ordered == axes else tuple(map(axes.index, ordered)))
-            low = ordered[0]
+    for sc in scopes:
+        axes = [pos[u] for u in sc]
+        ordered = sorted(axes)
+        perms.append(None if ordered == axes else tuple(map(axes.index, ordered)))
         # broadcasting already supplies leading unit axes, so a reshape is
         # needed only when the input's axes do not end the output's
-        if not axes or low == len(scope) - len(axes):
+        if not axes or ordered[0] == len(scope) - len(axes):
             shapes.append(None)
         else:
             padded = [1] * len(scope)

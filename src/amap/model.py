@@ -130,6 +130,11 @@ class BayesianNetwork:
         # indicator CPTs and graph of step nodes they share
         self._plans: Dict[object, object] = {}
 
+    def __getstate__(self) -> Dict[str, object]:
+        """The network without its compiled plans, which a copy recompiles
+        on first use."""
+        return {**self.__dict__, "_plans": {}}
+
     # -- lookups -----------------------------------------------------------
 
     def var(self, var_id: int) -> Variable:

@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from amap import SolveReport, parse_network, parse_problem, solver
-from amap.cli import generate_problem, main, _mix_seed, _pool_size
+from amap import AnnealSchedule, SolveReport, parse_network, parse_problem, solver
+from amap.cli import (build_parser, generate_problem, main, _mix_seed, _pool_size,
+                      _schedule_from_args)
 from conftest import (CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_PROBLEM_TEXT, SPRINKLER_TEXT,
                       ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT)
 from netgen import random_network
@@ -61,6 +62,15 @@ class TestGenerateProblem:
         net = BayesianNetwork("empty", [], [])
         with pytest.raises(ValueError, match="no root"):
             generate_problem(net, 1, 1, random.Random(0))
+
+
+class TestScheduleArgs:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--net", "n.bnet", "--problem", "p.prob"],
+        ["bench", "--net", "n.bnet", "--cases", "1", "-o", "r.csv"],
+    ], ids=["solve", "bench"])
+    def test_defaults_are_the_papers(self, argv):
+        assert _schedule_from_args(build_parser().parse_args(argv)) == AnnealSchedule()
 
 
 class TestSolveCommand:
@@ -402,6 +412,56 @@ class TestBenchCommand:
         assert code == 1
         assert_one_error(capsys.readouterr().err,
                          f"error: cannot write {out}: No such file or directory")
+
+    def test_networks_read_before_output_created(self, net_file, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(solver, "annealed_map", no_case)
+        monkeypatch.setattr(solver, "brute_force_map", no_case)
+        missing = str(tmp_path / "missing.bnet")
+        cyclic = tmp_path / "cyc.bnet"
+        cyclic.write_text(CYCLE_TEXT)
+        out = tmp_path / "r.csv"
+        for nets, line in [
+                ((missing, net_file), f"error: cannot read {missing}: No such file or directory"),
+                ((net_file, str(cyclic)),
+                 "error: parse failed at 4:5: cycle detected through variable 'A'"),
+                ((net_file, missing), f"error: cannot read {missing}: No such file or directory"),
+        ]:
+            code = main(["bench", "--net", nets[0], "--net", nets[1], "--cases", "1",
+                         "--map-count", "1", "--evid-count", "1", "-o", str(out)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert_one_error(captured.err, line)
+            assert not out.exists()
+
+    def test_oracle_cap_skips_a_listed_oracle(self, net_file, tmp_path, capsys,
+                                              monkeypatch):
+        # Rain, the one MAP variable, has two states: a cap of 1 refuses
+        # every case, which a listed oracle reports like the table-size cap
+        # and an unlisted one does not
+        monkeypatch.setenv("AMAP_ORACLE_CAP", "1")
+        unlisted = self.run_bench(tmp_path, net_file, "a.csv", ("--algos", "hillclimb"))
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "network=sprinkler cases=3 anneal_optimal=0/0\n"
+        listed = self.run_bench(tmp_path, net_file, "b.csv", ("--algos", "oracle,hillclimb"))
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"skipped: network=sprinkler case={case} algorithm=oracle: a component's "
+            f"MAP state space has 2 configurations, cap is 1" for case in range(3)]
+        assert captured.out == "network=sprinkler cases=3 anneal_optimal=0/0\n"
+        rows = list(csv.DictReader(io.StringIO(listed)))
+        assert [(r["algorithm"], r["seed"], r["matches_oracle"]) for r in rows] == [
+            ("hillclimb", str(_mix_seed(11, case, 1)), "") for case in range(3)]
+        # the same answers as with the oracle unlisted
+        answer = ("log10_prob", "prob", "sweeps", "restarts_used", "best_found_sweep",
+                  "reheats")
+        assert ([[r[c] for c in answer] for r in rows] ==
+                [[r[c] for c in answer] for r in csv.DictReader(io.StringIO(unlisted))])
 
     def test_workers_below_one_rejected(self, net_file, tmp_path, capsys):
         # and restarts below one, both before the output is created

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -449,6 +450,18 @@ class TestPlans:
         for plan in plans:
             nodes = _nodes(plan)
             assert len({id(node) for node in nodes}) == len(nodes)
+
+    def test_pickle_leaves_compiled_plans_behind(self):
+        net = random_network(random.Random(23), 60)
+        size = len(pickle.dumps(net))
+        f = eliminate(net, (0,), {})
+        assert net._plans
+        copy = pickle.loads(pickle.dumps(net))
+        assert len(pickle.dumps(net)) == size
+        assert not copy._plans
+        g = eliminate(copy, (0,), {})
+        assert (g.scope, g.log_scale) == (f.scope, f.log_scale)
+        assert g.values.dtype == f.values.dtype and g.values.tobytes() == f.values.tobytes()
 
     def test_deep_chain_matches_backward_messages(self):
         # X0 -> X1 -> ... -> X2999 with evidence on X2999: keeping X0, the

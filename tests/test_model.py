@@ -152,6 +152,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate"):
             Variable(0, "A", ("t", "t"))
 
+    @pytest.mark.parametrize("name, states, message", [
+        ("", ("t", "f"), "variable name must be nonempty"),
+        ("A", (), "variable 'A' needs at least one state"),
+        ("A", ("t", ""), "variable 'A' has an empty state name"),
+    ], ids=["empty-name", "no-states", "empty-state"])
+    def test_variable_rejected(self, name, states, message):
+        with pytest.raises(ValueError) as info:
+            Variable(0, name, states)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_unknown_name_lookup(self):
+        with pytest.raises(KeyError) as info:
+            chain_net().by_name("D")
+        assert info.value.args == ("unknown variable 'D'",)
+
     def test_duplicate_names_rejected(self):
         variables = [Variable(0, "A", ("t", "f")), Variable(1, "A", ("t", "f"))]
         cpts = [Cpt(0, (), ((0.5, 0.5),)), Cpt(1, (), ((0.5, 0.5),))]
