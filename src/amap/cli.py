@@ -205,16 +205,14 @@ def _bench_case(args: argparse.Namespace, net: BayesianNetwork, problem: MapProb
     return rows, skipped
 
 
-def run_bench(args: argparse.Namespace, nets: Sequence[BayesianNetwork]) -> List[ReportRow]:
-    """`bench` on the parsed networks, given its checked arguments and
-    their `schedule`: every case's rows, each network's summary printed."""
+def run_bench(args: argparse.Namespace, nets: Sequence[BayesianNetwork],
+              problems: Sequence[Sequence[MapProblem]]) -> List[ReportRow]:
+    """`bench` on the parsed networks and each one's generated problems,
+    one per case, given its checked arguments and their `schedule`: every
+    case's rows, each network's summary printed."""
     rows: List[ReportRow] = []
-    for net_index, net in enumerate(nets):
-        jobs = []
-        for case in range(args.cases):
-            gen_rng = random.Random(_mix_seed(args.seed, net_index, case))
-            problem = generate_problem(net, args.map_count, args.evid_count, gen_rng)
-            jobs.append((args, net, problem, case))
+    for net, net_problems in zip(nets, problems):
+        jobs = [(args, net, problem, case) for case, problem in enumerate(net_problems)]
         workers = _pool_size(args.workers, args.cases)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -265,8 +263,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     _oracle_cap()  # every case runs the oracle: a bad cap ends the command here
     nets = [fileio.parse_network(_read(path)) for path in args.net]
+    problems = [[generate_problem(net, args.map_count, args.evid_count,
+                                  random.Random(_mix_seed(args.seed, net_index, case)))
+                 for case in range(args.cases)] for net_index, net in enumerate(nets)]
     with _create(args.output) as fh:  # before any case runs
-        fh.write(fileio.write_report(run_bench(args, nets)))
+        fh.write(fileio.write_report(run_bench(args, nets, problems)))
     return 0
 
 

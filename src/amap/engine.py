@@ -12,10 +12,13 @@ runs, children first, only the nodes whose output is not already held for
 the current values. The final node of a site plan (keep one variable)
 also memoises the site records `conditional` makes from its output, one
 per value tuple of its support: the normalised conditional as a read-only
-array, as Python floats and as their logs. A site update that
-returns to an earlier neighbourhood costs one dictionary lookup. Records
-count against the same per-network budget as kept outputs, and a context
-of probability zero is never memoised.
+array, its running sums as Python floats and the logs of its entries. A
+site update that returns to an earlier neighbourhood reads the support's
+values with the node's `memo_key` getter (one `itemgetter` call for two
+variables or more), finds the record by one dictionary lookup and draws
+the next state by one `bisect_right` on the running sums. Records count
+against the same per-network budget as kept outputs, and a context of
+probability zero is never memoised.
 
 An indicator variable is eliminated like any other, but its CPT's own
 column is masked to the state the context binds it to, if any: one plan
@@ -35,9 +38,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from itertools import accumulate
+from operator import itemgetter
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -101,7 +108,9 @@ class _Node:
     an evaluation completes). Any other node holds an output only until the
     node that reads it has run. `memo` maps a value tuple of the support to
     the `_Site` that `conditional` made from the output for those values;
-    only a site plan's final node fills it."""
+    only a site plan's final node fills it, and only such a node gets a
+    `memo_key`, the `_getter` of its support, built when `conditional`
+    first reads it."""
 
     inputs: Tuple[object, ...]
     perms: Tuple[Optional[Tuple[int, ...]], ...]
@@ -115,16 +124,20 @@ class _Node:
     scale: float = 0.0
     values: Optional[Tuple[int, ...]] = None
     memo: Dict[Tuple[Optional[int], ...], "_Site"] = field(default_factory=dict)
+    memo_key: Optional[Callable[[Assignment], Tuple[int, ...]]] = None
 
 
-class _Site(NamedTuple):
-    """A site record: p(target | context) as a read-only array `dist`, its
-    entries as Python floats `probs`, and their `math.log`s `logs` (-inf
-    for a zero)."""
+class _Site(namedtuple("_Site", ("dist", "cum", "logs"))):
+    """A site record: p(target | context) as a read-only array `dist`, the
+    `_running_sums` `cum` of its entries as Python floats, which a draw
+    bisects, and the entries' `math.log`s `logs` (-inf for a zero). It is
+    made from `dist`, the entries `probs` and `logs`, and keeps no `probs`."""
 
-    dist: np.ndarray
-    probs: Tuple[float, ...]
-    logs: Tuple[float, ...]
+    __slots__ = ()
+
+    def __new__(cls, dist: np.ndarray, probs: Sequence[float],
+                logs: Tuple[float, ...]) -> "_Site":
+        return super().__new__(cls, dist, _running_sums(probs), logs)
 
 
 @dataclass(eq=False)
@@ -132,10 +145,11 @@ class _Cpts:
     """A network's CPT arrays, each indicator variable's CPT masked to each
     of its states, and the nodes, all shared by its plans, with the number
     of table entries those nodes keep, a site record counting as its three
-    values per state and its key's values (at most MAX_TABLE_ENTRIES in
-    all). A node's key is what it multiplies and what it sums out:
-    (`inputs`, v) for a step that sums out variable v, and (`inputs`, keep)
-    for a plan's final product; its layout follows from the key."""
+    values per state (`dist`, `cum` and `logs`) and its key's values (at
+    most MAX_TABLE_ENTRIES in all). A node's key is what it multiplies and
+    what it sums out: (`inputs`, v) for a step that sums out variable v, and
+    (`inputs`, keep) for a plan's final product; its layout follows from
+    the key."""
 
     arrays: Tuple[np.ndarray, ...]
     masks: Dict[int, Tuple[np.ndarray, ...]] = field(default_factory=dict)
@@ -159,6 +173,18 @@ def _bits(b: int) -> Iterator[int]:
         low = b & -b
         yield low.bit_length() - 1
         b ^= low
+
+
+def _getter(keys: Tuple[int, ...]) -> Callable[[Mapping[int, int]], Tuple[int, ...]]:
+    """A function of a mapping m that holds every one of `keys`, returning
+    `tuple(map(m.get, keys))`: one C-level `itemgetter` call for two keys or
+    more."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        k, = keys
+        return lambda m: (m[k],)
+    return lambda m: ()
 
 
 def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
@@ -467,9 +493,13 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
                  context: Assignment) -> _Site:
     """`conditional` on `plan`, the plan it would look up for `context`, as
     a site record. A record is memoised by the values of the final node's
-    support while the network's budget has room for it."""
+    support, read by the node's `memo_key`, while the network's budget has
+    room for it; a draw from it is `bisect_right(site.cum, u)`."""
     final = plan.final
-    values = tuple(map(context.get, final.support))
+    key = final.memo_key
+    if key is None:
+        key = final.memo_key = _getter(final.support)
+    values = key(context)
     site = final.memo.get(values)
     if site is not None:
         return site
@@ -480,7 +510,7 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
             f"context has probability zero (variable {net.var(target).name!r})")
     dist = out / total
     dist.setflags(write=False)
-    probs = tuple(dist.tolist())
+    probs = dist.tolist()
     site = _Site(dist, probs, tuple([math.log(p) if p > 0.0 else -math.inf for p in probs]))
     cpts = plan.cpts
     size = 3 * len(probs) + len(values)
@@ -527,18 +557,23 @@ def map_posterior(net: BayesianNetwork, x: Assignment, evidence: Assignment,
     return _log_total(plan, context) - log_p_evidence
 
 
+def _running_sums(dist: Sequence[float]) -> Tuple[float, ...]:
+    """The running sums of the distribution `dist`, added left to right,
+    with the last state that has mass, and each state after it, at
+    infinity: the one draw rule. `bisect_right(sums, u)`, for a variate u in
+    [0, 1), is the first state whose running sum exceeds u, and a u past
+    the rounded total, as rows may sum to slightly less than 1, falls to
+    the last state with mass, never to a state of probability zero."""
+    last = len(dist) - 1
+    while not dist[last] > 0.0:  # a row has mass
+        last -= 1
+    return (*accumulate(dist[:last]), *[math.inf] * (len(dist) - last))
+
+
 def _sample_index(dist: Sequence[float], rng: random.Random) -> int:
     """One draw from the distribution `dist`, a sequence of Python floats,
-    with one rng variate. Rows may sum to slightly less than 1; a variate
-    past the rounded total falls to the last state with mass, never to a
-    state of probability zero."""
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(dist):
-        acc += p
-        if u < acc:
-            return i
-    return int(np.flatnonzero(dist)[-1])
+    with one rng variate, by the rule of `_running_sums`."""
+    return bisect_right(_running_sums(dist), rng.random())
 
 
 def forward_sample(net: BayesianNetwork, rng: random.Random) -> Assignment:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -21,9 +22,9 @@ from .engine import (
     InconsistentEvidenceError,
     PrunedNetwork,
     _conditional,
+    _getter,
     _indicator_plan,
     _log_total,
-    _sample_index,
     _site_plans,
     eliminate,
     forward_sample,
@@ -210,9 +211,9 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
                     logp = _log_total(indicator, context) - log_p_evidence
                     costs.append(best_logp - logp)
                     continue
-                cand = _sample_index(site.probs, rng)
+                cand = bisect_right(site.cum, rng.random())
                 lp_new, lp_old = site.logs[cand], site.logs[cur]
-                accept = u < acceptance_probability(t, lp_new, lp_old) and cand != cur
+                accept = cand != cur and u < acceptance_probability(t, lp_new, lp_old)
                 context[j] = cand if accept else cur
                 if accept:
                     if lp_old == -math.inf or logp == -math.inf:
@@ -315,6 +316,7 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
         raise ValueError(f"sweeps must be >= 0, got {sweeps}")
     context = {**problem.evidence, **sequential_init(net, problem)}
     plans = _site_plans(net, problem)
+    state = _getter(problem.map_vars)
     out: List[Tuple[int, ...]] = []
     for _ in range(sweeps):
         for j, plan in zip(problem.map_vars, plans):
@@ -323,8 +325,8 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
             # stream, and so every seeded chain, as it has always been.
             rng.random()
             del context[j]  # unbound for its site conditional, then bound again
-            context[j] = _sample_index(_conditional(net, j, plan, context).probs, rng)
-        out.append(tuple(map(context.__getitem__, problem.map_vars)))
+            context[j] = bisect_right(_conditional(net, j, plan, context).cum, rng.random())
+        out.append(state(context))
     return out
 
 

@@ -96,6 +96,18 @@ def enum_best(net: BayesianNetwork, problem: MapProblem):
     return best, lp
 
 
+def scan_draw(dist, u: float) -> int:
+    """The state a variate u draws from the distribution `dist` by a linear
+    scan: the first state whose running sum, added one by one from 0.0,
+    exceeds u, or the last state with mass if none does."""
+    acc = 0.0
+    for i, p in enumerate(dist):
+        acc += p
+        if u < acc:
+            return i
+    return max(i for i, p in enumerate(dist) if p != 0.0)
+
+
 def random_problem(rng: random.Random, net: BayesianNetwork) -> MapProblem:
     """Benchmark-style problem: MAP set = all roots, evidence = all leaves
     (minus any isolated variables already in the MAP set), states from one

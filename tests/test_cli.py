@@ -438,6 +438,26 @@ class TestBenchCommand:
             assert_one_error(captured.err, line)
             assert not out.exists()
 
+    def test_problems_generated_before_output_created(self, net_file, tmp_path, capsys,
+                                                      monkeypatch):
+        # a network with no variables parses, but no problem can be drawn on
+        # it: bench ends before the sprinkler's cases run or the CSV exists
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(solver, "annealed_map", no_case)
+        monkeypatch.setattr(solver, "brute_force_map", no_case)
+        empty = tmp_path / "empty.bnet"
+        empty.write_text("network empty\n")
+        out = tmp_path / "e.csv"
+        code = main(["bench", "--net", net_file, "--net", str(empty), "--cases", "1",
+                     "--map-count", "1", "--evid-count", "1", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert_one_error(captured.err, "error: network 'empty' has no root variables")
+        assert not out.exists()
+
     def test_oracle_cap_skips_a_listed_oracle(self, net_file, tmp_path, capsys,
                                               monkeypatch):
         # Rain, the one MAP variable, has two states: a cap of 1 refuses

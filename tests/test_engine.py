@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import pickle
@@ -36,6 +37,7 @@ from netgen import (
     random_network,
     random_problem,
     relabelled,
+    scan_draw,
 )
 
 # Brute-force sums over the sprinkler joint with W=t:
@@ -957,6 +959,17 @@ class TestConditional:
             assert dist == pytest.approx(expected, abs=1e-9)
 
 
+def _reference_cum(probs):
+    """A site record's running sums of `probs`, added one by one from 0.0,
+    the last state with mass and every state after it at infinity."""
+    last = max(i for i, p in enumerate(probs) if p != 0.0)
+    acc, cum = 0.0, []
+    for i, p in enumerate(probs):
+        acc += p
+        cum.append(acc if i < last else math.inf)
+    return cum
+
+
 def _memo_calls(seed, calls):
     """Interleaved site updates, as anneal and Gibbs make them with
     `engine._conditional`, and `conditional` calls on one network with
@@ -1013,7 +1026,7 @@ def _memo_calls(seed, calls):
         assert final.memo[values].dist is dist
         if via_site:
             probs = want.tolist()
-            assert [p.hex() for p in got.probs] == [p.hex() for p in probs]
+            assert [c.hex() for c in got.cum] == [c.hex() for c in _reference_cum(probs)]
             assert [lp.hex() for lp in got.logs] == [
                 (math.log(p) if p > 0.0 else -math.inf).hex() for p in probs]
     return repeats, impossible
@@ -1041,6 +1054,30 @@ class TestSiteMemo:
         totals = [_memo_calls(seed, calls) for seed in range(8)]
         assert sum(r for r, _ in totals) > 0
         assert sum(i for _, i in totals) > 0
+
+    def test_memo_keys_by_support_size(self, sprinkler, sprinkler_problem):
+        # A alone has an empty support, A given B one variable, and each
+        # sprinkler site two: keys come from `memo_key` in one call
+        chain = parse_network("network c\nvar A { t, f }\nvar B { t, f }\n"
+                              "cpt A { 0.3 0.7 }\ncpt B | A { 0.9 0.1 ; 0.2 0.8 }\n")
+        cases = [(chain, 0, {}), (chain, 0, {1: 1}), (chain, 1, {0: 0})]
+        wet = sprinkler_problem.evidence
+        for j in sprinkler_problem.map_vars:
+            for s in (0, 1):
+                other, = set(sprinkler_problem.map_vars) - {j}
+                cases.append((sprinkler, j, {**wet, other: s}))
+        sizes = set()
+        for net, j, context in cases:
+            plan = engine._plan(net, (j,), frozenset(context))
+            final = plan.final
+            sizes.add(len(final.support))
+            site = engine._conditional(net, j, plan, context)
+            values = tuple(map(context.get, final.support))
+            assert final.memo_key(context) == values
+            assert final.memo[values] is site
+            assert engine._conditional(net, j, plan, dict(context)) is site
+            assert conditional(net, j, context) is site.dist
+        assert sizes == {0, 1, 2}
 
     def test_memo_stops_growing_at_the_budget(self, monkeypatch):
         net = random_network(random.Random(151), 12, max_parents=3, cards=(2,))
@@ -1229,6 +1266,68 @@ class TestForwardSample:
         rng = StubRng()
         assert forward_sample(net, rng)[0] == 1
         assert rng.draws == 1
+
+
+class _FixedRng:
+    """An rng whose one variate is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+# entries that make zeros, tiny masses a running sum can absorb, and rows
+# that sum to slightly less or more than 1 once normalised
+_DRAW_ENTRY = st.one_of(st.just(0.0), st.sampled_from((5e-324, 1e-300, 1e-17, 0.1, 0.7)),
+                        st.floats(0.0, 1.0))
+
+
+@st.composite
+def _draw_cases(draw):
+    row = draw(st.lists(_DRAW_ENTRY, min_size=1, max_size=6).filter(any))
+    if draw(st.booleans()):
+        total = math.fsum(row)
+        row = [p / total for p in row]
+    sums = list(itertools.accumulate(row))
+    at = draw(st.sampled_from(sums))  # a running sum, the total among them
+    u = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(at),
+                       st.just(math.nextafter(at, math.inf)),
+                       st.floats(sums[-1], sums[-1] + 1.0)))
+    return row, u
+
+
+class TestDrawRule:
+    """A draw bisects the running sums of `_running_sums`: the state a
+    linear scan of the row gives, for forward sampling and site records."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_draw_cases())
+    def test_bisect_matches_linear_scan(self, case):
+        row, u = case
+        want = scan_draw(row, u)
+        assert row[want] > 0.0
+        rng = _FixedRng(u)
+        assert engine._sample_index(row, rng) == want
+        assert rng.draws == 1
+        logs = tuple(math.log(p) if p > 0.0 else -math.inf for p in row)
+        site = engine._Site(np.array(row), row, logs)
+        assert bisect.bisect_right(site.cum, u) == want
+
+    def test_edge_rows(self):
+        # [0.1] * 10 and (0.7, 0.2, 0.1) sum to 1 - 2^-53; 1e-300 is lost
+        # in the running sum but still has mass
+        for row in ([0.1] * 10, [0.7, 0.2, 0.1, 0.0], [0.5, 0.0, 0.5], [0.0, 0.9, 1e-300],
+                    [1.0], [0.0, 0.0, 1.0, 0.0]):
+            sums = list(itertools.accumulate(row))
+            for u in (0.0, *sums, *[math.nextafter(s, math.inf) for s in sums],
+                      math.nextafter(1.0, 0.0)):
+                assert engine._sample_index(row, _FixedRng(u)) == scan_draw(row, u)
+        assert scan_draw([0.1] * 10, math.nextafter(1.0, 0.0)) == 9
+        assert scan_draw([0.0, 0.9, 1e-300], 0.95) == 2
 
 
 class TestPrune:

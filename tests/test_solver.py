@@ -17,6 +17,7 @@ from amap import (
     acceptance_probability,
     annealed_map,
     brute_force_map,
+    conditional,
     eliminate,
     geometric_cool,
     gibbs_chain,
@@ -35,7 +36,7 @@ from amap.cli import generate_problem
 from amap.engine import PrunedNetwork, _sample_index
 from conftest import ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT
 from netgen import (disjoint_union, enum_best, joint_size, random_network, random_problem,
-                    relabelled)
+                    relabelled, scan_draw)
 
 
 def _reference_site(net, j, x, evidence):
@@ -410,6 +411,19 @@ class TestGibbsChain:
         with pytest.raises(ValueError, match="^sweeps must be >= 0, got -1$"):
             gibbs_chain(sprinkler, sprinkler_problem, -1, rng)
         assert rng.getstate() == random.Random(6).getstate()
+
+    def test_one_map_variable_gives_one_tuples(self, sprinkler):
+        rain, wet = sprinkler.by_name("Rain").id, sprinkler.by_name("WetGrass").id
+        problem = MapProblem((rain,), Assignment({wet: 0}))
+        chain = gibbs_chain(sprinkler, problem, 300, random.Random(5))
+        rng = random.Random(5)
+        dist = conditional(sprinkler, rain, {wet: 0}).tolist()
+        want = []
+        for _ in range(300):
+            rng.random()
+            want.append((scan_draw(dist, rng.random()),))
+        assert chain == want
+        assert set(chain) == {(0,), (1,)}
 
     def test_same_chain_as_reference_sites(self, sprinkler, sprinkler_problem):
         chain = gibbs_chain(sprinkler, sprinkler_problem, 300, random.Random(8))
