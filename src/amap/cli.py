@@ -11,8 +11,7 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import fileio, solver
 from .engine import WidthCapError, forward_sample
@@ -215,6 +214,9 @@ def run_bench(args: argparse.Namespace, nets: Sequence[BayesianNetwork],
         jobs = [(args, net, problem, case) for case, problem in enumerate(net_problems)]
         workers = _pool_size(args.workers, args.cases)
         if workers > 1:
+            # imported here: the pool module is a third of this module's
+            # import time, which every other command would pay
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_bench_case, *zip(*jobs)))
         else:
@@ -271,46 +273,75 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_solve_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--net", required=True)
+    p.add_argument("--problem", required=True)
+    p.add_argument("--algo", choices=ALGOS, default="anneal")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trace", default=None, metavar="F.csv")
+    _add_schedule_args(p)
+    p.set_defaults(func=cmd_solve)
+
+
+def _add_gen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--net", required=True)
+    p.add_argument("--map-count", type=int, required=True)
+    p.add_argument("--evid-count", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_gen)
+
+
+def _add_bench_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--net", action="append", required=True)
+    p.add_argument("--cases", type=int, required=True)
+    p.add_argument("--map-count", type=int, default=20)
+    p.add_argument("--evid-count", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--algos", type=lambda s: s.split(","),
+                   default=["anneal", "oracle"])
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--workers", type=int, default=1)
+    _add_schedule_args(p)
+    p.set_defaults(func=cmd_bench)
+
+
+# each command's help line, and the function that adds its arguments and
+# its `func` default to its parser
+COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "solve": ("solve one MAP problem", _add_solve_args),
+    "gen": ("generate a random MAP problem", _add_gen_args),
+    "bench": ("run a benchmark sweep to CSV", _add_bench_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser tree: `amap` and a subparser per command."""
     parser = argparse.ArgumentParser(
         prog="amap", description="MAP inference in discrete Bayesian networks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve one MAP problem")
-    p_solve.add_argument("--net", required=True)
-    p_solve.add_argument("--problem", required=True)
-    p_solve.add_argument("--algo", choices=ALGOS, default="anneal")
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--trace", default=None, metavar="F.csv")
-    _add_schedule_args(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_gen = sub.add_parser("gen", help="generate a random MAP problem")
-    p_gen.add_argument("--net", required=True)
-    p_gen.add_argument("--map-count", type=int, required=True)
-    p_gen.add_argument("--evid-count", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("-o", "--output", required=True)
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="run a benchmark sweep to CSV")
-    p_bench.add_argument("--net", action="append", required=True)
-    p_bench.add_argument("--cases", type=int, required=True)
-    p_bench.add_argument("--map-count", type=int, default=20)
-    p_bench.add_argument("--evid-count", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--algos", type=lambda s: s.split(","),
-                         default=["anneal", "oracle"])
-    p_bench.add_argument("-o", "--output", required=True)
-    p_bench.add_argument("--workers", type=int, default=1)
-    _add_schedule_args(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    for name, (help_line, add_args) in COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the named command's
+    parser when `argv` starts with a command name. That parser has the
+    subparser's prog, so its usage, help, errors and exit status are the
+    subparser's; arguments it does not know go to the full tree, whose
+    top-level parser reports them."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"amap {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, unknown = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ParseError as exc:

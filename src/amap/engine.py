@@ -54,6 +54,7 @@ _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
 MAX_TABLE_ENTRIES = 2 ** 27  # 1 GiB of float64
 _CPTS = "cpts"  # key of a network's _Cpts among its plans
+_ROW_SUMS = "row sums"  # key of forward_sample's CPT-row running sums among them
 _ALL = slice(None)
 
 
@@ -570,17 +571,19 @@ def _running_sums(dist: Sequence[float]) -> Tuple[float, ...]:
     return (*accumulate(dist[:last]), *[math.inf] * (len(dist) - last))
 
 
-def _sample_index(dist: Sequence[float], rng: random.Random) -> int:
-    """One draw from the distribution `dist`, a sequence of Python floats,
-    with one rng variate, by the rule of `_running_sums`."""
-    return bisect_right(_running_sums(dist), rng.random())
-
-
 def forward_sample(net: BayesianNetwork, rng: random.Random) -> Assignment:
-    """One draw from the network prior, sampling in topological order."""
+    """One draw from the network prior, sampling in topological order, one
+    rng variate per variable. The `_running_sums` of each CPT row are kept
+    among the network's plans, keyed by (variable, row), from the first
+    draw that reads the row."""
+    sums = net._plans.setdefault(_ROW_SUMS, {})
     out: Assignment = {}
     for v in net.order():
-        out[v] = _sample_index(net.cpts[v].table[net.row_index(v, out)], rng)
+        key = (v, net.row_index(v, out))
+        cum = sums.get(key)
+        if cum is None:
+            cum = sums[key] = _running_sums(net.cpts[v].table[key[1]])
+        out[v] = bisect_right(cum, rng.random())
     return out
 
 

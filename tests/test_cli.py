@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from amap import AnnealSchedule, SolveReport, parse_network, parse_problem, solver
+from amap import AnnealSchedule, SolveReport, cli, parse_network, parse_problem, solver
 from amap.cli import (build_parser, generate_problem, main, _mix_seed, _pool_size,
                       _schedule_from_args)
 from conftest import (CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_PROBLEM_TEXT, SPRINKLER_TEXT,
@@ -533,16 +533,66 @@ class TestSeedMixing:
         assert _mix_seed(1, 2, 3) != _mix_seed(2, 2, 3)
 
 
+class TestDispatch:
+    """`main` parses a command's arguments on that command's parser alone,
+    which must read exactly as the full parser tree does."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["solve", "--help"], ["gen", "--help"], ["bench", "--help"],
+        ["bogus"], ["solve", "--problem", "p.prob"],
+        ["solve", "--net", "n.bnet", "--problem", "p.prob", "--algo", "x"],
+        # an argument the command does not know is the top-level parser's error
+        ["solve", "--net", "n.bnet", "--problem", "p.prob", "--bogus"],
+        ["gen", "--net", "n.bnet", "--map-count", "1", "--evid-count", "1", "-o", "p", "x"],
+    ], ids=["bare", "help", "solve-help", "gen-help", "bench-help", "bogus", "missing-net",
+            "bad-algo", "unknown-option", "extra-positional"])
+    def test_usage_matches_full_tree(self, argv, capsys):
+        want = self._outcome(build_parser().parse_args, argv, capsys)
+        assert self._outcome(main, argv, capsys) == want
+        assert want[0] in (0, 2)
+
+    def test_reads_sys_argv(self, net_file, problem_file, capsys, monkeypatch):
+        args = ["solve", "--net", net_file, "--problem", problem_file, "--algo", "oracle"]
+        assert main(args) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["amap", *args])
+        assert main() == 0
+        assert capsys.readouterr().out == want
+
+    def test_solve_builds_no_other_command(self, net_file, problem_file, capsys,
+                                           monkeypatch):
+        def refuse(parser):
+            raise AssertionError("built another command's arguments")
+
+        for name in ("gen", "bench"):
+            monkeypatch.setitem(cli.COMMANDS, name, (cli.COMMANDS[name][0], refuse))
+        with pytest.raises(AssertionError):
+            build_parser()
+        assert main(["solve", "--net", net_file, "--problem", problem_file]) == 0
+        assert "Sprinkler=" in capsys.readouterr().out
+
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args):
-    """`python -m amap.cli ARGS` in a process of its own, importing the
-    package from this checkout's `src/`."""
+def run_python(*args):
+    """`python ARGS` in a process of its own, importing the package from
+    this checkout's `src/`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "amap.cli", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_cli(*args):
+    """`python -m amap.cli ARGS` in a process of its own."""
+    return run_python("-m", "amap.cli", *args)
 
 
 class TestProcess:
@@ -561,3 +611,9 @@ class TestProcess:
         assert "Traceback" not in run.stderr
         assert_one_error(run.stderr,
                          "error: parse failed at 4:5: cycle detected through variable 'A'")
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only a bench with more than one worker imports the pool
+        run = run_python(
+            "-c", "import sys, amap.cli; print('concurrent.futures.process' in sys.modules)")
+        assert run.returncode == 0 and run.stdout == "False\n"

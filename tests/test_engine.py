@@ -1267,17 +1267,28 @@ class TestForwardSample:
         assert forward_sample(net, rng)[0] == 1
         assert rng.draws == 1
 
+    def test_kept_row_sums_draw_as_a_linear_scan(self):
+        # draws on a network whose rows' running sums are kept from earlier
+        # draws, and on a pickled copy, which leaves them behind, are the
+        # states a linear scan of each row gives for the same variates
+        net = random_network(random.Random(11), 40, max_parents=3, cards=(2, 3, 4))
 
-class _FixedRng:
-    """An rng whose one variate is `u`."""
+        def scan_sample(rng):
+            out = {}
+            for v in net.order():
+                out[v] = scan_draw(net.cpts[v].table[net.row_index(v, out)], rng.random())
+            return out
 
-    def __init__(self, u):
-        self.u = u
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.u
+        for seed in (1, 2, 1):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert forward_sample(net, rng) == scan_sample(ref)
+        assert net._plans[engine._ROW_SUMS]
+        copy = pickle.loads(pickle.dumps(net))
+        assert not copy._plans
+        rng, ref = random.Random(1), random.Random(1)
+        for _ in range(200):
+            assert forward_sample(copy, rng) == scan_sample(ref)
 
 
 # entries that make zeros, tiny masses a running sum can absorb, and rows
@@ -1310,9 +1321,7 @@ class TestDrawRule:
         row, u = case
         want = scan_draw(row, u)
         assert row[want] > 0.0
-        rng = _FixedRng(u)
-        assert engine._sample_index(row, rng) == want
-        assert rng.draws == 1
+        assert bisect.bisect_right(engine._running_sums(row), u) == want
         logs = tuple(math.log(p) if p > 0.0 else -math.inf for p in row)
         site = engine._Site(np.array(row), row, logs)
         assert bisect.bisect_right(site.cum, u) == want
@@ -1325,7 +1334,7 @@ class TestDrawRule:
             sums = list(itertools.accumulate(row))
             for u in (0.0, *sums, *[math.nextafter(s, math.inf) for s in sums],
                       math.nextafter(1.0, 0.0)):
-                assert engine._sample_index(row, _FixedRng(u)) == scan_draw(row, u)
+                assert bisect.bisect_right(engine._running_sums(row), u) == scan_draw(row, u)
         assert scan_draw([0.1] * 10, math.nextafter(1.0, 0.0)) == 9
         assert scan_draw([0.0, 0.9, 1e-300], 0.95) == 2
 

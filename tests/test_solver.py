@@ -33,7 +33,7 @@ from amap import (
 )
 from amap import engine, solver
 from amap.cli import generate_problem
-from amap.engine import PrunedNetwork, _sample_index
+from amap.engine import PrunedNetwork
 from conftest import ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT
 from netgen import (disjoint_union, enum_best, joint_size, random_network, random_problem,
                     relabelled, scan_draw)
@@ -434,7 +434,7 @@ class TestGibbsChain:
             for j in sprinkler_problem.map_vars:
                 rng.random()
                 dist = _reference_site(sprinkler, j, x, sprinkler_problem.evidence)
-                x[j] = _sample_index(dist.tolist(), rng)
+                x[j] = scan_draw(dist.tolist(), rng.random())
             want.append(tuple(map(x.__getitem__, sprinkler_problem.map_vars)))
         assert chain == want
 
@@ -552,7 +552,8 @@ class TestSiteContext:
                 else:
                     annealed_map(net, problem, rng=random.Random(k), restarts=2)
                     want = len(comp.problem.map_vars) + 1
-                assert len([key for key in comp.net._plans if key != engine._CPTS]) == want
+                plans = [p for p in comp.net._plans.values() if isinstance(p, engine._Plan)]
+                assert len(plans) == want
 
 
 class TestHillClimb:
