@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import math
 import os
 import random
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import fileio, solver
 from .engine import WidthCapError, forward_sample
@@ -26,6 +25,7 @@ ALGOS = ("anneal", "oracle", "hillclimb")
 def _mix_seed(master: int, *parts: int) -> int:
     """Derive a sub-seed from the master seed and integer indices (case,
     algorithm, ...) via a fixed hash, so concurrent cases stay reproducible."""
+    import hashlib  # here: only `bench` mixes seeds, and no other command pays its import
     key = ":".join(str(p) for p in (master, *parts)).encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
@@ -71,17 +71,82 @@ def _pool_size(workers: int, cases: int) -> int:
 
 
 def _schedule_from_args(args: argparse.Namespace) -> AnnealSchedule:
+    """The checked schedule, and `--restarts` checked, of every algorithm."""
+    if args.restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     return AnnealSchedule(t0=args.t0, alpha=args.alpha, k=args.k,
                           wait=args.wait, stop=args.stop)
 
 
-def _add_schedule_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t0", type=float, default=AnnealSchedule.t0)
-    p.add_argument("--alpha", type=float, default=AnnealSchedule.alpha)
-    p.add_argument("--k", type=float, default=AnnealSchedule.k)
-    p.add_argument("--wait", type=int, default=AnnealSchedule.wait)
-    p.add_argument("--stop", type=int, default=AnnealSchedule.stop)
-    p.add_argument("--restarts", type=int, default=1)
+class _Option(NamedTuple):
+    flag: str
+    type: Callable[[str], object]
+    default: object = None
+    choices: Optional[Tuple[str, ...]] = None
+    required: bool = False
+    metavar: Optional[str] = None
+
+
+# the schedule's options, which `solve` and `bench` share
+_SCHEDULE_OPTIONS = (
+    _Option("--t0", float, AnnealSchedule.t0),
+    _Option("--alpha", float, AnnealSchedule.alpha),
+    _Option("--k", float, AnnealSchedule.k),
+    _Option("--wait", int, AnnealSchedule.wait),
+    _Option("--stop", int, AnnealSchedule.stop),
+    _Option("--restarts", int, 1),
+)
+# `solve`'s options, in its help's order: its parser is built from them, and
+# `_read_solve` reads a plain argv by them
+_SOLVE_OPTIONS = (
+    _Option("--net", str, required=True),
+    _Option("--problem", str, required=True),
+    _Option("--algo", str, "anneal", ALGOS),
+    _Option("--seed", int, 0),
+    _Option("--trace", str, metavar="F.csv"),
+) + _SCHEDULE_OPTIONS
+_SOLVE_FLAGS = {o.flag: (o.flag[2:].replace("-", "_"), o) for o in _SOLVE_OPTIONS}
+_SOLVE_DEFAULTS = {dest: o.default for dest, o in _SOLVE_FLAGS.values()}
+_SOLVE_REQUIRED = {dest for dest, o in _SOLVE_FLAGS.values() if o.required}
+
+
+def _add_options(p: argparse.ArgumentParser, options: Sequence[_Option]) -> None:
+    for o in options:
+        p.add_argument(o.flag, type=o.type, default=o.default, choices=o.choices,
+                       required=o.required, metavar=o.metavar)
+
+
+def _read_solve(rest: Sequence[object]) -> Optional[argparse.Namespace]:
+    """The namespace `build_parser().parse_args(["solve", *rest])` returns,
+    read without building a parser when `rest` is whole `--name value` pairs
+    of `solve`'s own flags, each value converted by its type and within its
+    choices, and `--net` and `--problem` given (the last value of a flag
+    given twice wins). None for any other `rest`, which argparse reads and
+    reports: an odd count, an abbreviated or unknown flag, `--name=value`,
+    `-h`, `--`, a value starting with `-`, a value its type or choices
+    refuse, a missing required flag or an item that is not a string."""
+    if len(rest) % 2:
+        return None
+    values = dict(_SOLVE_DEFAULTS)
+    given = set()
+    for flag, raw in zip(rest[::2], rest[1::2]):
+        if not (isinstance(flag, str) and isinstance(raw, str)) or raw[:1] == "-":
+            return None
+        entry = _SOLVE_FLAGS.get(flag)
+        if entry is None:
+            return None
+        dest, option = entry
+        try:
+            value = option.type(raw)
+        except (TypeError, ValueError):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[dest] = value
+        given.add(dest)
+    if not _SOLVE_REQUIRED <= given:
+        return None
+    return argparse.Namespace(command="solve", **values, func=cmd_solve)
 
 
 def _read(path: str) -> str:
@@ -261,8 +326,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _check_counts(args.map_count, args.evid_count)
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
-    if args.restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     _oracle_cap()  # every case runs the oracle: a bad cap ends the command here
     nets = [fileio.parse_network(_read(path)) for path in args.net]
     problems = [[generate_problem(net, args.map_count, args.evid_count,
@@ -274,12 +337,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _add_solve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--net", required=True)
-    p.add_argument("--problem", required=True)
-    p.add_argument("--algo", choices=ALGOS, default="anneal")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", default=None, metavar="F.csv")
-    _add_schedule_args(p)
+    _add_options(p, _SOLVE_OPTIONS)
     p.set_defaults(func=cmd_solve)
 
 
@@ -302,7 +360,7 @@ def _add_bench_args(p: argparse.ArgumentParser) -> None:
                    default=["anneal", "oracle"])
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--workers", type=int, default=1)
-    _add_schedule_args(p)
+    _add_options(p, _SCHEDULE_OPTIONS)
     p.set_defaults(func=cmd_bench)
 
 
@@ -326,11 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the named command's
-    parser when `argv` starts with a command name. That parser has the
+    """`build_parser().parse_args(argv)`. A `solve` argv that `_read_solve`
+    takes whole builds no parser; otherwise only the named command's parser
+    is built when `argv` starts with a command name. That parser has the
     subparser's prog, so its usage, help, errors and exit status are the
     subparser's; arguments it does not know go to the full tree, whose
     top-level parser reports them."""
+    if argv and argv[0] == "solve":
+        args = _read_solve(argv[1:])
+        if args is not None:
+            return args
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"amap {argv[0]}")
         COMMANDS[argv[0]][1](parser)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import math
@@ -10,9 +11,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amap import AnnealSchedule, SolveReport, cli, parse_network, parse_problem, solver
-from amap.cli import (build_parser, generate_problem, main, _mix_seed, _pool_size,
+from amap.cli import (ALGOS, build_parser, generate_problem, main, _mix_seed, _pool_size,
                       _schedule_from_args)
 from conftest import (CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_PROBLEM_TEXT, SPRINKLER_TEXT,
                       ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT)
@@ -138,6 +141,14 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert_one_error(captured.err, "error: k must be finite and >= 0, got nan")
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_zero_restarts_rejected(self, algo, net_file, problem_file, capsys):
+        code = main(["solve", "--net", net_file, "--problem", problem_file,
+                     "--algo", algo, "--restarts", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, "error: restarts must be >= 1, got 0")
 
     def test_trace_file(self, net_file, problem_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -550,12 +561,23 @@ class TestDispatch:
         # an argument the command does not know is the top-level parser's error
         ["solve", "--net", "n.bnet", "--problem", "p.prob", "--bogus"],
         ["gen", "--net", "n.bnet", "--map-count", "1", "--evid-count", "1", "-o", "p", "x"],
+        ["solve", "--seed=3"],
+        ["solve", "--net", "n.bnet", "--problem", "p.prob", "--seed=x"],
     ], ids=["bare", "help", "solve-help", "gen-help", "bench-help", "bogus", "missing-net",
-            "bad-algo", "unknown-option", "extra-positional"])
+            "bad-algo", "unknown-option", "extra-positional", "joined-missing-net",
+            "joined-bad-int"])
     def test_usage_matches_full_tree(self, argv, capsys):
         want = self._outcome(build_parser().parse_args, argv, capsys)
         assert self._outcome(main, argv, capsys) == want
         assert want[0] in (0, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--net", "n.bnet", "--problem", "p.prob", "--seed=3"],
+        ["solve", "--net", "n.bnet", "--problem", "p.prob", "--seed", "-1"],
+        ["solve", "--net", "", "--problem", "p.prob"],
+    ], ids=["joined", "negative", "empty-path"])
+    def test_parse_matches_full_tree(self, argv):
+        assert cli._parse_args(argv) == build_parser().parse_args(argv)
 
     def test_reads_sys_argv(self, net_file, problem_file, capsys, monkeypatch):
         args = ["solve", "--net", net_file, "--problem", problem_file, "--algo", "oracle"]
@@ -574,8 +596,124 @@ class TestDispatch:
             monkeypatch.setitem(cli.COMMANDS, name, (cli.COMMANDS[name][0], refuse))
         with pytest.raises(AssertionError):
             build_parser()
-        assert main(["solve", "--net", net_file, "--problem", problem_file]) == 0
+        # a joined value sends the argv to argparse, which builds `solve`'s
+        # parser alone
+        assert main(["solve", "--net", net_file, "--problem", problem_file, "--seed=0"]) == 0
         assert "Sprinkler=" in capsys.readouterr().out
+
+    def test_plain_solve_builds_no_parser(self, net_file, problem_file, capsys,
+                                          monkeypatch):
+        base = ["solve", "--net", net_file, "--problem", problem_file]
+        assert main([*base, "--seed", "3"]) == 0
+        want = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        for rest in (["--seed", "3"], ["--seed", "1", "--seed", "3"]):
+            assert main([*base, *rest]) == 0
+            assert capsys.readouterr().out == want
+        monkeypatch.undo()
+
+        # a joined value and an abbreviation are argparse's to read
+        init = argparse.ArgumentParser.__init__
+        built = []
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for rest in (["--seed=3"], ["--se", "3"]):
+            built.clear()
+            assert main([*base, *rest]) == 0
+            assert capsys.readouterr().out == want
+            assert built == ["amap solve"]
+
+
+# what a `solve` argv is drawn from: pairs of a table flag and a value of its
+# type or choices (now and then one the option or the reader refuses), and
+# at most one odd item: a flag, an abbreviation, help or `--`, with a value
+# of any kind, joined as `--name=value` or alone
+_TABLE_FLAGS = [o.flag for o in cli._SOLVE_OPTIONS]
+_NAMES = st.sampled_from(
+    _TABLE_FLAGS + sorted({f[:n] for f in _TABLE_FLAGS for n in range(3, len(f))})
+    + ["-h", "--help", "--", "--bogus"])
+_REFUSED = st.sampled_from(["-x", "-", "-1", "x", "1.5", "nan"])
+_VALUES = st.one_of(
+    st.sampled_from(["0", "3", "-1", "17", "2.5", "0.5", "nan", "-nan", "inf", "-inf",
+                     "1e3", " 4 ", "", "-x", "-", "x", *ALGOS, "Anneal", "bogus",
+                     "n.bnet", "dir/p.prob", "a b.csv"]),
+    st.integers(-3, 10 ** 6).map(str),
+    st.floats(allow_nan=True).map(repr),
+    st.text(max_size=4))
+
+
+def _likely(option):
+    """Mostly values `option` reads, now and then ones it or the reader refuses."""
+    if option.choices:
+        typed = st.sampled_from((*option.choices, "Anneal"))
+    elif option.type is int:
+        typed = st.integers(-3, 10 ** 6).map(str)
+    elif option.type is float:
+        typed = st.one_of(st.floats(allow_nan=True).map(repr),
+                          st.sampled_from(["nan", "inf", "1e3", " 4 ", "7"]))
+    else:
+        typed = st.one_of(st.sampled_from(["n.bnet", "dir/p.prob", "a b.csv", ""]),
+                          st.text(max_size=4))
+    return st.one_of(typed, typed, typed, _REFUSED)
+
+
+_ODD_ITEMS = st.one_of(
+    st.tuples(_NAMES, _VALUES).map(list),
+    st.tuples(_NAMES, _VALUES).map(lambda nv: [f"{nv[0]}={nv[1]}"]),
+    _NAMES.map(lambda n: [n]), _VALUES.map(lambda v: [v]))
+
+
+@st.composite
+def _solve_rests(draw):
+    """The arguments after `solve`: --net and --problem, each left out an
+    eighth of the time, up to six likely pairs and a third of the time one
+    odd item, in any order."""
+    items = [[o.flag, draw(_likely(o))]
+             for o in draw(st.lists(st.sampled_from(cli._SOLVE_OPTIONS), max_size=6))]
+    items += [[flag, path] for flag, path in (("--net", "n.bnet"), ("--problem", "p.prob"))
+              if draw(st.integers(0, 7))]
+    if draw(st.integers(0, 2)) == 0:
+        items.append(draw(_ODD_ITEMS))
+    return [token for item in draw(st.permutations(items)) for token in item]
+
+
+def _same(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+class TestSolveReader:
+    """`_read_solve` returns only what the full parser tree returns."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_solve_rests())
+    # a value outside the choices, a value starting with `-`, an odd count,
+    # a failed conversion and a repeat
+    @example(["--net", "n.bnet", "--problem", "p.prob", "--algo", "Anneal"])
+    @example(["--net", "-x", "--problem", "p.prob"])
+    @example(["--net", "n.bnet", "--problem", "p.prob", "--seed"])
+    @example(["--net", "n.bnet", "--problem", "p.prob", "--seed", "x"])
+    @example(["--net", "n.bnet", "--problem", "p.prob", "--k", "nan", "--k", "1e3"])
+    def test_accepted_argv_parses_as_the_full_tree(self, rest):
+        args = cli._read_solve(rest)
+        if args is None:
+            return
+        try:
+            want = build_parser().parse_args(["solve", *rest])
+        except SystemExit as exc:
+            pytest.fail(f"read {rest!r}, which argparse refuses with status {exc.code}")
+        assert vars(args).keys() == vars(want).keys()
+        for name, value in vars(want).items():
+            assert _same(getattr(args, name), value), name
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -613,7 +751,9 @@ class TestProcess:
                          "error: parse failed at 4:5: cycle detected through variable 'A'")
 
     def test_import_leaves_the_process_pool_out(self):
-        # only a bench with more than one worker imports the pool
+        # only a bench with more than one worker imports the pool, and only
+        # a bench mixes seeds with hashlib
         run = run_python(
-            "-c", "import sys, amap.cli; print('concurrent.futures.process' in sys.modules)")
-        assert run.returncode == 0 and run.stdout == "False\n"
+            "-c", "import sys, amap.cli; "
+                  "print('concurrent.futures.process' in sys.modules, 'hashlib' in sys.modules)")
+        assert run.returncode == 0 and run.stdout == "False False\n"
