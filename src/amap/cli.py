@@ -10,7 +10,7 @@ import os
 import random
 import sys
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import fileio, solver
 from .engine import WidthCapError, forward_sample
@@ -154,7 +154,9 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: not UTF-8 text (byte {exc.start})")
 
 
 def _create(path: str) -> TextIO:
@@ -162,7 +164,7 @@ def _create(path: str) -> TextIO:
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise SystemExit(f"error: cannot write {path}: {exc.strerror}")
+        raise ValueError(f"cannot write {path}: {exc.strerror}")
 
 
 def _run_algo(algo: str, net: BayesianNetwork, problem: MapProblem,
@@ -189,8 +191,7 @@ def _write_trace(fh: TextIO, trace: List[solver.TraceRow]) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and args.algo != "anneal":
-        raise SystemExit(f"error: --trace records annealing sweeps; "
-                         f"algorithm {args.algo!r} has none")
+        raise ValueError(f"--trace records annealing sweeps; algorithm {args.algo!r} has none")
     net = fileio.parse_network(_read(args.net))
     problem = fileio.parse_problem(_read(args.problem), net)
     schedule = _schedule_from_args(args)
@@ -315,11 +316,11 @@ def run_bench(args: argparse.Namespace, nets: Sequence[BayesianNetwork],
 def cmd_bench(args: argparse.Namespace) -> int:
     unknown = [a for a in args.algos if a not in ALGOS]
     if unknown:
-        raise SystemExit(f"error: unknown algorithm {unknown[0]!r} in --algos "
+        raise ValueError(f"unknown algorithm {unknown[0]!r} in --algos "
                          f"(choose from {', '.join(ALGOS)})")
     repeated = [a for i, a in enumerate(args.algos) if a in args.algos[:i]]
     if repeated:
-        raise SystemExit(f"error: algorithm {repeated[0]!r} appears twice in --algos")
+        raise ValueError(f"algorithm {repeated[0]!r} appears twice in --algos")
     args.schedule = _schedule_from_args(args)
     if args.cases < 1:
         raise ValueError("cases must be >= 1")
@@ -364,41 +365,23 @@ def _add_bench_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_bench)
 
 
-# each command's help line, and the function that adds its arguments and
-# its `func` default to its parser
-COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
-    "solve": ("solve one MAP problem", _add_solve_args),
-    "gen": ("generate a random MAP problem", _add_gen_args),
-    "bench": ("run a benchmark sweep to CSV", _add_bench_args),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full parser tree: `amap` and a subparser per command."""
     parser = argparse.ArgumentParser(
         prog="amap", description="MAP inference in discrete Bayesian networks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args) in COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_line))
+    _add_solve_args(sub.add_parser("solve", help="solve one MAP problem"))
+    _add_gen_args(sub.add_parser("gen", help="generate a random MAP problem"))
+    _add_bench_args(sub.add_parser("bench", help="run a benchmark sweep to CSV"))
     return parser
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`. A `solve` argv that `_read_solve`
-    takes whole builds no parser; otherwise only the named command's parser
-    is built when `argv` starts with a command name. That parser has the
-    subparser's prog, so its usage, help, errors and exit status are the
-    subparser's; arguments it does not know go to the full tree, whose
-    top-level parser reports them."""
+    """`build_parser().parse_args(argv)`; a `solve` argv that `_read_solve`
+    takes whole builds no parser."""
     if argv and argv[0] == "solve":
         args = _read_solve(argv[1:])
         if args is not None:
-            return args
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"amap {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        args, unknown = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not unknown:
             return args
     return build_parser().parse_args(argv)
 
@@ -413,11 +396,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        raise
 
 
 if __name__ == "__main__":

@@ -128,17 +128,10 @@ class _Node:
     memo_key: Optional[Callable[[Assignment], Tuple[int, ...]]] = None
 
 
-class _Site(namedtuple("_Site", ("dist", "cum", "logs"))):
-    """A site record: p(target | context) as a read-only array `dist`, the
-    `_running_sums` `cum` of its entries as Python floats, which a draw
-    bisects, and the entries' `math.log`s `logs` (-inf for a zero). It is
-    made from `dist`, the entries `probs` and `logs`, and keeps no `probs`."""
-
-    __slots__ = ()
-
-    def __new__(cls, dist: np.ndarray, probs: Sequence[float],
-                logs: Tuple[float, ...]) -> "_Site":
-        return super().__new__(cls, dist, _running_sums(probs), logs)
+# a site record: p(target | context) as a read-only array `dist`, the
+# `_running_sums` `cum` of its entries as Python floats, which a draw
+# bisects, and the entries' `math.log`s `logs` (-inf for a zero)
+_Site = namedtuple("_Site", ("dist", "cum", "logs"))
 
 
 @dataclass(eq=False)
@@ -512,7 +505,8 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
     dist = out / total
     dist.setflags(write=False)
     probs = dist.tolist()
-    site = _Site(dist, probs, tuple([math.log(p) if p > 0.0 else -math.inf for p in probs]))
+    site = _Site(dist, _running_sums(probs),
+                 tuple([math.log(p) if p > 0.0 else -math.inf for p in probs]))
     cpts = plan.cpts
     size = 3 * len(probs) + len(values)
     if cpts.retained + size <= MAX_TABLE_ENTRIES:

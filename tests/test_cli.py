@@ -41,6 +41,18 @@ def problem_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def binary_file(tmp_path):
+    """A file whose first byte is not UTF-8."""
+    path = tmp_path / "bad.bnet"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
+def not_utf8_error(path):
+    return f"error: cannot read {path}: not UTF-8 text (byte 0)"
+
+
 class TestGenerateProblem:
     def test_sprinkler_forced_structure(self, sprinkler):
         # Rain is the only root, WetGrass the only leaf
@@ -98,6 +110,14 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "nope.bnet" in err
+
+    @pytest.mark.parametrize("flag", ["--net", "--problem"])
+    def test_not_utf8_input_named(self, flag, net_file, problem_file, binary_file, capsys):
+        paths = {"--net": net_file, "--problem": problem_file, flag: binary_file}
+        code = main(["solve", *[t for item in paths.items() for t in item]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, not_utf8_error(binary_file))
 
     def test_parse_error_reported(self, tmp_path, problem_file, capsys):
         bad = tmp_path / "bad.bnet"
@@ -228,6 +248,15 @@ class TestGenCommand:
         assert code == 1
         assert_one_error(capsys.readouterr().err,
                          f"error: cannot write {out}: No such file or directory")
+
+    def test_not_utf8_input_named(self, binary_file, tmp_path, capsys):
+        out = tmp_path / "g.prob"
+        code = main(["gen", "--net", binary_file, "--map-count", "1",
+                     "--evid-count", "1", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, not_utf8_error(binary_file))
+        assert not out.exists()
 
     @pytest.mark.parametrize("counts", [("-1", "1"), ("0", "1"), ("1", "-1")])
     def test_bad_counts_rejected(self, counts, net_file, tmp_path, capsys):
@@ -424,8 +453,8 @@ class TestBenchCommand:
         assert_one_error(capsys.readouterr().err,
                          f"error: cannot write {out}: No such file or directory")
 
-    def test_networks_read_before_output_created(self, net_file, tmp_path, capsys,
-                                                 monkeypatch):
+    def test_networks_read_before_output_created(self, net_file, binary_file, tmp_path,
+                                                 capsys, monkeypatch):
         def no_case(*args, **kwargs):
             raise AssertionError("a case ran")
 
@@ -440,6 +469,7 @@ class TestBenchCommand:
                 ((net_file, str(cyclic)),
                  "error: parse failed at 4:5: cycle detected through variable 'A'"),
                 ((net_file, missing), f"error: cannot read {missing}: No such file or directory"),
+                ((net_file, binary_file), not_utf8_error(binary_file)),
         ]:
             code = main(["bench", "--net", nets[0], "--net", nets[1], "--cases", "1",
                          "--map-count", "1", "--evid-count", "1", "-o", str(out)])
@@ -544,9 +574,44 @@ class TestSeedMixing:
         assert _mix_seed(1, 2, 3) != _mix_seed(2, 2, 3)
 
 
+class TestCommandErrors:
+    """A command refuses what it is given with `ValueError`, which `main`
+    prints as one `error: ` line with exit status 1."""
+
+    def test_commands_raise_value_error(self, net_file, problem_file, tmp_path):
+        missing = str(tmp_path / "missing.bnet")
+        unwritable = str(tmp_path / "missing" / "out.csv")
+        out = str(tmp_path / "r.csv")
+        solve = ["solve", "--problem", problem_file]
+        bench = ["bench", "--cases", "1", "--map-count", "1", "--evid-count", "1", "-o"]
+        no_file = "No such file or directory"
+        for command, argv, message in [
+                (cli.cmd_solve, [*solve, "--net", missing], f"cannot read {missing}: {no_file}"),
+                (cli.cmd_solve, [*solve, "--net", net_file, "--trace", unwritable],
+                 f"cannot write {unwritable}: {no_file}"),
+                (cli.cmd_solve, [*solve, "--net", net_file, "--algo", "oracle", "--trace", out],
+                 "--trace records annealing sweeps; algorithm 'oracle' has none"),
+                (cli.cmd_bench, [*bench, out, "--net", missing],
+                 f"cannot read {missing}: {no_file}"),
+                (cli.cmd_bench, [*bench, unwritable, "--net", net_file],
+                 f"cannot write {unwritable}: {no_file}"),
+                (cli.cmd_bench, [*bench, out, "--net", net_file, "--algos", "anneal,anneal"],
+                 "algorithm 'anneal' appears twice in --algos"),
+                (cli.cmd_bench, [*bench, out, "--net", net_file, "--algos", "bogus"],
+                 "unknown algorithm 'bogus' in --algos (choose from anneal, oracle, hillclimb)"),
+        ]:
+            args = build_parser().parse_args(argv)
+            assert args.func is command
+            with pytest.raises(ValueError) as exc:
+                command(args)
+            assert str(exc.value) == message
+        assert not os.path.exists(out)
+
+
 class TestDispatch:
-    """`main` parses a command's arguments on that command's parser alone,
-    which must read exactly as the full parser tree does."""
+    """`main` reads a plain `solve` argv without building a parser and
+    every other argv on the full parser tree; either way it must read as
+    the full tree does."""
 
     @staticmethod
     def _outcome(parse, argv, capsys):
@@ -587,20 +652,6 @@ class TestDispatch:
         assert main() == 0
         assert capsys.readouterr().out == want
 
-    def test_solve_builds_no_other_command(self, net_file, problem_file, capsys,
-                                           monkeypatch):
-        def refuse(parser):
-            raise AssertionError("built another command's arguments")
-
-        for name in ("gen", "bench"):
-            monkeypatch.setitem(cli.COMMANDS, name, (cli.COMMANDS[name][0], refuse))
-        with pytest.raises(AssertionError):
-            build_parser()
-        # a joined value sends the argv to argparse, which builds `solve`'s
-        # parser alone
-        assert main(["solve", "--net", net_file, "--problem", problem_file, "--seed=0"]) == 0
-        assert "Sprinkler=" in capsys.readouterr().out
-
     def test_plain_solve_builds_no_parser(self, net_file, problem_file, capsys,
                                           monkeypatch):
         base = ["solve", "--net", net_file, "--problem", problem_file]
@@ -616,7 +667,7 @@ class TestDispatch:
             assert capsys.readouterr().out == want
         monkeypatch.undo()
 
-        # a joined value and an abbreviation are argparse's to read
+        # a joined value and an abbreviation are the full tree's to read
         init = argparse.ArgumentParser.__init__
         built = []
 
@@ -629,7 +680,7 @@ class TestDispatch:
             built.clear()
             assert main([*base, *rest]) == 0
             assert capsys.readouterr().out == want
-            assert built == ["amap solve"]
+            assert built == ["amap", "amap solve", "amap gen", "amap bench"]
 
 
 # what a `solve` argv is drawn from: pairs of a table flag and a value of its

@@ -1323,7 +1323,7 @@ class TestDrawRule:
         assert row[want] > 0.0
         assert bisect.bisect_right(engine._running_sums(row), u) == want
         logs = tuple(math.log(p) if p > 0.0 else -math.inf for p in row)
-        site = engine._Site(np.array(row), row, logs)
+        site = engine._Site(np.array(row), engine._running_sums(row), logs)
         assert bisect.bisect_right(site.cum, u) == want
 
     def test_edge_rows(self):

@@ -58,8 +58,8 @@ def _reference_kernel(net, j, plan, context):
     assert j not in context
     dist = _reference_site(net, j, context, Assignment())
     probs = tuple(dist.tolist())
-    return engine._Site(dist, probs, tuple(math.log(p) if p > 0.0 else -math.inf
-                                           for p in probs))
+    return engine._Site(dist, engine._running_sums(probs),
+                        tuple(math.log(p) if p > 0.0 else -math.inf for p in probs))
 
 
 class TestAcceptanceProbability:
