@@ -1,5 +1,5 @@
 """MAP inference toolkit for discrete Bayesian networks: an annealed Gibbs
-solver, exact variable-elimination inference, an exhaustive oracle, and a
+solver, exact variable-elimination inference, an exact MAP oracle, and a
 benchmark harness."""
 
 from .engine import (
@@ -37,7 +37,6 @@ from .model import (
 )
 from .solver import (
     AnnealSchedule,
-    OracleCapError,
     SolveReport,
     acceptance_probability,
     annealed_map,

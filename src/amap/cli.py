@@ -10,15 +10,15 @@ import os
 import random
 import sys
 import time
-from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple,
+                    TypeVar)
 
 from . import fileio, solver
 from .engine import WidthCapError, forward_sample
 from .fileio import ParseError, ReportRow
 from .model import BayesianNetwork, MapProblem
-from .solver import AnnealSchedule, OracleCapError, SolveReport
+from .solver import AnnealSchedule, SolveReport
 
-ORACLE_CAP_ENV = "AMAP_ORACLE_CAP"
 ALGOS = ("anneal", "oracle", "hillclimb")
 
 
@@ -50,19 +50,6 @@ def generate_problem(net: BayesianNetwork, n_map: int, n_evid: int,
 def _check_counts(n_map: int, n_evid: int) -> None:
     if n_map < 1 or n_evid < 0:
         raise ValueError("map-count must be >= 1 and evid-count >= 0")
-
-
-def _oracle_cap() -> int:
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if not raw:
-        return solver.DEFAULT_ORACLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _pool_size(workers: int, cases: int) -> int:
@@ -149,22 +136,38 @@ def _read_solve(rest: Sequence[object]) -> Optional[argparse.Namespace]:
     return argparse.Namespace(command="solve", **values, func=cmd_solve)
 
 
-def _read(path: str) -> str:
+_T = TypeVar("_T")
+
+
+def _parse(path: str, parse: Callable[..., _T], *args: object) -> _T:
+    """`parse(text, *args)` on the text of `path` less one leading
+    byte-order mark; an unreadable file or a parse error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read().removeprefix("\ufeff")
+        return parse(text, *args)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: not UTF-8 text (byte {exc.start})")
+    except ParseError as exc:
+        raise ValueError(f"parse failed at {path}:{exc}") from None
 
 
-def _create(path: str) -> TextIO:
-    """`path` opened for writing; an unwritable path ends the command."""
+@contextlib.contextmanager
+def _create(path: str) -> Iterator[TextIO]:
+    """`path` opened for writing, and removed if the block fails; an
+    unwritable path ends the command."""
     try:
-        return open(path, "w", encoding="utf-8")
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _run_algo(algo: str, net: BayesianNetwork, problem: MapProblem,
@@ -175,7 +178,7 @@ def _run_algo(algo: str, net: BayesianNetwork, problem: MapProblem,
         return solver.annealed_map(net, problem, schedule, rng,
                                    restarts=restarts, collect_trace=collect_trace)
     if algo == "oracle":
-        return solver.brute_force_map(net, problem, cap=_oracle_cap())
+        return solver.brute_force_map(net, problem)
     if algo == "hillclimb":
         return solver.hill_climb_map(net, problem)
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -192,11 +195,11 @@ def _write_trace(fh: TextIO, trace: List[solver.TraceRow]) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and args.algo != "anneal":
         raise ValueError(f"--trace records annealing sweeps; algorithm {args.algo!r} has none")
-    net = fileio.parse_network(_read(args.net))
-    problem = fileio.parse_problem(_read(args.problem), net)
+    net = _parse(args.net, fileio.parse_network)
+    problem = _parse(args.problem, fileio.parse_problem, net)
     schedule = _schedule_from_args(args)
     # opened before the solve, so an unwritable trace file ends the command
-    # before any work
+    # before any work, and removed if the solve fails
     with _create(args.trace) if args.trace else contextlib.nullcontext() as trace:
         report = _run_algo(args.algo, net, problem, schedule, args.seed,
                            args.restarts, collect_trace=trace is not None)
@@ -215,7 +218,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    net = fileio.parse_network(_read(args.net))
+    net = _parse(args.net, fileio.parse_network)
     rng = random.Random(args.seed)
     problem = generate_problem(net, args.map_count, args.evid_count, rng)
     text = fileio.serialize_problem(problem, net)
@@ -231,11 +234,11 @@ def _timed_run(algo: str, net: BayesianNetwork, problem: MapProblem,
                ) -> Tuple[Optional[SolveReport], float, Optional[str]]:
     """One algorithm on one bench case: its report and wall time in ms, or
     no report and the reason it refused the case, an elimination over the
-    table-size cap or the oracle over its MAP-space cap."""
+    table-size cap (for the oracle, its table of the MAP space too)."""
     start = time.perf_counter()
     try:
         report = _run_algo(algo, net, problem, args.schedule, seed, args.restarts)
-    except (OracleCapError, WidthCapError) as exc:
+    except WidthCapError as exc:
         return None, 0.0, str(exc)
     return report, (time.perf_counter() - start) * 1000.0, None
 
@@ -327,8 +330,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _check_counts(args.map_count, args.evid_count)
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
-    _oracle_cap()  # every case runs the oracle: a bad cap ends the command here
-    nets = [fileio.parse_network(_read(path)) for path in args.net]
+    nets = [_parse(path, fileio.parse_network) for path in args.net]
     problems = [[generate_problem(net, args.map_count, args.evid_count,
                                   random.Random(_mix_seed(args.seed, net_index, case)))
                  for case in range(args.cases)] for net_index, net in enumerate(nets)]
@@ -390,9 +392,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: parse failed at {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """MAP solvers: the annealed Gibbs sampler with geometric cooling and
-cost-based reheating, an exhaustive oracle, and a hill-climbing baseline.
+cost-based reheating, an exact oracle by elimination, and a hill-climbing
+baseline.
 
 All solvers prune the network first and solve each independent component
 separately; per-component log-probabilities add up to ln p(x|E) on the
@@ -35,19 +36,7 @@ from .model import Assignment, BayesianNetwork, MapProblem
 IMPROVE_EPS = 1e-12   # best_logp must grow by more than this to count
 TRACK_TOL = 1e-6      # tracked vs recomputed ln p(x|E)
 
-DEFAULT_ORACLE_CAP = 2 ** 20
 _MAX_CLIMB_STEPS = 1000
-
-
-class OracleCapError(ValueError):
-    """The exhaustive oracle refuses: a pruned component's MAP state space
-    exceeds the cap."""
-
-    def __init__(self, size: int, cap: int) -> None:
-        super().__init__(f"a component's MAP state space has {size} configurations, "
-                         f"cap is {cap}")
-        self.size = size
-        self.cap = cap
 
 
 class TrackingError(RuntimeError):
@@ -332,18 +321,15 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
 
 # -- exact oracle ------------------------------------------------------------
 
-def brute_force_map(net: BayesianNetwork, problem: MapProblem,
-                    cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
-    """Exhaustive MAP: enumerates every configuration of the MAP set on
-    each pruned component. Ties resolve to the lexicographically lowest
-    assignment in map-variable order. Raises OracleCapError, before any
-    elimination, if a component's MAP state space exceeds `cap`."""
-    pruned = prune(net, problem)
-    for comp in pruned.components:
-        size = math.prod(comp.net.cardinality(v) for v in comp.problem.map_vars)
-        if size > cap:
-            raise OracleCapError(size, cap)
-    return _solve_components(pruned, lambda _, comp, __: _brute_force(comp))
+def brute_force_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
+    """Exact MAP: on each pruned component, eliminates every variable but
+    the MAP set and takes the largest entry of the table left, whose size
+    is the MAP set's number of configurations. Ties resolve to the
+    lexicographically lowest assignment in map-variable order. Like every
+    elimination, raises WidthCapError, before any table is built, if that
+    table or any table the elimination multiplies would exceed
+    MAX_TABLE_ENTRIES."""
+    return _solve_components(prune(net, problem), lambda _, comp, __: _brute_force(comp))
 
 
 def _brute_force(comp: Component) -> SolveReport:

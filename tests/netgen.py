@@ -32,6 +32,24 @@ def random_network(rng: random.Random, n_vars: int, max_parents: int = 2,
     return BayesianNetwork(name, variables, cpts)
 
 
+def chain_network(rng: random.Random, n_roots: int) -> BayesianNetwork:
+    """`n_roots` binary roots (ids 0 .. n_roots - 1) and, for each two
+    neighbours, a binary leaf with both as parents. With every root MAP and
+    every leaf observed (`random_problem`), it prunes to one component whose
+    MAP space has 2^n_roots configurations while its elimination stays
+    narrow."""
+    variables = [Variable(i, f"r{i}", ("t", "f")) for i in range(n_roots)]
+    variables += [Variable(n_roots + i, f"l{i}", ("t", "f")) for i in range(n_roots - 1)]
+    cpts = []
+    for i in range(n_roots):
+        p = rng.uniform(0.2, 0.8)
+        cpts.append(Cpt(i, (), ((p, 1.0 - p),)))
+    for i in range(n_roots - 1):
+        rows = tuple((p, 1.0 - p) for p in (rng.uniform(0.05, 0.95) for _ in range(4)))
+        cpts.append(Cpt(n_roots + i, (i, i + 1), rows))
+    return BayesianNetwork("chain", variables, cpts)
+
+
 def disjoint_union(a: BayesianNetwork, b: BayesianNetwork) -> BayesianNetwork:
     """The two networks side by side, with b's ids shifted past a's."""
     n = len(a)

@@ -19,7 +19,7 @@ from amap.cli import (ALGOS, build_parser, generate_problem, main, _mix_seed, _p
                       _schedule_from_args)
 from conftest import (CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_PROBLEM_TEXT, SPRINKLER_TEXT,
                       ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT)
-from netgen import random_network
+from netgen import chain_network, random_network
 from amap.fileio import REPORT_COLUMNS, serialize_network, serialize_problem
 
 
@@ -47,6 +47,19 @@ def binary_file(tmp_path):
     path = tmp_path / "bad.bnet"
     path.write_bytes(b"\xff\xfe")
     return str(path)
+
+
+@pytest.fixture
+def chain_file(tmp_path):
+    """A chain of 28 binary roots joined by 27 leaves: with `--map-count 28
+    --evid-count 27` its MAP space, the oracle's table, has 2^28 entries."""
+    path = tmp_path / "chain.bnet"
+    path.write_text(serialize_network(chain_network(random.Random(5), 28)))
+    return str(path)
+
+
+CHAIN_COUNTS = ("--map-count", "28", "--evid-count", "27")
+CHAIN_REFUSAL = "elimination needs a table of 268435456 entries (2^28.0), cap is 134217728"
 
 
 def not_utf8_error(path):
@@ -135,7 +148,7 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert_one_error(captured.err,
-                         "error: parse failed at 5:5: cpt for 'C' lists parent 'A' twice")
+                         f"error: parse failed at {net}:5:5: cpt for 'C' lists parent 'A' twice")
 
     def test_cyclic_network_rejected(self, tmp_path, problem_file, capsys):
         net = tmp_path / "cyc.bnet"
@@ -144,7 +157,35 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert_one_error(captured.err,
-                         "error: parse failed at 4:5: cycle detected through variable 'A'")
+                         f"error: parse failed at {net}:4:5: cycle detected through variable 'A'")
+
+    def test_problem_parse_error_names_the_problem_file(self, net_file, tmp_path, capsys):
+        problem = tmp_path / "typo.prob"
+        problem.write_text("mapp Rain\nevidence WetGrass=t\n")
+        code = main(["solve", "--net", net_file, "--problem", str(problem)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, f"error: parse failed at {problem}:1:1: "
+                                       "expected 'map' or 'evidence', got 'mapp'")
+
+    def test_byte_order_mark_accepted(self, net_file, problem_file, tmp_path, capsys):
+        args = ["solve", "--net", net_file, "--problem", problem_file, "--seed", "3"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        for flag, path in (("--net", net_file), ("--problem", problem_file)):
+            marked = tmp_path / ("bom-" + os.path.basename(path))
+            marked.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(path).read_bytes())
+            argv = list(args)
+            argv[argv.index(flag) + 1] = str(marked)
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "" and captured.out == plain
+        # a byte that is not UTF-8 is counted from the file's start, the mark
+        # included: EF BB BF 61 62 FF fails at byte 5
+        marked.write_bytes(b"\xef\xbb\xbfab\xff")
+        assert main(argv) == 1
+        assert_one_error(capsys.readouterr().err,
+                         f"error: cannot read {marked}: not UTF-8 text (byte 5)")
 
     @pytest.mark.parametrize("algo", ["anneal", "hillclimb", "oracle"])
     def test_zero_probability_evidence(self, algo, tmp_path, capsys):
@@ -192,6 +233,19 @@ class TestSolveCommand:
         assert captured.out == ""
         assert_one_error(captured.err,
                          f"error: cannot write {trace}: No such file or directory")
+
+    def test_failed_solve_leaves_no_trace(self, tmp_path, capsys):
+        net, problem = tmp_path / "zero.bnet", tmp_path / "zero.prob"
+        net.write_text("network z\nvar A { t, f }\nvar B { t, f }\n"
+                       "cpt A { 1.0 0.0 }\ncpt B | A { 1.0 0.0 ; 0.5 0.5 }\n")
+        problem.write_text("map A\nevidence B=f\n")
+        trace = tmp_path / "tr.csv"
+        code = main(["solve", "--net", str(net), "--problem", str(problem),
+                     "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, "error: evidence has probability zero")
+        assert not trace.exists()
 
     @pytest.mark.parametrize("algo", ["hillclimb", "oracle"])
     def test_trace_rejected_for_algorithm_without_sweeps(self, algo, net_file,
@@ -258,6 +312,18 @@ class TestGenCommand:
         assert_one_error(captured.err, not_utf8_error(binary_file))
         assert not out.exists()
 
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        net = tmp_path / "cyc.bnet"
+        net.write_text(CYCLE_TEXT)
+        out = tmp_path / "g.prob"
+        code = main(["gen", "--net", str(net), "--map-count", "1",
+                     "--evid-count", "1", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err,
+                         f"error: parse failed at {net}:4:5: cycle detected through variable 'A'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("counts", [("-1", "1"), ("0", "1"), ("1", "-1")])
     def test_bad_counts_rejected(self, counts, net_file, tmp_path, capsys):
         out = tmp_path / "g.prob"
@@ -317,17 +383,14 @@ class TestBenchCommand:
         assert self.mask_wall(pooled) == self.mask_wall(serial)
         assert capsys.readouterr().out == serial_out
 
-    def test_oracle_cap_blank(self, tmp_path, capsys, monkeypatch):
-        rng = random.Random(4)
-        net = random_network(rng, 12, name="caps")
-        path = tmp_path / "caps.bnet"
-        path.write_text(serialize_network(net))
-        monkeypatch.setenv("AMAP_ORACLE_CAP", "1")
+    def test_oracle_cap_blank(self, chain_file, tmp_path, capsys):
+        # the oracle is refused, unlisted, so no row can match it
         out = tmp_path / "r.csv"
-        assert main(["bench", "--net", str(path), "--cases", "2",
-                     "--map-count", "2", "--evid-count", "1", "--seed", "2",
-                     "--algos", "anneal", "-o", str(out)]) == 0
-        capsys.readouterr()
+        assert main(["bench", "--net", chain_file, "--cases", "2", *CHAIN_COUNTS,
+                     "--seed", "2", "--algos", "anneal", "-o", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "network=chain cases=2 anneal_optimal=0/0\n"
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 2
         assert all(r["matches_oracle"] == "" for r in rows)
@@ -467,7 +530,7 @@ class TestBenchCommand:
         for nets, line in [
                 ((missing, net_file), f"error: cannot read {missing}: No such file or directory"),
                 ((net_file, str(cyclic)),
-                 "error: parse failed at 4:5: cycle detected through variable 'A'"),
+                 f"error: parse failed at {cyclic}:4:5: cycle detected through variable 'A'"),
                 ((net_file, missing), f"error: cannot read {missing}: No such file or directory"),
                 ((net_file, binary_file), not_utf8_error(binary_file)),
         ]:
@@ -499,22 +562,22 @@ class TestBenchCommand:
         assert_one_error(captured.err, "error: network 'empty' has no root variables")
         assert not out.exists()
 
-    def test_oracle_cap_skips_a_listed_oracle(self, net_file, tmp_path, capsys,
-                                              monkeypatch):
-        # Rain, the one MAP variable, has two states: a cap of 1 refuses
-        # every case, which a listed oracle reports like the table-size cap
-        # and an unlisted one does not
-        monkeypatch.setenv("AMAP_ORACLE_CAP", "1")
-        unlisted = self.run_bench(tmp_path, net_file, "a.csv", ("--algos", "hillclimb"))
+    def test_oracle_cap_skips_a_listed_oracle(self, chain_file, tmp_path, capsys):
+        # every case's MAP space is over the table-size cap, which a listed
+        # oracle reports like any other refused algorithm and an unlisted
+        # one does not
+        unlisted = self.run_bench(tmp_path, chain_file, "a.csv",
+                                  (*CHAIN_COUNTS, "--algos", "hillclimb"))
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out == "network=sprinkler cases=3 anneal_optimal=0/0\n"
-        listed = self.run_bench(tmp_path, net_file, "b.csv", ("--algos", "oracle,hillclimb"))
+        assert captured.out == "network=chain cases=3 anneal_optimal=0/0\n"
+        listed = self.run_bench(tmp_path, chain_file, "b.csv",
+                                (*CHAIN_COUNTS, "--algos", "oracle,hillclimb"))
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            f"skipped: network=sprinkler case={case} algorithm=oracle: a component's "
-            f"MAP state space has 2 configurations, cap is 1" for case in range(3)]
-        assert captured.out == "network=sprinkler cases=3 anneal_optimal=0/0\n"
+            f"skipped: network=chain case={case} algorithm=oracle: {CHAIN_REFUSAL}"
+            for case in range(3)]
+        assert captured.out == "network=chain cases=3 anneal_optimal=0/0\n"
         rows = list(csv.DictReader(io.StringIO(listed)))
         assert [(r["algorithm"], r["seed"], r["matches_oracle"]) for r in rows] == [
             ("hillclimb", str(_mix_seed(11, case, 1)), "") for case in range(3)]
@@ -523,6 +586,19 @@ class TestBenchCommand:
                   "reheats")
         assert ([[r[c] for c in answer] for r in rows] ==
                 [[r[c] for c in answer] for r in csv.DictReader(io.StringIO(unlisted))])
+
+    def test_failed_case_leaves_no_output(self, net_file, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("the case failed")
+
+        monkeypatch.setattr(solver, "annealed_map", failing)
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--net", net_file, "--cases", "1",
+                     "--map-count", "1", "--evid-count", "1", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, "error: the case failed")
+        assert not out.exists()
 
     def test_workers_below_one_rejected(self, net_file, tmp_path, capsys):
         # and restarts below one, both before the output is created
@@ -552,19 +628,6 @@ class TestBenchCommand:
         assert _pool_size(64, 2) == 2
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert _pool_size(8, 10) == 1
-
-    @pytest.mark.parametrize("raw", ["lots", "2.5", "0", "-3"])
-    def test_bad_oracle_cap_env(self, raw, net_file, tmp_path, capsys,
-                                monkeypatch):
-        monkeypatch.setenv("AMAP_ORACLE_CAP", raw)
-        out = tmp_path / "r.csv"
-        code = main(["bench", "--net", net_file, "--cases", "1",
-                     "--map-count", "1", "--evid-count", "1", "-o", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "AMAP_ORACLE_CAP" in err and repr(raw) in err
-        assert len(err.strip().splitlines()) == 1
-        assert not out.exists()
 
 
 class TestSeedMixing:
@@ -799,7 +862,7 @@ class TestProcess:
         assert run.returncode == 1 and run.stdout == ""
         assert "Traceback" not in run.stderr
         assert_one_error(run.stderr,
-                         "error: parse failed at 4:5: cycle detected through variable 'A'")
+                         f"error: parse failed at {net}:4:5: cycle detected through variable 'A'")
 
     def test_import_leaves_the_process_pool_out(self):
         # only a bench with more than one worker imports the pool, and only

@@ -1,5 +1,6 @@
 import math
 import random
+import resource
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,6 @@ from amap import (
     ImpossibleContextError,
     InconsistentEvidenceError,
     MapProblem,
-    OracleCapError,
     acceptance_probability,
     annealed_map,
     brute_force_map,
@@ -30,12 +30,13 @@ from amap import (
     sequential_init,
     specific_heat,
     Variable,
+    WidthCapError,
 )
 from amap import engine, solver
 from amap.cli import generate_problem
 from amap.engine import PrunedNetwork
 from conftest import ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT
-from netgen import (disjoint_union, enum_best, joint_size, random_network, random_problem,
+from netgen import (chain_network, disjoint_union, enum_best, joint_size, random_network, random_problem,
                     relabelled, scan_draw)
 
 
@@ -201,9 +202,29 @@ class TestBruteForce:
         with pytest.raises(InconsistentEvidenceError, match="probability zero"):
             brute_force_map(net, parse_problem(ZERO_EVIDENCE_PROBLEM_TEXT, net))
 
-    def test_cap(self, sprinkler, sprinkler_problem):
-        with pytest.raises(OracleCapError, match="cap is 2"):
-            brute_force_map(sprinkler, sprinkler_problem, cap=2)
+    def test_cap(self):
+        # the component's MAP space, the oracle's final table, has 2^28
+        # entries: refused from the plan's order, before any table is built
+        net = chain_network(random.Random(5), 28)
+        problem = random_problem(random.Random(6), net)
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        with pytest.raises(WidthCapError, match=(
+                "elimination needs a table of 268435456 entries \\(2\\^28.0\\), "
+                f"cap is {engine.MAX_TABLE_ENTRIES}")):
+            brute_force_map(net, problem)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kib < 256 * 1024
+
+    def test_runs_past_the_old_map_space_cap(self):
+        # 2^21 configurations, over the 2^20 the oracle once enumerated at
+        # most: answered exactly, and no solver reports a better logp
+        net = chain_network(random.Random(8), 21)
+        problem = random_problem(random.Random(9), net)
+        oracle = brute_force_map(net, problem)
+        assert oracle.logp == pytest.approx(
+            map_posterior(net, oracle.best, problem.evidence), rel=0.0, abs=1e-9)
+        for report in (annealed_map(net, problem, AnnealSchedule(), random.Random(10)),
+                       hill_climb_map(net, problem)):
+            assert report.logp <= oracle.logp + 1e-9
 
     def test_cap_applies_per_component(self):
         # two disconnected components, each with 3 binary MAP roots and one
@@ -220,12 +241,23 @@ class TestBruteForce:
             cpts.append(Cpt(base + 3, (base, base + 1, base + 2), tuple(rows)))
         net = BayesianNetwork("two", variables, cpts)
         problem = MapProblem((0, 1, 2, 4, 5, 6), Assignment({3: 0, 7: 1}))
-        report = brute_force_map(net, problem, cap=8)
+        report = brute_force_map(net, problem)
         want_states, want_lp = enum_best(net, problem)
         assert tuple(map(report.best.__getitem__, problem.map_vars)) == want_states
         assert report.logp == pytest.approx(want_lp, abs=1e-9)
-        with pytest.raises(OracleCapError, match="has 8 configurations, cap is 7"):
-            brute_force_map(net, problem, cap=7)
+        # two chains of 14 MAP roots: 2^14 configurations each, within the
+        # table-size cap, though 2^28 in all are not
+        rng = random.Random(4)
+        pair = disjoint_union(chain_network(rng, 14), chain_network(rng, 14))
+        pair_problem = random_problem(rng, pair)
+        assert len(prune(pair, pair_problem).components) == 2
+        pair_report = brute_force_map(pair, pair_problem)
+        assert pair_report.logp == pytest.approx(
+            map_posterior(pair, pair_report.best, pair_problem.evidence), rel=0.0, abs=1e-9)
+        # the narrow component beside a chain of 28 MAP roots: refused
+        wide = disjoint_union(net, chain_network(rng, 28))
+        with pytest.raises(WidthCapError, match="2\\^28.0"):
+            brute_force_map(wide, random_problem(rng, wide))
 
     def test_agrees_with_full_enumeration(self):
         rng = random.Random(101)
