@@ -31,8 +31,6 @@ from .model import (
     CycleError,
     MapProblem,
     Variable,
-    complete,
-    joint_log_prob,
     topological_order,
 )
 from .solver import (

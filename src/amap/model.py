@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 ROW_SUM_TOL = 1e-6
 
@@ -244,31 +244,3 @@ def topological_order(net: BayesianNetwork) -> Tuple[int, ...]:
                          stuck)
     return tuple(out)
 
-
-def joint_log_prob(net: BayesianNetwork, full: Assignment) -> float:
-    """ln p(z) under the chain-rule factorization; -inf if any factor is 0."""
-    total = 0.0
-    for v in net.variables:
-        if v.id not in full:
-            raise ValueError(f"assignment does not bind variable {v.name!r}")
-        state = full[v.id]
-        if not (0 <= state < v.cardinality):
-            raise ValueError(f"state {state} out of range for {v.name!r}")
-    for v in net.variables:
-        row = net.cpts[v.id].table[net.row_index(v.id, full)]
-        p = row[full[v.id]]
-        if p == 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
-
-
-def complete(partial: Assignment, net: BayesianNetwork) -> Iterator[Assignment]:
-    """All full assignments extending `partial`, in lexicographic order of the
-    unbound variables' state indices (unbound variables ordered by id)."""
-    unbound = [v.id for v in net.variables if v.id not in partial]
-    for combo in itertools.product(*(range(net.cardinality(v)) for v in unbound)):
-        full = partial.copy()
-        for v, s in zip(unbound, combo):
-            full[v] = s
-        yield full

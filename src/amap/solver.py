@@ -78,6 +78,11 @@ class TraceRow:
 
 @dataclass
 class SolveReport:
+    """An answer and the search it took: `sweeps` counts annealing sweeps
+    (hill climbing: moves), and `restarts_used` the most search runs on one
+    component, 0 if every component has one MAP variable, which is answered
+    exactly with no search."""
+
     best: Assignment
     logp: float
     sweeps: int = 0
@@ -148,6 +153,20 @@ def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
             scores.append(_log_total(plan, context))
         context[v] = scores.index(max(scores))
     return {v: s for v, s in context.items() if v in map_set}
+
+
+def _one_variable(comp: Component) -> Optional[SolveReport]:
+    """The exact answer of a component with one MAP variable, found with no
+    search; None for any other. sequential_init scores each state of that
+    variable on the indicator plan and keeps the first maximum, the exact
+    MAP: the answer is that state and its score less ln p(E)."""
+    net, problem = comp.net, comp.problem
+    if len(problem.map_vars) != 1:
+        return None
+    x = sequential_init(net, problem)  # raises on zero-probability evidence
+    plan = _indicator_plan(net, problem)
+    logp = _log_total(plan, {**problem.evidence, **x}) - _log_total(plan, problem.evidence)
+    return SolveReport(best=x, logp=logp, restarts_used=0)
 
 
 # -- the annealed sampler ----------------------------------------------------
@@ -257,8 +276,9 @@ def _solve_components(pruned: PrunedNetwork,
     sweeps_before)` answers one pruned component, where `sweeps_before`
     counts the sweeps of the components before it. Answers are mapped back
     to original ids and merged; ln p(x|E), sweeps and reheats add up over
-    the components, and best_found_sweep is the largest of theirs."""
-    total = SolveReport(best={}, logp=0.0)
+    the components, and best_found_sweep and restarts_used are the largest
+    of theirs."""
+    total = SolveReport(best={}, logp=0.0, restarts_used=0)
     for index, comp in enumerate(pruned.components):
         part = solve(index, comp, total.sweeps)
         total.best.update(comp.to_original(part.best))
@@ -266,7 +286,7 @@ def _solve_components(pruned: PrunedNetwork,
         total.sweeps += part.sweeps
         total.reheats += part.reheats
         total.best_found_sweep = max(total.best_found_sweep, part.best_found_sweep)
-        total.restarts_used = part.restarts_used  # the same on every component
+        total.restarts_used = max(total.restarts_used, part.restarts_used)
     return total
 
 
@@ -280,6 +300,9 @@ def annealed_map(net: BayesianNetwork, problem: MapProblem,
 
     Restart 1 starts from the greedy sequential initialization; later
     restarts start from a prior forward sample restricted to the MAP set.
+    A pruned component with one MAP variable is answered exactly by its
+    greedy start: it runs no chain, draws no random number and counts no
+    sweep, reheat, restart or trace row.
     """
     if schedule is None:
         schedule = AnnealSchedule()
@@ -288,8 +311,9 @@ def annealed_map(net: BayesianNetwork, problem: MapProblem,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     trace: Optional[List[TraceRow]] = [] if collect_trace else None
-    report = _solve_components(prune(net, problem), lambda index, comp, before: _anneal(
-        index, comp, before, schedule, rng, restarts, trace, debug_check))
+    report = _solve_components(prune(net, problem), lambda index, comp, before: (
+        _one_variable(comp) or
+        _anneal(index, comp, before, schedule, rng, restarts, trace, debug_check)))
     report.trace = trace
     return report
 
@@ -357,8 +381,11 @@ def hill_climb_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
     only the steps above the flipped variable's indicator; ties keep the
     first move in map-variable, then state, order. The best move's score
     becomes the current score, so the climb strictly ascends that one
-    function; its final score less ln p(E) is the ln p(x|E) reported."""
-    return _solve_components(prune(net, problem), lambda _, comp, __: _climb(comp))
+    function; its final score less ln p(E) is the ln p(x|E) reported.
+    `sweeps` counts the moves made. A pruned component with one MAP
+    variable starts at its exact MAP and tries no move."""
+    return _solve_components(prune(net, problem),
+                             lambda _, comp, __: _one_variable(comp) or _climb(comp))
 
 
 def _climb(comp: Component) -> SolveReport:

@@ -1,12 +1,43 @@
 """Test-side helpers: random network generation and exhaustive-enumeration
-oracles. The oracles use only the model layer (complete + joint_log_prob),
-never the elimination engine they are checking against."""
+oracles. The oracles use only the model layer, through `complete` and
+`joint_log_prob` below, never the elimination engine they are checking
+against."""
 
 import itertools
 import math
 import random
+from typing import Iterator
 
 from amap import Assignment, BayesianNetwork, Cpt, MapProblem, Variable
+
+
+def joint_log_prob(net: BayesianNetwork, full: Assignment) -> float:
+    """ln p(z) under the chain-rule factorization; -inf if any factor is 0."""
+    total = 0.0
+    for v in net.variables:
+        if v.id not in full:
+            raise ValueError(f"assignment does not bind variable {v.name!r}")
+        state = full[v.id]
+        if not (0 <= state < v.cardinality):
+            raise ValueError(f"state {state} out of range for {v.name!r}")
+    for v in net.variables:
+        row = net.cpts[v.id].table[net.row_index(v.id, full)]
+        p = row[full[v.id]]
+        if p == 0.0:
+            return -math.inf
+        total += math.log(p)
+    return total
+
+
+def complete(partial: Assignment, net: BayesianNetwork) -> Iterator[Assignment]:
+    """All full assignments extending `partial`, in lexicographic order of the
+    unbound variables' state indices (unbound variables ordered by id)."""
+    unbound = [v.id for v in net.variables if v.id not in partial]
+    for combo in itertools.product(*(range(net.cardinality(v)) for v in unbound)):
+        full = partial.copy()
+        for v, s in zip(unbound, combo):
+            full[v] = s
+        yield full
 
 
 def random_network(rng: random.Random, n_vars: int, max_parents: int = 2,
@@ -70,8 +101,6 @@ def joint_size(net: BayesianNetwork) -> int:
 def enum_factor(net: BayesianNetwork, keep, evidence: Assignment) -> dict:
     """Brute-force f(keep) = sum over completions of the joint, with evidence
     fixed. Keys are state tuples in `keep` order."""
-    from amap import complete, joint_log_prob
-
     keep = tuple(keep)
     out = {}
     for combo in itertools.product(*(range(net.cardinality(v)) for v in keep)):

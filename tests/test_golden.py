@@ -28,24 +28,24 @@ NETWORKS = {
 # (network, algorithm, solver seed, restarts) -> (the state index of each
 # MAP variable in map-variable order, log10_p, sweeps, reheats)
 GOLDEN = {
-    ('r120', 'anneal', 11, 1): ('01002201012100000111', '-4.65409483518', 220, 11),
+    ('r120', 'anneal', 11, 1): ('01002201012100000111', '-4.65409483518', 20, 1),
     ('r120', 'hillclimb', 0, 1): ('01002201012100000111', '-4.65409483518', 0, 0),
-    ('r120b', 'anneal', 11, 1): ('21001100021100000111', '-3.93077183138', 221, 11),
+    ('r120b', 'anneal', 11, 1): ('21001100021100000111', '-3.93077183138', 21, 1),
     ('r120b', 'hillclimb', 0, 1): ('21001100021100000111', '-3.93077183138', 1, 0),
-    ('r80', 'anneal', 11, 1): ('2102001000020202', '-3.73478012418', 154, 8),
-    ('r80', 'anneal', 5, 3): ('2102001000020202', '-3.73478012418', 443, 21),
+    ('r80', 'anneal', 11, 1): ('2102001000020202', '-3.73478012418', 34, 2),
+    ('r80', 'anneal', 5, 3): ('2102001000020202', '-3.73478012418', 73, 3),
     ('r80', 'hillclimb', 0, 1): ('2102001000020202', '-3.73478012418', 1, 0),
-    ('r60', 'anneal', 11, 1): ('22011112100', '-2.46684719698', 134, 6),
-    ('r60', 'anneal', 5, 3): ('22011112100', '-2.46684719698', 373, 18),
+    ('r60', 'anneal', 11, 1): ('22011112100', '-2.46684719698', 34, 1),
+    ('r60', 'anneal', 5, 3): ('22011112100', '-2.46684719698', 68, 3),
     ('r60', 'hillclimb', 0, 1): ('22011112100', '-2.46684719698', 2, 0),
-    ('r45', 'anneal', 11, 1): ('100221122', '-2.51336895597', 82, 4),
-    ('r45', 'anneal', 5, 3): ('100221122', '-2.51336895597', 274, 13),
+    ('r45', 'anneal', 11, 1): ('100221122', '-2.51336895597', 22, 1),
+    ('r45', 'anneal', 5, 3): ('100221122', '-2.51336895597', 86, 4),
     ('r45', 'hillclimb', 0, 1): ('100221122', '-2.51336895597', 1, 0),
-    ('r30', 'anneal', 11, 1): ('101110', '-1.56323190762', 61, 3),
-    ('r30', 'anneal', 5, 3): ('101110', '-1.56323190762', 188, 9),
+    ('r30', 'anneal', 11, 1): ('101110', '-1.56323190762', 21, 1),
+    ('r30', 'anneal', 5, 3): ('101110', '-1.56323190762', 68, 3),
     ('r30', 'hillclimb', 0, 1): ('101110', '-1.56323190762', 1, 0),
-    ('r20', 'anneal', 11, 1): ('0100', '-1.02322756134', 45, 2),
-    ('r20', 'anneal', 5, 3): ('0100', '-1.02322756134', 125, 6),
+    ('r20', 'anneal', 11, 1): ('0100', '-1.02322756134', 25, 1),
+    ('r20', 'anneal', 5, 3): ('0100', '-1.02322756134', 64, 3),
     ('r20', 'hillclimb', 0, 1): ('0100', '-1.02322756134', 1, 0),
 }
 

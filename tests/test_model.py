@@ -10,11 +10,9 @@ from amap import (
     CycleError,
     MapProblem,
     Variable,
-    complete,
-    joint_log_prob,
     topological_order,
 )
-from netgen import random_network
+from netgen import complete, joint_log_prob, random_network
 
 
 def chain_net():

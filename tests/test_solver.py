@@ -487,10 +487,13 @@ def _reference_climb(net, problem):
     """hill_climb_map from scratch: on each pruned component, from
     _reference_init, every single flip scored with map_posterior on a
     rebuilt network; the best strict gain moves, the first in map-variable,
-    then state, order on ties."""
-    total = solver.SolveReport(best=Assignment(), logp=0.0)
+    then state, order on ties. A climb counts as a run only on a component
+    with two or more MAP variables."""
+    total = solver.SolveReport(best=Assignment(), logp=0.0, restarts_used=0)
     for comp in prune(net, problem).components:
         evidence, map_vars = comp.problem.evidence, comp.problem.map_vars
+        if len(map_vars) > 1:
+            total.restarts_used = 1
         x = _reference_init(comp.net, comp.problem)
 
         def score(y):
@@ -548,7 +551,12 @@ class TestSiteContext:
         monkeypatch.setattr(solver, "_conditional", _reference_kernel)
         want = anneal_all()
         assert got == want
-        assert all(r.trace for r in got)
+        # a chain runs, and leaves trace rows, exactly on each component with
+        # two or more MAP variables; one-variable components run none
+        chained = [{i for i, c in enumerate(prune(net, problem).components)
+                    if len(c.problem.map_vars) > 1} for net, problem, _ in runs]
+        assert [{row.component for row in r.trace} for r in got] == chained
+        assert any(chained)
         for net, problem, _ in runs:
             assert hill_climb_map(net, problem) == _reference_climb(net, problem)
 
@@ -571,7 +579,8 @@ class TestSiteContext:
     def test_plans_compiled_per_component(self, monkeypatch):
         # hill climbing: the indicator plan alone, on which map_posterior
         # scores a full MAP assignment; anneal: it and one site plan per MAP
-        # variable
+        # variable, except on a one-variable component, which runs no chain
+        # and compiles the indicator plan alone
         net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
         problem = generate_problem(net, 20, 20, random.Random(7))
         for k in range(len(prune(net, problem).components)):
@@ -583,7 +592,8 @@ class TestSiteContext:
                     want = 1
                 else:
                     annealed_map(net, problem, rng=random.Random(k), restarts=2)
-                    want = len(comp.problem.map_vars) + 1
+                    n_map = len(comp.problem.map_vars)
+                    want = 1 if n_map == 1 else n_map + 1
                 plans = [p for p in comp.net._plans.values() if isinstance(p, engine._Plan)]
                 assert len(plans) == want
 
@@ -651,6 +661,42 @@ class TestComponentPipeline:
             assert r.logp == sum(parts(r.best))
             assert r.logp <= oracle.logp + 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_one_variable_components_answered_exactly(self, seed, restarts):
+        rng = random.Random(seed)
+        a, b = (random_network(rng, rng.randint(2, 4)) for _ in range(2))
+        net = disjoint_union(a, b)
+        problem = random_problem(rng, net)
+        # variable 0 of each part is a root, so a MAP variable of the
+        # problem above, and no other MAP variable shares its component
+        roots_only = MapProblem((0, len(a)), problem.evidence)
+        for p in (problem, roots_only):
+            components = prune(net, p).components
+            oracle = brute_force_map(net, p)
+            runs = [annealed_map(net, p, rng=random.Random(seed), restarts=restarts,
+                                 collect_trace=True),
+                    hill_climb_map(net, p)]
+            for comp in components:
+                if len(comp.problem.map_vars) != 1:
+                    continue
+                want, want_logp = enum_best(comp.net, comp.problem)
+                alone = brute_force_map(comp.net, comp.problem)
+                assert alone.logp == pytest.approx(want_logp, abs=1e-9)
+                for r in runs:
+                    assert (r.best[comp.orig_ids[comp.problem.map_vars[0]]],) == want
+                for r in (annealed_map(comp.net, comp.problem, rng=random.Random(seed),
+                                       restarts=restarts),
+                          hill_climb_map(comp.net, comp.problem)):
+                    assert r.logp == pytest.approx(alone.logp, rel=0.0, abs=1e-9)
+            if all(len(c.problem.map_vars) == 1 for c in components):
+                for r in runs:
+                    assert r.logp == pytest.approx(oracle.logp, rel=0.0, abs=1e-9)
+                    assert (r.sweeps, r.reheats, r.best_found_sweep,
+                            r.restarts_used) == (0, 0, 0, 0)
+                assert runs[0].trace == []
+        assert len(prune(net, roots_only).components) == 2
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 59), st.integers(0, 2 ** 32))
     def test_trace_numbers_sweeps_across_components_and_restarts(self, seed, anneal_seed):
@@ -659,12 +705,16 @@ class TestComponentPipeline:
         problem = random_problem(rng, net)
         components = prune(net, problem).components
         assume(len(components) > 1)
+        # only components with two or more MAP variables run chains
+        chained = [c for c in range(len(components))
+                   if len(components[c].problem.map_vars) > 1]
+        assume(chained)
         r = annealed_map(net, problem, rng=random.Random(anneal_seed), restarts=3,
                          collect_trace=True)
         assert [row.sweep for row in r.trace] == list(range(1, r.sweeps + 1))
         runs = [(row.component, row.restart) for row in r.trace]
         assert runs == sorted(runs)
-        assert set(runs) == {(c, k) for c in range(len(components)) for k in range(3)}
+        assert set(runs) == {(c, k) for c in chained for k in range(3)}
         assert 0 <= r.best_found_sweep <= r.sweeps
 
 
@@ -700,10 +750,13 @@ class TestLocalOptimumInstance:
 class TestTrackingIdentity:
     def test_drift_is_caught(self, monkeypatch):
         # site records whose logs are shifted by 0.5 per state index make the
-        # tracked ln p(x|E) drift from exact elimination on the indicator plan
-        rng = random.Random(4)
+        # tracked ln p(x|E) drift from exact elimination on the indicator plan;
+        # only a component with two or more MAP variables runs a chain that
+        # reads them
+        rng = random.Random(6)
         net = random_network(rng, 8, max_parents=2)
         problem = random_problem(rng, net)
+        assert any(len(c.problem.map_vars) > 1 for c in prune(net, problem).components)
 
         def run(debug_check):
             return annealed_map(net, problem, rng=random.Random(4), debug_check=debug_check)
