@@ -12,13 +12,15 @@ runs, children first, only the nodes whose output is not already held for
 the current values. The final node of a site plan (keep one variable)
 also memoises the site records `conditional` makes from its output, one
 per value tuple of its support: the normalised conditional as a read-only
-array, its running sums as Python floats and the logs of its entries. A
-site update that returns to an earlier neighbourhood reads the support's
-values with the node's `memo_key` getter (one `itemgetter` call for two
-variables or more), finds the record by one dictionary lookup and draws
-the next state by one `bisect_right` on the running sums. Records count
-against the same per-network budget as kept outputs, and a context of
-probability zero is never memoised.
+array, its running sums as Python floats and the logs of its entries. The
+support holds only bound variables, never the kept one, so a site update
+may leave its target bound at its current state. One that returns to an
+earlier neighbourhood reads the support's values with the node's
+`memo_key` getter (one `itemgetter` call for two variables or more), built
+with the node, finds the record by one dictionary lookup, with no call of
+`_conditional`, and draws the next state by one `bisect_right` on the
+running sums. Records count against the same per-network budget as
+kept outputs, and a context of probability zero is never memoised.
 
 An indicator variable is eliminated like any other, but its CPT's own
 column is masked to the state the context binds it to, if any: one plan
@@ -107,11 +109,11 @@ class _Node:
     fit in the network's budget) holds its output read-only and its log
     scale, valid while its support has the values in `values` (None until
     an evaluation completes). Any other node holds an output only until the
-    node that reads it has run. `memo` maps a value tuple of the support to
-    the `_Site` that `conditional` made from the output for those values;
-    only a site plan's final node fills it, and only such a node gets a
-    `memo_key`, the `_getter` of its support, built when `conditional`
-    first reads it."""
+    node that reads it has run. `memo_key`, built with the node, is the
+    `_getter` of its support, for a context that binds all of it. `memo`
+    maps a value tuple of the support to the `_Site` that `conditional`
+    made from the output for those values; only a site plan's final node
+    fills it."""
 
     inputs: Tuple[object, ...]
     perms: Tuple[Optional[Tuple[int, ...]], ...]
@@ -121,11 +123,11 @@ class _Node:
     support: Tuple[int, ...]
     entries: int
     keeps: bool
+    memo_key: Callable[[Mapping[int, int]], Tuple[int, ...]]
     output: Optional[np.ndarray] = None
     scale: float = 0.0
     values: Optional[Tuple[int, ...]] = None
-    memo: Dict[Tuple[Optional[int], ...], "_Site"] = field(default_factory=dict)
-    memo_key: Optional[Callable[[Assignment], Tuple[int, ...]]] = None
+    memo: Dict[Tuple[int, ...], "_Site"] = field(default_factory=dict)
 
 
 # a site record: p(target | context) as a read-only array `dist`, the
@@ -294,8 +296,9 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
     size = math.prod(map(cards.__getitem__, scope)) // (1 if v is None else cards[v])
     keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
     cpts.retained += size if keeps else 0
+    ordered = tuple(sorted(support))
     return _Node(inputs, tuple(perms), tuple(shapes), scope, None if v is None else pos[v],
-                 tuple(sorted(support)), size, keeps)
+                 ordered, size, keeps, _getter(ordered))
 
 
 def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
@@ -485,15 +488,16 @@ def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.nd
 
 def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
                  context: Assignment) -> _Site:
-    """`conditional` on `plan`, the plan it would look up for `context`, as
-    a site record. A record is memoised by the values of the final node's
-    support, read by the node's `memo_key`, while the network's budget has
-    room for it; a draw from it is `bisect_right(site.cum, u)`."""
+    """`conditional` on `plan`, the plan it would look up for `context`
+    without the target, as a site record. The context may bind the target;
+    the plan never reads it, as its selections and supports hold only the
+    plan's bound variables, so the record is the same object either way. A
+    record is memoised by the values of the final node's support, read by
+    the node's `memo_key`, while the network's budget has room for it; a
+    caller may look it up there first, and a draw from it is
+    `bisect_right(site.cum, u)`."""
     final = plan.final
-    key = final.memo_key
-    if key is None:
-        key = final.memo_key = _getter(final.support)
-    values = key(context)
+    values = final.memo_key(context)
     site = final.memo.get(values)
     if site is not None:
         return site

@@ -171,6 +171,16 @@ def _one_variable(comp: Component) -> Optional[SolveReport]:
 
 # -- the annealed sampler ----------------------------------------------------
 
+def _sites(net: BayesianNetwork, problem: MapProblem) -> List[tuple]:
+    """The site step of each MAP variable j, in map-variable order: (j, its
+    site plan, the plan's memo of site records, the memo's key getter).
+    A site update leaves x_j bound, which its plan never reads; it looks up
+    p(x_j | E, x without j) as `memo.get(key(context))` and calls
+    `_conditional`, which builds and stores every record, only on a miss."""
+    return [(j, plan, plan.final.memo, plan.final.memo_key)
+            for j, plan in zip(problem.map_vars, _site_plans(net, problem))]
+
+
 def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSchedule,
             rng: random.Random, restarts: int, trace: Optional[List[TraceRow]],
             debug_check: bool) -> SolveReport:
@@ -185,7 +195,7 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
     # zero-probability evidence raises in sequential_init, on this plan
     indicator = _indicator_plan(net, problem)
     log_p_evidence = _log_total(indicator, evidence)
-    plans = _site_plans(net, problem)
+    sites = _sites(net, problem)
     map_set = set(problem.map_vars)
     out = SolveReport(best={}, logp=-math.inf, restarts_used=restarts)
     sweep = sweeps_before  # sweeps run so far, this component's included
@@ -205,25 +215,26 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
         while True:
             improved = False
             costs: List[float] = []
-            for j, plan in zip(problem.map_vars, plans):
+            for j, plan, memo, key in sites:
                 u = rng.random()
                 cur = context[j]
-                # the site conditional p(x_j | E, x without j): j is unbound
-                # for it and bound again below to x_j's next state
-                del context[j]
-                try:
-                    site = _conditional(net, j, plan, context)
-                except ImpossibleContextError:
-                    # current neighborhood has probability zero: resample uniformly
-                    context[j] = rng.randrange(net.cardinality(j))
-                    logp = _log_total(indicator, context) - log_p_evidence
-                    costs.append(best_logp - logp)
-                    continue
+                # the site conditional p(x_j | E, x without j), with x_j
+                # left bound: it changes only on an accepted proposal
+                site = memo.get(key(context))
+                if site is None:
+                    try:
+                        site = _conditional(net, j, plan, context)
+                    except ImpossibleContextError:
+                        # current neighborhood has probability zero: resample uniformly
+                        context[j] = rng.randrange(net.cardinality(j))
+                        logp = _log_total(indicator, context) - log_p_evidence
+                        costs.append(best_logp - logp)
+                        continue
                 cand = bisect_right(site.cum, rng.random())
                 lp_new, lp_old = site.logs[cand], site.logs[cur]
                 accept = cand != cur and u < acceptance_probability(t, lp_new, lp_old)
-                context[j] = cand if accept else cur
                 if accept:
+                    context[j] = cand
                     if lp_old == -math.inf or logp == -math.inf:
                         logp = _log_total(indicator, context) - log_p_evidence
                     else:
@@ -328,17 +339,21 @@ def gibbs_chain(net: BayesianNetwork, problem: MapProblem, sweeps: int,
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps}")
     context = {**problem.evidence, **sequential_init(net, problem)}
-    plans = _site_plans(net, problem)
+    sites = _sites(net, problem)
     state = _getter(problem.map_vars)
     out: List[Tuple[int, ...]] = []
     for _ in range(sweeps):
-        for j, plan in zip(problem.map_vars, plans):
+        for j, plan, memo, key in sites:
             # The acceptance variate is not needed at temperature 1, where
             # every proposal is accepted; drawing it anyway keeps the random
             # stream, and so every seeded chain, as it has always been.
             rng.random()
-            del context[j]  # unbound for its site conditional, then bound again
-            context[j] = bisect_right(_conditional(net, j, plan, context).cum, rng.random())
+            # x_j stays bound for its site conditional and is overwritten by
+            # the draw
+            site = memo.get(key(context))
+            if site is None:
+                site = _conditional(net, j, plan, context)
+            context[j] = bisect_right(site.cum, rng.random())
         out.append(state(context))
     return out
 

@@ -972,7 +972,8 @@ def _reference_cum(probs):
 
 def _memo_calls(seed, calls):
     """Interleaved site updates, as anneal and Gibbs make them with
-    `engine._conditional`, and `conditional` calls on one network with
+    `engine._conditional` on a context that still binds the target, and
+    `conditional` calls on one network with
     zeros in its CPTs, each checked against a rebuilt network; returns how
     many calls repeated an earlier context and how many had probability
     zero. Each call draws its site from `pick` and, by `move`, first keeps
@@ -1002,10 +1003,9 @@ def _memo_calls(seed, calls):
         seen.add(key)
 
         def call():
-            if via_site:  # as anneal and Gibbs update a site
+            if via_site:  # as anneal and Gibbs update a site: x_j bound
                 full = {**ev, **x}
-                del full[j]
-                assert full == context
+                assert j in full and {v: s for v, s in full.items() if v != j} == context
                 return engine._conditional(net, j, plans[i], full)
             return conditional(net, j, context)
 
@@ -1054,6 +1054,41 @@ class TestSiteMemo:
         totals = [_memo_calls(seed, calls) for seed in range(8)]
         assert sum(r for r, _ in totals) > 0
         assert sum(i for _, i in totals) > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_bound_target_is_never_read(self, seed):
+        # A site plan keeps j and selects only on its bound variables, so no
+        # node of it has j in its support, and a context that also binds j,
+        # to any state, gets the record it gets with j unbound: the same
+        # object, or the same ImpossibleContextError. The first call binds j,
+        # so at new values it is the one that computes and stores the record.
+        rng = random.Random(seed)
+        net = _zeroed(random_network(rng, rng.randint(2, 9), max_parents=3), rng)
+        problem = random_problem(rng, net)
+        plans = engine._site_plans(net, problem)
+        for j, plan in zip(problem.map_vars, plans):
+            assert all(j not in node.support for node in _nodes(plan))
+        for _ in range(4):
+            j = rng.randrange(len(net))
+            others = [v for v in range(len(net)) if v != j]
+            context = {v: rng.randrange(net.cardinality(v))
+                       for v in rng.sample(others, rng.randint(0, len(others)))}
+            plan = engine._plan(net, (j,), frozenset(context))
+            assert all(j not in node.support for node in _nodes(plan))
+            states = range(net.cardinality(j))
+            calls = [{**context, j: rng.choice(states)}, context]
+            calls += [{**context, j: s} for s in states]
+            try:
+                want = conditional(_rebuilt(net), j, context)
+            except ImpossibleContextError:
+                for ctx in calls:
+                    with pytest.raises(ImpossibleContextError):
+                        engine._conditional(net, j, plan, ctx)
+                continue
+            site = engine._conditional(net, j, plan, calls[0])
+            assert site.dist.tobytes() == want.tobytes()
+            assert all(engine._conditional(net, j, plan, ctx) is site for ctx in calls)
 
     def test_memo_keys_by_support_size(self, sprinkler, sprinkler_problem):
         # A alone has an empty support, A given B one variable, and each

@@ -19,6 +19,7 @@ from amap import (
     brute_force_map,
     conditional,
     eliminate,
+    forward_sample,
     geometric_cool,
     gibbs_chain,
     hill_climb_map,
@@ -53,10 +54,11 @@ def _reference_site(net, j, x, evidence):
 
 def _reference_kernel(net, j, plan, context):
     """The site update's contract on top of _reference_site, which does not
-    read `plan`: the caller's context, E together with x, has j unbound, and
-    the conditional comes back as a site record whose floats and logs are
-    computed here."""
-    assert j not in context
+    read `plan`: the caller's context, E together with x, still binds j,
+    which is dropped before computing, and the conditional comes back as a
+    site record whose floats and logs are computed here. It fills no memo,
+    so a chain that reads the memo first still calls it at every site."""
+    assert j in context
     dist = _reference_site(net, j, context, Assignment())
     probs = tuple(dist.tolist())
     return engine._Site(dist, engine._running_sums(probs),
@@ -470,6 +472,30 @@ class TestGibbsChain:
             want.append(tuple(map(x.__getitem__, sprinkler_problem.map_vars)))
         assert chain == want
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(0, 40), st.integers(0, 2 ** 32))
+    def test_same_chain_as_reference_sites_on_random_nets(self, net_seed, n_map, sweeps, seed):
+        # the chain the sprinkler test checks, on random nets: E and some
+        # other variables summed out around 2-4 MAP variables in any order
+        rng = random.Random(net_seed)
+        net = random_network(rng, rng.randint(n_map, n_map + 4), max_parents=2)
+        map_vars = tuple(rng.sample(range(len(net)), n_map))
+        sample = forward_sample(net, rng)
+        rest = [v for v in range(len(net)) if v not in map_vars]
+        problem = MapProblem(map_vars, Assignment(
+            {v: sample[v] for v in rng.sample(rest, rng.randint(0, len(rest)))}))
+        chain = gibbs_chain(net, problem, sweeps, random.Random(seed))
+        draws = random.Random(seed)
+        x = sequential_init(net, problem)
+        want = []
+        for _ in range(sweeps):
+            for j in map_vars:
+                draws.random()
+                dist = _reference_site(net, j, x, problem.evidence)
+                x[j] = scan_draw(dist.tolist(), draws.random())
+            want.append(tuple(map(x.__getitem__, map_vars)))
+        assert chain == want
+
 
 def _reference_init(net, problem):
     """sequential_init from scratch: each MAP variable in topological order
@@ -752,7 +778,9 @@ class TestTrackingIdentity:
         # site records whose logs are shifted by 0.5 per state index make the
         # tracked ln p(x|E) drift from exact elimination on the indicator plan;
         # only a component with two or more MAP variables runs a chain that
-        # reads them
+        # reads them. A chain calls the kernel only on a memo miss, so the
+        # shifted record replaces the real one in the memo, and every later
+        # read of that neighbourhood is shifted too.
         rng = random.Random(6)
         net = random_network(rng, 8, max_parents=2)
         problem = random_problem(rng, net)
@@ -766,7 +794,11 @@ class TestTrackingIdentity:
 
         def shifted(net, j, plan, context):
             site = real(net, j, plan, context)
-            return site._replace(logs=tuple(lp + 0.5 * s for s, lp in enumerate(site.logs)))
+            values = plan.final.memo_key(context)
+            assert plan.final.memo[values] is site
+            site = site._replace(logs=tuple(lp + 0.5 * s for s, lp in enumerate(site.logs)))
+            plan.final.memo[values] = site
+            return site
 
         monkeypatch.setattr(solver, "_conditional", shifted)
         with pytest.raises(solver.TrackingError, match=r"^final: tracked"):
