@@ -32,7 +32,11 @@ without indicators.
 
 Factor products and sums run in linear domain; a separate log scale is
 carried and folded in only at the boundary, so deep products on large
-components cannot overflow or underflow.
+components cannot overflow or underflow: a node rescales when its
+product's maximum leaves [_RESCALE_LO, _RESCALE_HI]. How a node fetches each
+input, and whether it computes that maximum at all, is fixed when it is
+built; the maximum is skipped where bounds on the product prove that no
+rescale can fire (see `_step`), so no result's bits change.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import random
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
                     Set, Tuple)
@@ -54,10 +58,15 @@ from .model import Assignment, BayesianNetwork, Cpt, MapProblem, Variable, check
 
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
+# a node whose ln magnitude bounds stay within these, 3 nats inside the
+# rescale thresholds, cannot need a rescale
+_LOG_LO, _LOG_HI = math.log(_RESCALE_LO) + 3.0, math.log(_RESCALE_HI) - 3.0
 MAX_TABLE_ENTRIES = 2 ** 27  # 1 GiB of float64
 _CPTS = "cpts"  # key of a network's _Cpts among its plans
 _ROW_SUMS = "row sums"  # key of forward_sample's CPT-row running sums among them
 _ALL = slice(None)
+# how `_run` fetches a node input (see `_Node.fetch`)
+_KID, _HELD, _READ, _SELECT, _MASK = range(5)
 
 
 class ImpossibleContextError(ValueError):
@@ -103,6 +112,20 @@ class _Node:
     scope is the kept variables). An input is a CPT, as (index, selection
     pattern or None, whether it takes an indicator), or another node.
 
+    Everything an evaluation would otherwise decide per input is fixed when
+    the node is built: `kids` are its input nodes in input order, and
+    `fetch` holds one `(form, a, b, perm, shape)` per input: `_KID`, the
+    kid a's output; `_HELD`, the whole CPT a; `_READ`, a[b(context)] from a
+    CPT a whose variables are all bound; `_SELECT`, CPT a selected by
+    pattern b; `_MASK`, for a = (s, CPT s's `masks`), CPT s masked to the
+    state the context binds s to, if any, then selected by pattern b
+    unless b is None. `copy` says whether a lone input must be copied into
+    C order: a kid's output already is a fresh C-ordered array.
+    `low` bounds ln of every positive entry of the output from below and
+    `high` bounds ln of every entry from above, and `check` is False only if
+    these bounds, with a margin to spare, prove that the product's maximum
+    can never call for a rescale, so `_run` does not compute it.
+
     The output depends only on the values of `support`, the bound variables
     that the step's subtree selects on and the indicator variables whose
     CPTs it reads (None while unbound). A node that `keeps` (its `entries`
@@ -124,6 +147,12 @@ class _Node:
     entries: int
     keeps: bool
     memo_key: Callable[[Mapping[int, int]], Tuple[int, ...]]
+    kids: Tuple["_Node", ...]
+    fetch: Tuple[tuple, ...]
+    copy: bool
+    low: float
+    high: float
+    check: bool
     output: Optional[np.ndarray] = None
     scale: float = 0.0
     values: Optional[Tuple[int, ...]] = None
@@ -145,9 +174,10 @@ class _Cpts:
     most MAX_TABLE_ENTRIES in all). A node's key is what it multiplies and
     what it sums out: (`inputs`, v) for a step that sums out variable v, and
     (`inputs`, keep) for a plan's final product; its layout follows from
-    the key."""
+    the key. `floors[s]` is ln of CPT s's smallest positive entry."""
 
     arrays: Tuple[np.ndarray, ...]
+    floors: Tuple[float, ...]
     masks: Dict[int, Tuple[np.ndarray, ...]] = field(default_factory=dict)
     nodes: Dict[tuple, _Node] = field(default_factory=dict)
     retained: int = 0
@@ -263,7 +293,15 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
           scopes: Sequence[Tuple[int, ...]], v: Optional[int], keep: Tuple[int, ...]) -> _Node:
     """A new node multiplying `inputs`, of `scopes`, and summing out `v`, or
     for v None a plan's final product, laid out in `keep` order. Any other
-    variable takes the next axis where it first appears."""
+    variable takes the next axis where it first appears.
+
+    Its magnitude bounds, in ln, compose from its inputs': ln of a positive
+    product entry is at least the sum of each kid's `low` and of ln of each
+    CPT input's smallest positive entry, and, as no CPT entry exceeds 1, ln
+    of any entry is at most the sum of the kids' `high`s; summing out v
+    keeps `low` and adds ln card(v) to `high`. A node checks its maximum unless both bounds stay
+    within [_LOG_LO, _LOG_HI], and so does any node that reads a checking
+    kid, whose output a rescale may have moved."""
     pos = {u: a for a, u in enumerate(keep)} if v is None else {}
     for sc in scopes:
         for u in sc:
@@ -285,20 +323,45 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
                 padded[a] = cards[u]
             shapes.append(tuple(padded))
     support: Set[int] = set()
-    for a in inputs:
+    kids: List[_Node] = []
+    fetch = []
+    low = high = 0.0
+    check = False
+    for a, perm, shape in zip(inputs, perms, shapes):
         if isinstance(a, _Node):
             support.update(a.support)
+            kids.append(a)
+            low += a.low
+            high += a.high
+            check = check or a.check
+            fetch.append((_KID, a, None, perm, shape))
+            continue
+        s, sel, indicator = a
+        support.update([u for u in sel or () if u >= 0])
+        low += cpts.floors[s]
+        if indicator:
+            support.add(s)
+            fetch.append((_MASK, (s, cpts.masks[s]), sel, perm, shape))
+        elif sel is None:
+            fetch.append((_HELD, cpts.arrays[s], None, perm, shape))
+        elif min(sel) >= 0:
+            fetch.append((_READ, cpts.arrays[s], _getter(sel), perm, shape))
         else:
-            s, sel, indicator = a
-            support.update([u for u in sel or () if u >= 0])
-            if indicator:
-                support.add(s)
+            fetch.append((_SELECT, cpts.arrays[s], sel, perm, shape))
+    check = check or low < _LOG_LO or high > _LOG_HI
+    if v is not None:
+        high += math.log(cards[v])
     size = math.prod(map(cards.__getitem__, scope)) // (1 if v is None else cards[v])
     keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
     cpts.retained += size if keeps else 0
+    # a lone kid is not copied unless the final product would then hand out
+    # a kept kid's output as a result that is not kept
+    copy = len(inputs) == 1 and not (kids and perms[0] is None and shapes[0] is None
+                                      and (v is not None or keeps or not kids[0].keeps))
     ordered = tuple(sorted(support))
     return _Node(inputs, tuple(perms), tuple(shapes), scope, None if v is None else pos[v],
-                 ordered, size, keeps, _getter(ordered))
+                 ordered, size, keeps, _getter(ordered), tuple(kids), tuple(fetch), copy, low,
+                 high, check)
 
 
 def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
@@ -340,7 +403,13 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
         cpts = net._plans[_CPTS] = _Cpts(tuple(
             np.asarray(cpt.table, dtype=float).reshape(
                 tuple(cards[v] for v in cpt.parents + (cpt.child,)))
-            for cpt in net.cpts))
+            for cpt in net.cpts), tuple(
+            # every row sums to 1, so each CPT has a positive entry
+            [math.log(min(filter(None, chain(*cpt.table)))) for cpt in net.cpts]))
+    for v in indicators - cpts.masks.keys():
+        # CPT v's last axis is v's own column
+        cpts.masks[v] = tuple(cpts.arrays[v] * (np.arange(cards[v]) == s)
+                              for s in range(cards[v]))
     # at[u]: the bucket of a slot whose first variable is u; kept ones file last
     at = dict.fromkeys(keep, len(order))
     at.update(zip(order, range(len(order))))
@@ -360,10 +429,6 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             buckets[min(map(at.__getitem__, out)) if out else len(order)].append(len(scopes))
             scopes.append(out)
             refs.append(node)
-    for v in indicators - cpts.masks.keys():
-        # CPT v's last axis is v's own column
-        cpts.masks[v] = tuple(cpts.arrays[v] * (np.arange(cards[v]) == s)
-                              for s in range(cards[v]))
     plan = net._plans[key] = _Plan(cpts, node)
     return plan
 
@@ -421,33 +486,39 @@ def _output(plan: _Plan, context: Assignment) -> np.ndarray:
 
 def _run(plan: _Plan, context: Assignment) -> None:
     """Bring the plan's final node up to date for the context's values: from
-    it down, each node that holds no output for them has its input nodes
-    checked in turn, and the nodes found then run in reverse order of
-    discovery, so each after the nodes it reads, as a plan is a tree. A
-    node's values are set only once its output is, so a failed evaluation
-    leaves nothing stale."""
-    arrays, masks = plan.cpts.arrays, plan.cpts.masks
+    it down, each node that holds no output for them has its kids checked
+    in turn, and the nodes found then run in reverse order of discovery, so
+    each after the nodes it reads, as a plan is a tree. A node's values are
+    set only once its output is, so a failed evaluation leaves nothing
+    stale. Each input is fetched as its node compiled it, and a node whose
+    bounds rule out a rescale skips its maximum: every output and log scale
+    has the bits it would have with every check made."""
+    arrays = plan.cpts.arrays
     todo, stack = [], [plan.final]
     while stack:
         node = stack.pop()
         values = tuple(map(context.get, node.support))
         if values != node.values:
             todo.append((node, values))
-            stack.extend([a for a in node.inputs if isinstance(a, _Node)])
+            stack.extend(node.kids)
     for node, values in reversed(todo):
         out = None
         log_scale = 0.0
-        for a, perm, shape in zip(node.inputs, node.perms, node.shapes):
-            if isinstance(a, _Node):
+        for form, a, b, perm, shape in node.fetch:
+            if form == _KID:
                 kid, a = a, a.output
                 log_scale += kid.scale
                 if not kid.keeps:
                     kid.output = None  # read once
-            else:
-                s, sel, indicator = a
-                a = masks[s][context[s]] if indicator and s in context else arrays[s]
-                if sel is not None:
-                    a = a[tuple([_ALL if v < 0 else context[v] for v in sel])]
+            elif form == _READ:
+                a = a[b(context)]
+            elif form == _SELECT:
+                a = a[tuple([_ALL if v < 0 else context[v] for v in b])]
+            elif form == _MASK:
+                s, masked = a
+                a = masked[context[s]] if s in context else arrays[s]
+                if b is not None:
+                    a = a[tuple([_ALL if v < 0 else context[v] for v in b])]
             if perm is not None:
                 a = a.transpose(perm)
             if shape is not None:
@@ -455,13 +526,14 @@ def _run(plan: _Plan, context: Assignment) -> None:
             # the product starts from the first input (1.0 * a == a) and is
             # laid out in C order, as the sums below assume
             out = a if out is None else np.multiply(out, a, order="C")
-        if len(node.inputs) == 1:
+        if node.copy:
             out = np.array(out, order="C")  # a lone input may be a view of a CPT
-        # the ufunc reductions that `.max()` and `.sum(axis=)` call
-        m = float(np.maximum.reduce(out, None))
-        if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
-            out = out / m
-            log_scale += math.log(m)
+        if node.check:
+            # the ufunc reductions that `.max()` and `.sum(axis=)` call
+            m = float(np.maximum.reduce(out, None))
+            if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
+                out = out / m
+                log_scale += math.log(m)
         if node.axis is not None:
             out = np.add.reduce(out, node.axis)
         node.output, node.scale = out, log_scale

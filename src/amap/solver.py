@@ -272,9 +272,16 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
             else:
                 t = geometric_cool(t, schedule.alpha, schedule.t_min)
 
+        # the best state, and the last one if it differs, are re-scored:
+        # drifted site logs show in the chain's tracked score even when no
+        # drifted value became the best
         exact = _log_total(indicator, {**evidence, **best}) - log_p_evidence
         if not math.isclose(best_logp, exact, rel_tol=0.0, abs_tol=TRACK_TOL):
             raise TrackingError(f"final: tracked {best_logp} vs exact {exact}")
+        if any(context[v] != s for v, s in best.items()):
+            last = _log_total(indicator, context) - log_p_evidence
+            if not math.isclose(logp, last, rel_tol=0.0, abs_tol=TRACK_TOL):
+                raise TrackingError(f"final: tracked {logp} vs exact {last}")
         if restart == 0 or exact > out.logp:
             out.best, out.logp, out.best_found_sweep = best, exact, best_found
     out.sweeps = sweep - sweeps_before

@@ -880,6 +880,142 @@ class TestStepReuse:
                 assert f.log_total().hex() == log_total
 
 
+def _partly_sharpened(net, rng):
+    """`net` with about half of its CPTs, chosen by `rng`, as `_sharpened`
+    makes them and the rest as they are."""
+    sharp = _sharpened(net).cpts
+    cpts = [rng.choice(pair) for pair in zip(net.cpts, sharp)]
+    return BayesianNetwork(net.name, net.variables, cpts)
+
+
+def _maxima(plan, context):
+    """(node, the maximum of its product) for every node of the plan, the
+    products formed as `_evaluated` forms them, every rescale made."""
+    arrays, found = plan.cpts.arrays, []
+
+    def run(node):
+        out = np.ones([arrays[v].shape[-1] for v in node.scope])
+        log_scale = 0.0
+        for a, perm, reshape in zip(node.inputs, node.perms, node.shapes):
+            if isinstance(a, engine._Node):
+                a, scale = run(a)
+                log_scale += scale
+            else:
+                s, sel, indicator = a
+                a = arrays[s]
+                if indicator and s in context:
+                    a = a * (np.arange(a.shape[-1]) == context[s])
+                if sel is not None:
+                    a = a[tuple(slice(None) if v < 0 else context[v] for v in sel)]
+            if perm is not None:
+                a = a.transpose(perm)
+            if reshape is not None:
+                a = a.reshape(reshape)
+            out = out * a
+        m = float(out.max())
+        found.append((node, m))
+        if m > engine._RESCALE_HI or 0.0 < m < engine._RESCALE_LO:
+            out = out / m
+            log_scale += math.log(m)
+        return (out if node.axis is None else out.sum(axis=node.axis)), log_scale
+
+    run(plan.final)
+    return found
+
+
+class TestMagnitudeBounds:
+    """A node skips its rescale check only where its compiled bounds prove
+    that the check could not fire, so every result keeps the bits of the
+    always-checking reference."""
+
+    def test_unchecked_nodes_never_need_a_rescale(self):
+        rng = random.Random(211)
+        kinds = {"unchecked": 0, "rescaled": 0, "mixed plans": 0}
+        for i in range(24):
+            net = random_network(rng, rng.randint(8, 30), max_parents=3)
+            if i % 3 == 1:
+                net = _sharpened(net)
+            elif i % 3 == 2:
+                net = _partly_sharpened(net, rng)
+            n = len(net)
+            for _ in range(4):
+                keep = tuple(rng.sample(range(n), rng.randint(0, 2)))
+                others = [v for v in range(n) if v not in keep]
+                bound = rng.sample(others, rng.randint(0, len(others) // 2))
+                free = [v for v in others if v not in bound]
+                indicators = frozenset(rng.sample(free, rng.randint(0, len(free) // 2)))
+                plan = engine._plan(net, keep, frozenset(bound), indicators)
+                checks = {node.check for node in _nodes(plan)}
+                kinds["mixed plans"] += checks == {True, False}
+                for _ in range(3):
+                    # uniform states, so that the sharpened ones are bound too
+                    kept = bound + rng.sample(sorted(indicators), rng.randint(0, len(indicators)))
+                    context = {v: rng.randrange(net.cardinality(v)) for v in kept}
+                    for node, m in _maxima(plan, context):
+                        if node.check:
+                            rescaled = m > engine._RESCALE_HI or 0.0 < m < engine._RESCALE_LO
+                            kinds["rescaled"] += rescaled
+                        else:
+                            # no node below it rescales, so its bounds hold
+                            # as compiled: `high` less what summing out adds
+                            summed = 0.0 if node.axis is None else math.log(
+                                net.cardinality(node.scope[node.axis]))
+                            assert m == 0.0 or (node.low - 1e-9 <= math.log(m)
+                                                <= node.high - summed + 1e-9)
+                            assert m == 0.0 or engine._RESCALE_LO <= m <= engine._RESCALE_HI
+                            kinds["unchecked"] += 1
+                    want = _evaluated(plan, context)
+                    _same_bits(engine._factor(plan, context), want)
+                    if not keep:
+                        got = engine._log_total(plan, context)
+                        assert got.hex() == want.log_total().hex()
+                    if len(keep) == 1 and all(v in context for v in plan.final.support):
+                        total = float(np.add.reduce(want.values, None))
+                        if total > 0.0:
+                            site = engine._conditional(net, keep[0], plan, context)
+                            assert site.dist.tobytes() == (want.values / total).tobytes()
+        # every kind of node ran, in plans that hold both kinds, and the
+        # checking nodes still rescale
+        assert all(kinds.values()), kinds
+
+    def test_r120_plans_check_no_node(self):
+        # the site and indicator plans of the r120 workload's problem shapes:
+        # no product there can reach a rescale threshold, though the smallest
+        # lower bound, about 1e-85, is not far above 1e-100
+        net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
+        low = 0.0
+        for i in range(16):
+            for comp in prune(net, generate_problem(net, 20, 20, random.Random(i))).components:
+                plans = engine._site_plans(comp.net, comp.problem)
+                for plan in plans + (engine._indicator_plan(comp.net, comp.problem),):
+                    nodes = _nodes(plan)
+                    assert not any(node.check for node in nodes)
+                    low = min(low, min(node.low for node in nodes))
+        assert math.log(1e-90) < low < math.log(1e-80)
+
+    def test_deep_chain_nodes_with_deep_subtrees_check(self):
+        # X0 -> ... -> X2999 with evidence on X2999, keeping X0: rows in
+        # [0.05, 0.95] allow a product of 3,000 CPT entries to underflow, so
+        # every node whose subtree holds enough CPTs checks, and so does
+        # every node above it
+        n = 3000
+        rng = random.Random(61)
+        rows = [(p, 1.0 - p) for p in (rng.uniform(0.05, 0.95) for _ in range(2 * n))]
+        cpts = [Cpt(0, (), (rows[0],))]
+        cpts += [Cpt(v, (v - 1,), (rows[2 * v], rows[2 * v + 1])) for v in range(1, n)]
+        net = BayesianNetwork("chain", [Variable(v, f"X{v}", ("a", "b")) for v in range(n)],
+                              cpts)
+        chain = [engine._plan(net, (0,), frozenset({n - 1})).final]
+        while chain[-1].kids:
+            chain.append(chain[-1].kids[-1])
+        checks = [node.check for node in chain]
+        assert len(chain) == n - 1
+        first = checks.index(False)
+        assert 0 < first < n - 1 - 40
+        assert not any(checks[first:])
+        assert all(checks[:first])
+
+
 class TestConditional:
     def test_sprinkler_rain_given_wet(self, sprinkler, sprinkler_problem):
         rain = sprinkler.by_name("Rain").id
