@@ -5,12 +5,14 @@ Each elimination is compiled once per network, kept variables, set of
 bound variables and set of indicator variables into a plan. The steps of
 all of a network's plans form one graph: a step is a node keyed by the
 CPTs and nodes it multiplies and the variable it sums out, identical steps
-are one node, and a plan is its final node, the root of a tree. A node
-keeps its output while the bound and indicator variables that output
-depends on keep their values, so a call walks down from the final node and
-runs, children first, only the nodes whose output is not already held for
-the current values. The final node of a site plan (keep one variable)
-also memoises the site records `conditional` makes from its output, one
+are one node, and a plan is its final node, the root of a tree, which the
+network's `_plans` map holds under the plan's key. A node keeps its output
+while the bound and indicator variables that output depends on keep their
+values, so a call walks down from the final node and runs, children
+first, only the nodes whose output is not already held for the current
+values. Every reader of a final output reads it in place, save
+`eliminate`, which hands out a copy. The final node of a site plan (keep
+one variable) also memoises the site records `conditional` makes from its output, one
 per value tuple of its support: the normalised conditional as a read-only
 array, its running sums as Python floats and the logs of its entries. The
 support holds only bound variables, never the kept one, so a site update
@@ -63,7 +65,6 @@ _RESCALE_LO = 1e-100
 _LOG_LO, _LOG_HI = math.log(_RESCALE_LO) + 3.0, math.log(_RESCALE_HI) - 3.0
 MAX_TABLE_ENTRIES = 2 ** 27  # 1 GiB of float64
 _CPTS = "cpts"  # key of a network's _Cpts among its plans
-_ROW_SUMS = "row sums"  # key of forward_sample's CPT-row running sums among them
 _ALL = slice(None)
 # how `_run` fetches a node input (see `_Node.fetch`)
 _KID, _HELD, _READ, _SELECT, _MASK = range(5)
@@ -109,18 +110,21 @@ class _Node:
     over `scope`, the product's variables in axis order, each input
     transposed by `perms[i]` and reshaped by `shapes[i]` (None where that is
     a no-op), then sum out `axis` (None for a plan's final product, whose
-    scope is the kept variables). An input is a CPT, as (index, selection
-    pattern or None, whether it takes an indicator), or another node.
+    scope is the kept variables in their given order). An input is a CPT,
+    as (index, selection pattern or None, whether it takes an indicator),
+    or another node. A plan is its final node: its inputs lead to every
+    other node of the plan, each reached once.
 
     Everything an evaluation would otherwise decide per input is fixed when
     the node is built: `kids` are its input nodes in input order, and
     `fetch` holds one `(form, a, b, perm, shape)` per input: `_KID`, the
     kid a's output; `_HELD`, the whole CPT a; `_READ`, a[b(context)] from a
     CPT a whose variables are all bound; `_SELECT`, CPT a selected by
-    pattern b; `_MASK`, for a = (s, CPT s's `masks`), CPT s masked to the
-    state the context binds s to, if any, then selected by pattern b
+    pattern b; `_MASK`, for a = (s, CPT s's `masks`, CPT s), CPT s masked
+    to the state the context binds s to, if any, then selected by pattern b
     unless b is None. `copy` says whether a lone input must be copied into
-    C order: a kid's output already is a fresh C-ordered array.
+    C order: a kid's output, kept or not, already is a C-ordered array,
+    and no reader writes into an output.
     `low` bounds ln of every positive entry of the output from below and
     `high` bounds ln of every entry from above, and `check` is False only if
     these bounds, with a margin to spare, prove that the product's maximum
@@ -168,29 +172,20 @@ _Site = namedtuple("_Site", ("dist", "cum", "logs"))
 @dataclass(eq=False)
 class _Cpts:
     """A network's CPT arrays, each indicator variable's CPT masked to each
-    of its states, and the nodes, all shared by its plans, with the number
-    of table entries those nodes keep, a site record counting as its three
-    values per state (`dist`, `cum` and `logs`) and its key's values (at
-    most MAX_TABLE_ENTRIES in all). A node's key is what it multiplies and
-    what it sums out: (`inputs`, v) for a step that sums out variable v, and
-    (`inputs`, keep) for a plan's final product; its layout follows from
-    the key. `floors[s]` is ln of CPT s's smallest positive entry."""
+    of its states, and the nodes, all shared by its plans and held among
+    them under `_CPTS`, with the number of table entries those nodes keep,
+    a site record counting as its three values per state (`dist`, `cum`
+    and `logs`) and its key's values (at most MAX_TABLE_ENTRIES in all).
+    A node's key is what it multiplies and what it sums out: (`inputs`, v)
+    for a step that sums out variable v, and (`inputs`, keep) for a plan's
+    final product; its layout follows from the key. `floors[s]` is ln of
+    CPT s's smallest positive entry."""
 
     arrays: Tuple[np.ndarray, ...]
     floors: Tuple[float, ...]
     masks: Dict[int, Tuple[np.ndarray, ...]] = field(default_factory=dict)
     nodes: Dict[tuple, _Node] = field(default_factory=dict)
     retained: int = 0
-
-
-@dataclass(eq=False)
-class _Plan:
-    """A compiled elimination: the network's shared `cpts`, and the `final`
-    node, whose inputs lead to every other node of the plan, each reached
-    once, and whose scope is the kept variables in their given order."""
-
-    cpts: _Cpts
-    final: _Node
 
 
 def _bits(b: int) -> Iterator[int]:
@@ -341,7 +336,7 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
         low += cpts.floors[s]
         if indicator:
             support.add(s)
-            fetch.append((_MASK, (s, cpts.masks[s]), sel, perm, shape))
+            fetch.append((_MASK, (s, cpts.masks[s], cpts.arrays[s]), sel, perm, shape))
         elif sel is None:
             fetch.append((_HELD, cpts.arrays[s], None, perm, shape))
         elif min(sel) >= 0:
@@ -354,10 +349,8 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
     size = math.prod(map(cards.__getitem__, scope)) // (1 if v is None else cards[v])
     keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
     cpts.retained += size if keeps else 0
-    # a lone kid is not copied unless the final product would then hand out
-    # a kept kid's output as a result that is not kept
-    copy = len(inputs) == 1 and not (kids and perms[0] is None and shapes[0] is None
-                                      and (v is not None or keeps or not kids[0].keeps))
+    # a lone kid needs no copy: `_factor` copies what it hands out
+    copy = len(inputs) == 1 and not (kids and perms[0] is None and shapes[0] is None)
     ordered = tuple(sorted(support))
     return _Node(inputs, tuple(perms), tuple(shapes), scope, None if v is None else pos[v],
                  ordered, size, keeps, _getter(ordered), tuple(kids), tuple(fetch), copy, low,
@@ -365,14 +358,15 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
 
 
 def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
-          indicators: FrozenSet[int] = frozenset()) -> _Plan:
-    """The network's compiled plan for eliminating all but `keep` with the
-    variables in `bound` fixed, compiled on first use. Each variable in
-    `indicators` (disjoint from both) is eliminated, its CPT column masked
-    to the state an evaluation's context binds it to, if any; the
-    indicators do not change the order or the steps. Raises WidthCapError,
-    before any array is built or step interned, if the order's width or the
-    final product, laid out in `keep` order, exceeds MAX_TABLE_ENTRIES.
+          indicators: FrozenSet[int] = frozenset()) -> _Node:
+    """The network's compiled plan, its final node, for eliminating all but
+    `keep` with the variables in `bound` fixed, compiled on first use. Each
+    variable in `indicators` (disjoint from both) is eliminated, its CPT
+    column masked to the state an evaluation's context binds it to, if
+    any; the indicators do not change the order or the steps. Raises
+    WidthCapError, before any array is built or step interned, if the
+    order's width or the final product, laid out in `keep` order, exceeds
+    MAX_TABLE_ENTRIES.
     Each slot, a CPT or a step's output, goes into the bucket of its first
     variable in the order, or the final product's if it has none, and the
     step for v multiplies v's bucket in slot order."""
@@ -429,8 +423,8 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             buckets[min(map(at.__getitem__, out)) if out else len(order)].append(len(scopes))
             scopes.append(out)
             refs.append(node)
-    plan = net._plans[key] = _Plan(cpts, node)
-    return plan
+    net._plans[key] = node
+    return node
 
 
 def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment) -> Factor:
@@ -453,38 +447,33 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment) -
     return _factor(_plan(net, keep_t, bound), evidence)
 
 
-def _factor(plan: _Plan, context: Assignment) -> Factor:
+def _factor(plan: _Node, context: Assignment) -> Factor:
     """The plan's result for the context's values, as `eliminate` returns
-    it. `context` binds every bound variable of the plan and, of its other
-    variables, only indicators."""
-    out = _output(plan, context)
-    final = plan.final
-    # a C-ordered array of its own, of shape () for the empty scope: a kept
-    # output is copied, one that is not is only made contiguous
-    return Factor(final.scope, (np.array if final.keeps else np.asarray)(out, order="C"),
-                  final.scale)
+    it: a C-ordered copy of the final output, of shape () for the empty
+    scope, which no node holds. `context` binds every bound variable of the
+    plan and, of its other variables, only indicators."""
+    return Factor(plan.scope, np.array(_output(plan, context), order="C"), plan.scale)
 
 
-def _log_total(plan: _Plan, context: Assignment) -> float:
+def _log_total(plan: _Node, context: Assignment) -> float:
     """`_factor(plan, context).log_total()` for a plan with keep (), without
     building the factor."""
     total = float(_output(plan, context))
-    return -math.inf if total == 0.0 else math.log(total) + plan.final.scale
+    return -math.inf if total == 0.0 else math.log(total) + plan.scale
 
 
-def _output(plan: _Plan, context: Assignment) -> np.ndarray:
-    """The plan's final output for the context's values, which the final
-    node keeps only if it `keeps`."""
-    final = plan.final
-    if tuple(map(context.get, final.support)) != final.values:
-        _run(plan, context)
-    out = final.output
-    if not final.keeps:
-        final.output = None
+def _output(plan: _Node, context: Assignment) -> np.ndarray:
+    """The plan's final output for the context's values, read-only if the
+    final node keeps it, and to be read in place: it may be a kept kid's
+    output. A final node that does not keep lets go of it."""
+    _run(plan, context)
+    out = plan.output
+    if not plan.keeps:
+        plan.output = None
     return out
 
 
-def _run(plan: _Plan, context: Assignment) -> None:
+def _run(plan: _Node, context: Assignment) -> None:
     """Bring the plan's final node up to date for the context's values: from
     it down, each node that holds no output for them has its kids checked
     in turn, and the nodes found then run in reverse order of discovery, so
@@ -493,8 +482,7 @@ def _run(plan: _Plan, context: Assignment) -> None:
     stale. Each input is fetched as its node compiled it, and a node whose
     bounds rule out a rescale skips its maximum: every output and log scale
     has the bits it would have with every check made."""
-    arrays = plan.cpts.arrays
-    todo, stack = [], [plan.final]
+    todo, stack = [], [plan]
     while stack:
         node = stack.pop()
         values = tuple(map(context.get, node.support))
@@ -515,8 +503,9 @@ def _run(plan: _Plan, context: Assignment) -> None:
             elif form == _SELECT:
                 a = a[tuple([_ALL if v < 0 else context[v] for v in b])]
             elif form == _MASK:
-                s, masked = a
-                a = masked[context[s]] if s in context else arrays[s]
+                s, masked, a = a
+                if s in context:
+                    a = masked[context[s]]
                 if b is not None:
                     a = a[tuple([_ALL if v < 0 else context[v] for v in b])]
             if perm is not None:
@@ -558,7 +547,7 @@ def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.nd
                         context).dist
 
 
-def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
+def _conditional(net: BayesianNetwork, target: int, plan: _Node,
                  context: Assignment) -> _Site:
     """`conditional` on `plan`, the plan it would look up for `context`
     without the target, as a site record. The context may bind the target;
@@ -568,9 +557,8 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
     the node's `memo_key`, while the network's budget has room for it; a
     caller may look it up there first, and a draw from it is
     `bisect_right(site.cum, u)`."""
-    final = plan.final
-    values = final.memo_key(context)
-    site = final.memo.get(values)
+    values = plan.memo_key(context)
+    site = plan.memo.get(values)
     if site is not None:
         return site
     out = _output(plan, context)
@@ -583,22 +571,22 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Plan,
     probs = dist.tolist()
     site = _Site(dist, _running_sums(probs),
                  tuple([math.log(p) if p > 0.0 else -math.inf for p in probs]))
-    cpts = plan.cpts
+    cpts = net._plans[_CPTS]
     size = 3 * len(probs) + len(values)
     if cpts.retained + size <= MAX_TABLE_ENTRIES:
         cpts.retained += size
-        final.memo[values] = site
+        plan.memo[values] = site
     return site
 
 
-def _site_plans(net: BayesianNetwork, problem: MapProblem) -> Tuple[_Plan, ...]:
+def _site_plans(net: BayesianNetwork, problem: MapProblem) -> Tuple[_Node, ...]:
     """`conditional`'s plan for each MAP variable, in map-variable order,
     given the evidence and every other MAP variable."""
     bound = frozenset(problem.evidence.keys()).union(problem.map_vars)
     return tuple(_plan(net, (j,), bound - {j}) for j in problem.map_vars)
 
 
-def _indicator_plan(net: BayesianNetwork, problem: MapProblem) -> _Plan:
+def _indicator_plan(net: BayesianNetwork, problem: MapProblem) -> _Node:
     """The plan of ln p(E) with an indicator on each MAP variable: on a
     context of E and any of the MAP variables, `_log_total` gives
     ln p(context), the unbound MAP variables summed out."""
@@ -643,17 +631,12 @@ def _running_sums(dist: Sequence[float]) -> Tuple[float, ...]:
 
 def forward_sample(net: BayesianNetwork, rng: random.Random) -> Assignment:
     """One draw from the network prior, sampling in topological order, one
-    rng variate per variable. The `_running_sums` of each CPT row are kept
-    among the network's plans, keyed by (variable, row), from the first
-    draw that reads the row."""
-    sums = net._plans.setdefault(_ROW_SUMS, {})
+    rng variate per variable, each by `bisect_right` on the `_running_sums`
+    of its CPT row."""
     out: Assignment = {}
     for v in net.order():
-        key = (v, net.row_index(v, out))
-        cum = sums.get(key)
-        if cum is None:
-            cum = sums[key] = _running_sums(net.cpts[v].table[key[1]])
-        out[v] = bisect_right(cum, rng.random())
+        out[v] = bisect_right(_running_sums(net.cpts[v].table[net.row_index(v, out)]),
+                              rng.random())
     return out
 
 

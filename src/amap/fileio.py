@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .model import (
@@ -344,13 +344,6 @@ def serialize_problem(problem: MapProblem, net: BayesianNetwork) -> str:
 
 # -- benchmark reports -------------------------------------------------------
 
-REPORT_COLUMNS = (
-    "network", "case_id", "algorithm", "seed", "log10_prob", "prob",
-    "sweeps", "restarts_used", "best_found_sweep", "reheats", "wall_ms",
-    "matches_oracle",
-)
-
-
 @dataclass
 class ReportRow:
     network: str
@@ -365,6 +358,9 @@ class ReportRow:
     reheats: int
     wall_ms: float
     matches_oracle: Optional[bool] = None  # None when the oracle is unavailable
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def write_report(rows: Sequence[ReportRow]) -> str:

@@ -126,9 +126,9 @@ class BayesianNetwork:
         for cpt in self.cpts:
             check_table(cpt, self.variables)
         self._order = topological_order(self)
-        # engine's compiled elimination plans, the CPT arrays, masked
-        # indicator CPTs and graph of step nodes they share, and the CPT
-        # rows' running sums that forward sampling draws from
+        # engine's compiled elimination plans, each its final step node,
+        # and the CPT arrays, masked indicator CPTs and graph of step nodes
+        # they share
         self._plans: Dict[object, object] = {}
 
     def __getstate__(self) -> Dict[str, object]:

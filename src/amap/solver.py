@@ -26,8 +26,9 @@ from .engine import (
     _getter,
     _indicator_plan,
     _log_total,
+    _output,
+    _plan,
     _site_plans,
-    eliminate,
     forward_sample,
     prune,
 )
@@ -177,7 +178,7 @@ def _sites(net: BayesianNetwork, problem: MapProblem) -> List[tuple]:
     A site update leaves x_j bound, which its plan never reads; it looks up
     p(x_j | E, x without j) as `memo.get(key(context))` and calls
     `_conditional`, which builds and stores every record, only on a miss."""
-    return [(j, plan, plan.final.memo, plan.final.memo_key)
+    return [(j, plan, plan.memo, plan.memo_key)
             for j, plan in zip(problem.map_vars, _site_plans(net, problem))]
 
 
@@ -379,15 +380,18 @@ def brute_force_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
 
 
 def _brute_force(comp: Component) -> SolveReport:
-    f = eliminate(comp.net, comp.problem.map_vars, comp.problem.evidence)
-    total = f.total()
+    problem = comp.problem
+    # the MAP-space table, read in place; its log scale cancels in logp
+    table = _output(_plan(comp.net, problem.map_vars, frozenset(problem.evidence)),
+                    problem.evidence)
+    total = float(table.sum())
     if total <= 0.0:
         raise InconsistentEvidenceError("evidence has probability zero")
-    flat = f.values.reshape(-1)
+    flat = table.reshape(-1)
     idx = int(np.argmax(flat))  # first maximum = lexicographically lowest
     best_val = float(flat[idx])
-    states = np.unravel_index(idx, f.values.shape) if f.values.ndim else ()
-    best = {v: int(s) for v, s in zip(comp.problem.map_vars, states)}
+    states = np.unravel_index(idx, table.shape)
+    best = {v: int(s) for v, s in zip(problem.map_vars, states)}
     logp = -math.inf if best_val == 0.0 else math.log(best_val) - math.log(total)
     return SolveReport(best=best, logp=logp, restarts_used=0)
 

@@ -235,7 +235,7 @@ def _tree(node, plain=False):
 def _nodes(plan):
     """The plan's nodes, its final node first and each node's input nodes
     after it, depth first."""
-    out, stack = [], [plan.final]
+    out, stack = [], [plan]
     while stack:
         node = stack.pop()
         out.append(node)
@@ -424,7 +424,7 @@ class TestPlans:
                 # the final node's support is the bound set; the nodes'
                 # entries add up to the plan's; the min-fill width is the
                 # largest table a summing step multiplies
-                got = (_tree(plan.final), plan.final.support,
+                got = (_tree(plan), plan.support,
                        sum(node.entries for node in _nodes(plan)),
                        max([math.prod(map(net.cardinality, node.scope)) for node in _nodes(plan)
                             if node.axis is not None], default=1))
@@ -437,12 +437,13 @@ class TestPlans:
         net = random_network(random.Random(17), 20, max_parents=3, cards=(2, 3))
         ev = frozenset(range(14, 20))
         first = engine._plan(net, (), ev, frozenset({0, 1, 2, 3}))
-        cpts = first.cpts
+        cpts = net._plans[engine._CPTS]
         masks = dict(cpts.masks)
         plans = [first, engine._plan(net, (), ev, frozenset({2, 3, 4})),
                  engine._plan(net, (5,), ev, frozenset({0, 4}))]
         plans += engine._site_plans(net, MapProblem((0, 1, 2, 3), {v: 0 for v in ev}))
-        assert all(plan.cpts is cpts for plan in plans)
+        shared = set(map(id, cpts.nodes.values()))
+        assert all(id(node) in shared for plan in plans for node in _nodes(plan))
         assert sorted(cpts.masks) == [0, 1, 2, 3, 4]
         assert all(cpts.masks[v] is masks[v] for v in masks)
         for v, per_state in cpts.masks.items():
@@ -477,7 +478,7 @@ class TestPlans:
         net = BayesianNetwork("chain", [Variable(v, f"X{v}", ("a", "b")) for v in range(n)],
                               cpts)
         ev = Assignment({n - 1: 1})
-        depth, node = 0, engine._plan(net, (0,), frozenset(ev)).final
+        depth, node = 0, engine._plan(net, (0,), frozenset(ev))
         while node.inputs and isinstance(node.inputs[-1], engine._Node):
             depth, node = depth + 1, node.inputs[-1]
         assert depth == n - 2
@@ -555,11 +556,12 @@ def _zeroed(net, rng):
     return BayesianNetwork(net.name, net.variables, cpts)
 
 
-def _evaluated(plan, context):
-    """The plan's result for the context, computed from `_tree` with no
-    node reuse, each product started from ones in C order, and an indicator
-    CPT masked here: the reference for the bits `engine._factor` gives."""
-    arrays = plan.cpts.arrays
+def _evaluated(net, plan, context):
+    """The result of the network's plan for the context, computed from
+    `_tree` with no node reuse, each product started from ones in C order,
+    and an indicator CPT masked here: the reference for the bits
+    `engine._factor` gives."""
+    arrays = net._plans[engine._CPTS].arrays
 
     def run(tree):
         inputs, perms, shapes, scope, axis = tree
@@ -589,8 +591,8 @@ def _evaluated(plan, context):
             out = out.sum(axis=axis)
         return out, log_scale
 
-    out, log_scale = run(_tree(plan.final))
-    return engine.Factor(plan.final.scope, np.array(out, order="C"), log_scale)
+    out, log_scale = run(_tree(plan))
+    return engine.Factor(plan.scope, np.array(out, order="C"), log_scale)
 
 
 class TestStepReuse:
@@ -673,7 +675,7 @@ class TestStepReuse:
             # the same steps as the plain plan, which the indicators leave as
             # they are, with the MAP variables' CPTs taking indicators
             plain = engine._plan(net, (), frozenset(ev.keys()))
-            assert _tree(plan.final, plain=True) == _tree(plain.final, plain=True)
+            assert _tree(plan, plain=True) == _tree(plain, plain=True)
             cpts = [a for node in _nodes(plan) for a in node.inputs
                     if not isinstance(a, engine._Node)]
             assert sorted(a[0] for a in cpts if a[2]) == sorted(problem.map_vars)
@@ -717,7 +719,7 @@ class TestStepReuse:
                     sample = forward_sample(net, rng)
                     kept = bound + rng.sample(sorted(indicators), rng.randint(0, len(indicators)))
                     context = {v: s for v, s in sample.items() if v in kept}
-                    _same_bits(engine._factor(plan, context), _evaluated(plan, context))
+                    _same_bits(engine._factor(plan, context), _evaluated(net, plan, context))
 
     def test_single_input_step_owns_its_output(self, monkeypatch):
         # The one step of p(A) reads A's CPT alone. With a budget of two
@@ -731,7 +733,28 @@ class TestStepReuse:
             f = eliminate(net, (0,), Assignment())
             assert f.values.tolist() == [0.2, 0.8]
             f.values[...] = 7.0
-        assert not net._plans[((0,), frozenset(), frozenset())].final.keeps
+        assert not net._plans[((0,), frozenset(), frozenset())].keeps
+
+    def test_result_of_a_kept_lone_kid_is_a_copy(self, monkeypatch):
+        # p(B) for A -> B sums out A by the step that p() runs first, whose
+        # nodes fill a budget of four entries: the final node of p(B) keeps
+        # nothing and takes that step's kept output, with no transpose or
+        # reshape, as its own; the factor must still own its values, or a
+        # write into them would reach the kid's output
+        monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 4)
+        net = parse_network("network n\nvar A { t, f }\nvar B { t, f }\ncpt A { 0.2 0.8 }\n"
+                            "cpt B | A { 0.9 0.1 ; 0.3 0.7 }\n")
+        want = eliminate(_rebuilt(net), (1,), Assignment())
+        assert eliminate(net, (), Assignment()).total() == 1.0
+        plan = engine._plan(net, (1,), frozenset())
+        kid, = plan.kids
+        assert kid.keeps and not plan.keeps
+        assert plan.fetch[0][3:] == (None, None) and not plan.copy
+        for _ in range(3):
+            f = eliminate(net, (1,), Assignment())
+            _same_bits(f, want)
+            assert not np.shares_memory(f.values, kid.output)
+            f.values[...] = 7.0
 
     def test_failed_evaluation_leaves_no_stale_output(self):
         # An out-of-range state fails part-way, after the steps before it
@@ -888,10 +911,11 @@ def _partly_sharpened(net, rng):
     return BayesianNetwork(net.name, net.variables, cpts)
 
 
-def _maxima(plan, context):
-    """(node, the maximum of its product) for every node of the plan, the
-    products formed as `_evaluated` forms them, every rescale made."""
-    arrays, found = plan.cpts.arrays, []
+def _maxima(net, plan, context):
+    """(node, the maximum of its product) for every node of the network's
+    plan, the products formed as `_evaluated` forms them, every rescale
+    made."""
+    arrays, found = net._plans[engine._CPTS].arrays, []
 
     def run(node):
         out = np.ones([arrays[v].shape[-1] for v in node.scope])
@@ -919,7 +943,7 @@ def _maxima(plan, context):
             log_scale += math.log(m)
         return (out if node.axis is None else out.sum(axis=node.axis)), log_scale
 
-    run(plan.final)
+    run(plan)
     return found
 
 
@@ -951,7 +975,7 @@ class TestMagnitudeBounds:
                     # uniform states, so that the sharpened ones are bound too
                     kept = bound + rng.sample(sorted(indicators), rng.randint(0, len(indicators)))
                     context = {v: rng.randrange(net.cardinality(v)) for v in kept}
-                    for node, m in _maxima(plan, context):
+                    for node, m in _maxima(net, plan, context):
                         if node.check:
                             rescaled = m > engine._RESCALE_HI or 0.0 < m < engine._RESCALE_LO
                             kinds["rescaled"] += rescaled
@@ -964,12 +988,12 @@ class TestMagnitudeBounds:
                                                 <= node.high - summed + 1e-9)
                             assert m == 0.0 or engine._RESCALE_LO <= m <= engine._RESCALE_HI
                             kinds["unchecked"] += 1
-                    want = _evaluated(plan, context)
+                    want = _evaluated(net, plan, context)
                     _same_bits(engine._factor(plan, context), want)
                     if not keep:
                         got = engine._log_total(plan, context)
                         assert got.hex() == want.log_total().hex()
-                    if len(keep) == 1 and all(v in context for v in plan.final.support):
+                    if len(keep) == 1 and all(v in context for v in plan.support):
                         total = float(np.add.reduce(want.values, None))
                         if total > 0.0:
                             site = engine._conditional(net, keep[0], plan, context)
@@ -1005,7 +1029,7 @@ class TestMagnitudeBounds:
         cpts += [Cpt(v, (v - 1,), (rows[2 * v], rows[2 * v + 1])) for v in range(1, n)]
         net = BayesianNetwork("chain", [Variable(v, f"X{v}", ("a", "b")) for v in range(n)],
                               cpts)
-        chain = [engine._plan(net, (0,), frozenset({n - 1})).final]
+        chain = [engine._plan(net, (0,), frozenset({n - 1}))]
         while chain[-1].kids:
             chain.append(chain[-1].kids[-1])
         checks = [node.check for node in chain]
@@ -1125,7 +1149,7 @@ def _memo_calls(seed, calls):
     for pick, via_site, move, r in calls:
         draw = random.Random(r)
         i = pick % len(map_vars)
-        j, final = map_vars[i], plans[i].final
+        j, final = map_vars[i], plans[i]
         if move == "other":
             v = draw.choice(map_vars)
             x[v] = draw.randrange(net.cardinality(v))
@@ -1240,12 +1264,11 @@ class TestSiteMemo:
         sizes = set()
         for net, j, context in cases:
             plan = engine._plan(net, (j,), frozenset(context))
-            final = plan.final
-            sizes.add(len(final.support))
+            sizes.add(len(plan.support))
             site = engine._conditional(net, j, plan, context)
-            values = tuple(map(context.get, final.support))
-            assert final.memo_key(context) == values
-            assert final.memo[values] is site
+            values = tuple(map(context.get, plan.support))
+            assert plan.memo_key(context) == values
+            assert plan.memo[values] is site
             assert engine._conditional(net, j, plan, dict(context)) is site
             assert conditional(net, j, context) is site.dist
         assert sizes == {0, 1, 2}
@@ -1267,21 +1290,20 @@ class TestSiteMemo:
                                      restarts=3, collect_trace=True)
 
         plans = engine._site_plans(net, problem)
-        finals = [plan.final for plan in plans]
         cpts = net._plans[engine._CPTS]
         nodes_kept = cpts.retained
         # room for a few records: each counts its 3 * 2 values and its key
-        budget = nodes_kept + 3 * (3 * 2 + len(finals[0].support))
+        budget = nodes_kept + 3 * (3 * 2 + len(plans[0].support))
         monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", budget)
         sizes = []
         for _ in range(2):  # the second pass finds the memo full
             for (j, context), dist in zip(contexts, want):
                 assert conditional(net, j, context).tobytes() == dist
-            sizes.append([len(node.memo) for node in finals])
+            sizes.append([len(node.memo) for node in plans])
         assert sizes[0] == sizes[1]
         assert 0 < sum(sizes[0]) < len(contexts)
         assert cpts.retained == nodes_kept + sum(
-            len(node.memo) * (3 * 2 + len(node.support)) for node in finals) <= budget
+            len(node.memo) * (3 * 2 + len(node.support)) for node in plans) <= budget
         # a solve under a budget that keeps hardly anything gives the same run
         monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 16)
         assert solver.annealed_map(_rebuilt(net), problem, schedule, random.Random(3),
@@ -1439,9 +1461,9 @@ class TestForwardSample:
         assert rng.draws == 1
 
     def test_kept_row_sums_draw_as_a_linear_scan(self):
-        # draws on a network whose rows' running sums are kept from earlier
-        # draws, and on a pickled copy, which leaves them behind, are the
-        # states a linear scan of each row gives for the same variates
+        # repeated draws on a network, and on a pickled copy, which leaves
+        # its compiled plans behind, are the states a linear scan of each
+        # row gives for the same variates
         net = random_network(random.Random(11), 40, max_parents=3, cards=(2, 3, 4))
 
         def scan_sample(rng):
@@ -1454,7 +1476,6 @@ class TestForwardSample:
             rng, ref = random.Random(seed), random.Random(seed)
             for _ in range(200):
                 assert forward_sample(net, rng) == scan_sample(ref)
-        assert net._plans[engine._ROW_SUMS]
         copy = pickle.loads(pickle.dumps(net))
         assert not copy._plans
         rng, ref = random.Random(1), random.Random(1)

@@ -2,6 +2,7 @@ import math
 import random
 import resource
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -260,6 +261,32 @@ class TestBruteForce:
         wide = disjoint_union(net, chain_network(rng, 28))
         with pytest.raises(WidthCapError, match="2\\^28.0"):
             brute_force_map(wide, random_problem(rng, wide))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_reads_its_kept_table_in_place(self, seed):
+        # the oracle reads its MAP-space table where the plan keeps it, with
+        # no copy: its answer has the bits of an argmax over the table
+        # `eliminate` returns, also on a second call, which finds the table
+        # kept, and the table stays read-only and unchanged
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(2, 12), max_parents=3)
+        for comp in prune(net, random_problem(rng, net)).components:
+            map_vars, ev = comp.problem.map_vars, comp.problem.evidence
+            f = eliminate(BayesianNetwork(net.name, comp.net.variables, comp.net.cpts),
+                          map_vars, ev)
+            flat = f.values.reshape(-1)
+            idx = int(np.argmax(flat))
+            best = dict(zip(map_vars, map(int, np.unravel_index(idx, f.values.shape))))
+            logp = math.log(float(flat[idx])) - math.log(f.total())
+            for _ in range(2):
+                report = solver._brute_force(comp)
+                assert report.best == best and report.logp.hex() == logp.hex()
+            plan = comp.net._plans[(map_vars, frozenset(ev), frozenset())]
+            assert plan.keeps and not plan.output.flags.writeable
+            again = eliminate(comp.net, map_vars, ev)
+            assert again.values.tobytes() == f.values.tobytes()
+            assert again.log_scale.hex() == f.log_scale.hex()
 
     def test_agrees_with_full_enumeration(self):
         rng = random.Random(101)
@@ -620,7 +647,7 @@ class TestSiteContext:
                     annealed_map(net, problem, rng=random.Random(k), restarts=2)
                     n_map = len(comp.problem.map_vars)
                     want = 1 if n_map == 1 else n_map + 1
-                plans = [p for p in comp.net._plans.values() if isinstance(p, engine._Plan)]
+                plans = [p for p in comp.net._plans.values() if isinstance(p, engine._Node)]
                 assert len(plans) == want
 
 
@@ -803,10 +830,10 @@ class TestTrackingIdentity:
 
         def shifted(net, j, plan, context):
             site = real(net, j, plan, context)
-            values = plan.final.memo_key(context)
-            assert plan.final.memo[values] is site
+            values = plan.memo_key(context)
+            assert plan.memo[values] is site
             site = site._replace(logs=tuple(lp + 0.5 * s for s, lp in enumerate(site.logs)))
-            plan.final.memo[values] = site
+            plan.memo[values] = site
             return site
 
         monkeypatch.setattr(solver, "_conditional", shifted)
