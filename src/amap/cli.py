@@ -156,8 +156,9 @@ def _parse(path: str, parse: Callable[..., _T], *args: object) -> _T:
 
 @contextlib.contextmanager
 def _create(path: str) -> Iterator[TextIO]:
-    """`path` opened for writing, and removed if the block fails; an
-    unwritable path ends the command."""
+    """`path` opened for writing, and removed if the block fails, unless it
+    names a symlink or something other than a regular file, which stays in
+    place; an unwritable path ends the command."""
     try:
         fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
@@ -166,7 +167,8 @@ def _create(path: str) -> Iterator[TextIO]:
         with fh:
             yield fh
     except BaseException:
-        os.remove(path)
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
         raise
 
 

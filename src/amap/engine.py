@@ -28,17 +28,19 @@ An indicator variable is eliminated like any other, but its CPT's own
 column is masked to the state the context binds it to, if any: one plan
 with keep () and an indicator on each MAP variable gives ln p(E, y) for
 every partial assignment y of the MAP variables (the λ inputs of Darwiche,
-JACM 2003), and a changed indicator re-runs only the steps above its CPT.
-With no indicator bound its results are bit for bit those of the plan
-without indicators.
+JACM 2003), and a changed indicator re-runs only the steps above its CPT,
+read from a stack of its masks and the CPT itself (`_Cpts.masks`). With no
+indicator bound its results are bit for bit those of the plan without
+indicators.
 
 Factor products and sums run in linear domain; a separate log scale is
 carried and folded in only at the boundary, so deep products on large
 components cannot overflow or underflow: a node rescales when its
 product's maximum leaves [_RESCALE_LO, _RESCALE_HI]. How a node fetches each
-input, and whether it computes that maximum at all, is fixed when it is
-built; the maximum is skipped where bounds on the product prove that no
-rescale can fire (see `_step`), so no result's bits change.
+input (a kid's output or one indexing of a CPT array), and whether it
+computes that maximum at all, is fixed when it is built; the maximum is
+skipped where bounds on the product prove that no rescale can fire (see
+`_step`), so no result's bits change.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ _RESCALE_LO = 1e-100
 _LOG_LO, _LOG_HI = math.log(_RESCALE_LO) + 3.0, math.log(_RESCALE_HI) - 3.0
 MAX_TABLE_ENTRIES = 2 ** 27  # 1 GiB of float64
 _CPTS = "cpts"  # key of a network's _Cpts among its plans
-_ALL = slice(None)
-# how `_run` fetches a node input (see `_Node.fetch`)
-_KID, _HELD, _READ, _SELECT, _MASK = range(5)
 
 
 class ImpossibleContextError(ValueError):
@@ -106,25 +105,21 @@ class Factor:
 @dataclass(eq=False)
 class _Node:
     """One elimination step and its output, one object for every plan of
-    the network that runs an identical step: multiply `inputs` into a table
-    over `scope`, the product's variables in axis order, each input
-    transposed by `perms[i]` and reshaped by `shapes[i]` (None where that is
-    a no-op), then sum out `axis` (None for a plan's final product, whose
-    scope is the kept variables in their given order). An input is a CPT,
-    as (index, selection pattern or None, whether it takes an indicator),
-    or another node. A plan is its final node: its inputs lead to every
+    the network that runs an identical step: multiply its inputs, the CPTs
+    and nodes that its key in `_Cpts.nodes` lists, into a table over
+    `scope`, the product's variables in axis order, then sum out `axis`
+    (None for a plan's final product, whose scope is the kept variables in
+    their given order). A plan is its final node: its inputs lead to every
     other node of the plan, each reached once.
 
     Everything an evaluation would otherwise decide per input is fixed when
     the node is built: `kids` are its input nodes in input order, and
-    `fetch` holds one `(form, a, b, perm, shape)` per input: `_KID`, the
-    kid a's output; `_HELD`, the whole CPT a; `_READ`, a[b(context)] from a
-    CPT a whose variables are all bound; `_SELECT`, CPT a selected by
-    pattern b; `_MASK`, for a = (s, CPT s's `masks`, CPT s), CPT s masked
-    to the state the context binds s to, if any, then selected by pattern b
-    unless b is None. `copy` says whether a lone input must be copied into
-    C order: a kid's output, kept or not, already is a C-ordered array,
-    and no reader writes into an output.
+    `fetch` holds one `(a, key, perm, shape)` per input, read as the kid
+    a's output if key is None, else as a[key(context)], a CPT (or its stack
+    of masks) with its bound axes leading, then transposed by perm and
+    reshaped to shape unless None. `copy` says whether a lone input must be
+    copied into C order: a kid's output, kept or not, already is a
+    C-ordered array, and no reader writes into an output.
     `low` bounds ln of every positive entry of the output from below and
     `high` bounds ln of every entry from above, and `check` is False only if
     these bounds, with a margin to spare, prove that the product's maximum
@@ -132,8 +127,8 @@ class _Node:
 
     The output depends only on the values of `support`, the bound variables
     that the step's subtree selects on and the indicator variables whose
-    CPTs it reads (None while unbound). A node that `keeps` (its `entries`
-    fit in the network's budget) holds its output read-only and its log
+    CPTs it reads (None while unbound). A node that `keeps` (its output
+    fits in the network's budget) holds its output read-only and its log
     scale, valid while its support has the values in `values` (None until
     an evaluation completes). Any other node holds an output only until the
     node that reads it has run. `memo_key`, built with the node, is the
@@ -142,13 +137,9 @@ class _Node:
     made from the output for those values; only a site plan's final node
     fills it."""
 
-    inputs: Tuple[object, ...]
-    perms: Tuple[Optional[Tuple[int, ...]], ...]
-    shapes: Tuple[Optional[Tuple[int, ...]], ...]
     scope: Tuple[int, ...]
     axis: Optional[int]
     support: Tuple[int, ...]
-    entries: int
     keeps: bool
     memo_key: Callable[[Mapping[int, int]], Tuple[int, ...]]
     kids: Tuple["_Node", ...]
@@ -171,19 +162,22 @@ _Site = namedtuple("_Site", ("dist", "cum", "logs"))
 
 @dataclass(eq=False)
 class _Cpts:
-    """A network's CPT arrays, each indicator variable's CPT masked to each
-    of its states, and the nodes, all shared by its plans and held among
-    them under `_CPTS`, with the number of table entries those nodes keep,
-    a site record counting as its three values per state (`dist`, `cum`
-    and `logs`) and its key's values (at most MAX_TABLE_ENTRIES in all).
-    A node's key is what it multiplies and what it sums out: (`inputs`, v)
-    for a step that sums out variable v, and (`inputs`, keep) for a plan's
-    final product; its layout follows from the key. `floors[s]` is ln of
-    CPT s's smallest positive entry."""
+    """A network's CPT arrays, each indicator variable's stack of masks,
+    and the nodes, all shared by its plans and held among them under
+    `_CPTS`, with the number of table entries those nodes keep, a site
+    record counting as its three values per state (`dist`, `cum` and
+    `logs`) and its key's values (at most MAX_TABLE_ENTRIES in all).
+    `masks[v]`, of shape (card(v) + 1, *CPT v's shape), holds CPT v masked
+    to each state of v, then CPT v itself. A node's key is what it
+    multiplies and what it sums out: (inputs, v) for a step that sums out
+    v, and (inputs, keep) for a final product, each input a node or a CPT
+    as (index, selection pattern or None, whether it takes an indicator);
+    its layout follows from the key. `floors[s]` is ln of CPT s's smallest
+    positive entry."""
 
     arrays: Tuple[np.ndarray, ...]
     floors: Tuple[float, ...]
-    masks: Dict[int, Tuple[np.ndarray, ...]] = field(default_factory=dict)
+    masks: Dict[int, np.ndarray] = field(default_factory=dict)
     nodes: Dict[tuple, _Node] = field(default_factory=dict)
     retained: int = 0
 
@@ -288,7 +282,8 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
           scopes: Sequence[Tuple[int, ...]], v: Optional[int], keep: Tuple[int, ...]) -> _Node:
     """A new node multiplying `inputs`, of `scopes`, and summing out `v`, or
     for v None a plan's final product, laid out in `keep` order. Any other
-    variable takes the next axis where it first appears.
+    variable takes the next axis where it first appears. Each input's
+    fetch (see `_Node`) is compiled here, and a selection is exact.
 
     Its magnitude bounds, in ln, compose from its inputs': ln of a positive
     product entry is at least the sum of each kid's `low` and of ln of each
@@ -302,59 +297,60 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
         for u in sc:
             pos.setdefault(u, len(pos))
     scope = tuple(pos)
-    perms: List[Optional[Tuple[int, ...]]] = []
-    shapes: List[Optional[Tuple[int, ...]]] = []
-    for sc in scopes:
-        axes = [pos[u] for u in sc]
-        ordered = sorted(axes)
-        perms.append(None if ordered == axes else tuple(map(axes.index, ordered)))
-        # broadcasting already supplies leading unit axes, so a reshape is
-        # needed only when the input's axes do not end the output's
-        if not axes or ordered[0] == len(scope) - len(axes):
-            shapes.append(None)
-        else:
-            padded = [1] * len(scope)
-            for a, u in zip(axes, sc):
-                padded[a] = cards[u]
-            shapes.append(tuple(padded))
     support: Set[int] = set()
     kids: List[_Node] = []
     fetch = []
     low = high = 0.0
     check = False
-    for a, perm, shape in zip(inputs, perms, shapes):
+    for a, sc in zip(inputs, scopes):
+        axes = [pos[u] for u in sc]
+        ordered = sorted(axes)
+        perm = None if ordered == axes else tuple(map(axes.index, ordered))
+        # broadcasting already supplies leading unit axes, so a reshape is
+        # needed only when the input's axes do not end the output's
+        shape = None
+        if axes and ordered[0] != len(scope) - len(axes):
+            padded = [1] * len(scope)
+            for i, u in zip(axes, sc):
+                padded[i] = cards[u]
+            shape = tuple(padded)
         if isinstance(a, _Node):
             support.update(a.support)
             kids.append(a)
             low += a.low
             high += a.high
             check = check or a.check
-            fetch.append((_KID, a, None, perm, shape))
+            fetch.append((a, None, perm, shape))
             continue
         s, sel, indicator = a
-        support.update([u for u in sel or () if u >= 0])
         low += cpts.floors[s]
+        a = cpts.arrays[s]
+        # transposed only if a bound axis follows a free one, so that the
+        # bound axes lead and the key's integers select the free axes' view
+        sel = sel or (-1,) * a.ndim
+        order = sorted(range(len(sel)), key=lambda i: sel[i] < 0)
+        bound = tuple([u for u in sel if u >= 0])
+        support.update(bound)
+        key = _getter(bound)
         if indicator:
+            # state card(s), while s is unbound, is the unmasked CPT
             support.add(s)
-            fetch.append((_MASK, (s, cpts.masks[s], cpts.arrays[s]), sel, perm, shape))
-        elif sel is None:
-            fetch.append((_HELD, cpts.arrays[s], None, perm, shape))
-        elif min(sel) >= 0:
-            fetch.append((_READ, cpts.arrays[s], _getter(sel), perm, shape))
-        else:
-            fetch.append((_SELECT, cpts.arrays[s], sel, perm, shape))
+            a, order = cpts.masks[s], [0] + [i + 1 for i in order]
+            key = lambda m, s=s, c=cards[s], k=key: (m.get(s, c),) + k(m)
+        if order != sorted(order):
+            a = a.transpose(order)
+        fetch.append((a, key, perm, shape))
     check = check or low < _LOG_LO or high > _LOG_HI
     if v is not None:
         high += math.log(cards[v])
     size = math.prod(map(cards.__getitem__, scope)) // (1 if v is None else cards[v])
     keeps = cpts.retained + size <= MAX_TABLE_ENTRIES
     cpts.retained += size if keeps else 0
-    # a lone kid needs no copy: `_factor` copies what it hands out
-    copy = len(inputs) == 1 and not (kids and perms[0] is None and shapes[0] is None)
+    # a lone kid read as it is needs no copy: `_factor` copies what it hands out
+    copy = len(fetch) == 1 and fetch[0][1:] != (None, None, None)
     ordered = tuple(sorted(support))
-    return _Node(inputs, tuple(perms), tuple(shapes), scope, None if v is None else pos[v],
-                 ordered, size, keeps, _getter(ordered), tuple(kids), tuple(fetch), copy, low,
-                 high, check)
+    return _Node(scope, None if v is None else pos[v], ordered, keeps, _getter(ordered),
+                 tuple(kids), tuple(fetch), copy, low, high, check)
 
 
 def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
@@ -402,8 +398,8 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
             [math.log(min(filter(None, chain(*cpt.table)))) for cpt in net.cpts]))
     for v in indicators - cpts.masks.keys():
         # CPT v's last axis is v's own column
-        cpts.masks[v] = tuple(cpts.arrays[v] * (np.arange(cards[v]) == s)
-                              for s in range(cards[v]))
+        cpts.masks[v] = np.array([cpts.arrays[v] * (np.arange(cards[v]) == s)
+                                  for s in range(cards[v])] + [cpts.arrays[v]])
     # at[u]: the bucket of a slot whose first variable is u; kept ones file last
     at = dict.fromkeys(keep, len(order))
     at.update(zip(order, range(len(order))))
@@ -449,39 +445,31 @@ def eliminate(net: BayesianNetwork, keep: Sequence[int], evidence: Assignment) -
 
 def _factor(plan: _Node, context: Assignment) -> Factor:
     """The plan's result for the context's values, as `eliminate` returns
-    it: a C-ordered copy of the final output, of shape () for the empty
-    scope, which no node holds. `context` binds every bound variable of the
-    plan and, of its other variables, only indicators."""
-    return Factor(plan.scope, np.array(_output(plan, context), order="C"), plan.scale)
+    it: a C-ordered copy of the output `_run` gives, of shape () for the
+    empty scope, which no node holds. `context` binds every bound variable
+    of the plan and, of its other variables, only indicators."""
+    return Factor(plan.scope, np.array(_run(plan, context), order="C"), plan.scale)
 
 
 def _log_total(plan: _Node, context: Assignment) -> float:
     """`_factor(plan, context).log_total()` for a plan with keep (), without
     building the factor."""
-    total = float(_output(plan, context))
+    total = float(_run(plan, context))
     return -math.inf if total == 0.0 else math.log(total) + plan.scale
 
 
-def _output(plan: _Node, context: Assignment) -> np.ndarray:
-    """The plan's final output for the context's values, read-only if the
-    final node keeps it, and to be read in place: it may be a kept kid's
-    output. A final node that does not keep lets go of it."""
-    _run(plan, context)
-    out = plan.output
-    if not plan.keeps:
-        plan.output = None
-    return out
-
-
-def _run(plan: _Node, context: Assignment) -> None:
-    """Bring the plan's final node up to date for the context's values: from
-    it down, each node that holds no output for them has its kids checked
-    in turn, and the nodes found then run in reverse order of discovery, so
-    each after the nodes it reads, as a plan is a tree. A node's values are
-    set only once its output is, so a failed evaluation leaves nothing
-    stale. Each input is fetched as its node compiled it, and a node whose
-    bounds rule out a rescale skips its maximum: every output and log scale
-    has the bits it would have with every check made."""
+def _run(plan: _Node, context: Assignment) -> np.ndarray:
+    """The plan's final output for the context's values, its log scale in
+    `plan.scale`, to be read in place (it may be a kept kid's output) and
+    read-only if the final node keeps it; one that does not lets go of it.
+    From the final node down, each node that holds no output for the values
+    has its kids checked in turn, and the nodes found then run in reverse
+    order of discovery, so each after the nodes it reads, as a plan is a
+    tree. A node's values are set only once its output is, so a failed
+    evaluation leaves nothing stale. Each input is fetched as its node
+    compiled it, and a node whose bounds rule out a rescale skips its
+    maximum: every output and log scale has the bits it would have with
+    every check made."""
     todo, stack = [], [plan]
     while stack:
         node = stack.pop()
@@ -492,22 +480,14 @@ def _run(plan: _Node, context: Assignment) -> None:
     for node, values in reversed(todo):
         out = None
         log_scale = 0.0
-        for form, a, b, perm, shape in node.fetch:
-            if form == _KID:
+        for a, key, perm, shape in node.fetch:
+            if key is None:
                 kid, a = a, a.output
                 log_scale += kid.scale
                 if not kid.keeps:
                     kid.output = None  # read once
-            elif form == _READ:
-                a = a[b(context)]
-            elif form == _SELECT:
-                a = a[tuple([_ALL if v < 0 else context[v] for v in b])]
-            elif form == _MASK:
-                s, masked, a = a
-                if s in context:
-                    a = masked[context[s]]
-                if b is not None:
-                    a = a[tuple([_ALL if v < 0 else context[v] for v in b])]
+            else:
+                a = a[key(context)]
             if perm is not None:
                 a = a.transpose(perm)
             if shape is not None:
@@ -530,6 +510,10 @@ def _run(plan: _Node, context: Assignment) -> None:
             if isinstance(out, np.ndarray):
                 out.setflags(write=False)
             node.values = values
+    out = plan.output
+    if not plan.keeps:
+        plan.output = None
+    return out
 
 
 def conditional(net: BayesianNetwork, target: int, context: Assignment) -> np.ndarray:
@@ -561,7 +545,7 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Node,
     site = plan.memo.get(values)
     if site is not None:
         return site
-    out = _output(plan, context)
+    out = _run(plan, context)
     total = float(np.add.reduce(out, None))
     if total <= 0.0:
         raise ImpossibleContextError(

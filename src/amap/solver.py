@@ -26,8 +26,8 @@ from .engine import (
     _getter,
     _indicator_plan,
     _log_total,
-    _output,
     _plan,
+    _run,
     _site_plans,
     forward_sample,
     prune,
@@ -382,8 +382,8 @@ def brute_force_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
 def _brute_force(comp: Component) -> SolveReport:
     problem = comp.problem
     # the MAP-space table, read in place; its log scale cancels in logp
-    table = _output(_plan(comp.net, problem.map_vars, frozenset(problem.evidence)),
-                    problem.evidence)
+    table = _run(_plan(comp.net, problem.map_vars, frozenset(problem.evidence)),
+                 problem.evidence)
     total = float(table.sum())
     if total <= 0.0:
         raise InconsistentEvidenceError("evidence has probability zero")

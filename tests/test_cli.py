@@ -247,6 +247,22 @@ class TestSolveCommand:
         assert_one_error(captured.err, "error: evidence has probability zero")
         assert not trace.exists()
 
+    def test_failed_solve_leaves_a_symlinked_trace_in_place(self, tmp_path, capsys):
+        # only a regular file is removed: a link, or a device it could
+        # stand for, is not the command's to delete
+        net, problem = tmp_path / "zero.bnet", tmp_path / "zero.prob"
+        net.write_text(ZERO_EVIDENCE_TEXT)
+        problem.write_text(ZERO_EVIDENCE_PROBLEM_TEXT)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("kept\n")
+        link.symlink_to(target)
+        code = main(["solve", "--net", str(net), "--problem", str(problem),
+                     "--trace", str(link)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, "error: evidence has probability zero")
+        assert link.is_symlink() and target.exists()
+
     @pytest.mark.parametrize("algo", ["hillclimb", "oracle"])
     def test_trace_rejected_for_algorithm_without_sweeps(self, algo, net_file,
                                                          problem_file, tmp_path, capsys):

@@ -224,12 +224,32 @@ def _reversed_ids(n, scopes, elim, cards):
             cards[::-1])
 
 
-def _tree(node, plain=False):
-    """A node as a nested tuple (inputs, perms, shapes, scope, axis), each
-    input a CPT as (index, selection pattern, takes-indicator), or as
-    (index, selection pattern) if `plain`, or an input node's tree."""
-    return (tuple(_tree(a, plain) if isinstance(a, engine._Node) else (a[:2] if plain else a)
-                  for a in node.inputs), node.perms, node.shapes, node.scope, node.axis)
+def _inputs(net):
+    """Each node of the network's plans mapped to its inputs, the first
+    part of its key in the network's node map: a CPT as (index, selection
+    pattern, takes-indicator), or an input node."""
+    return {node: key[0] for key, node in net._plans[engine._CPTS].nodes.items()}
+
+
+def _tree(net, node, plain=False):
+    """A node of the network's plans as a nested tuple (inputs, perms,
+    shapes, scope, axis), each input a CPT as (index, selection pattern,
+    takes-indicator), or as (index, selection pattern) if `plain`, or an
+    input node's tree; each perm and shape as the node's fetch holds it."""
+    inputs = _inputs(net)
+
+    def tree(node):
+        return (tuple(tree(a) if isinstance(a, engine._Node) else (a[:2] if plain else a)
+                      for a in inputs[node]), tuple(f[2] for f in node.fetch),
+                tuple(f[3] for f in node.fetch), node.scope, node.axis)
+
+    return tree(node)
+
+
+def _entries(net, node):
+    """The number of entries of the node's output."""
+    size = math.prod(map(net.cardinality, node.scope))
+    return size if node.axis is None else size // net.cardinality(node.scope[node.axis])
 
 
 def _nodes(plan):
@@ -239,7 +259,7 @@ def _nodes(plan):
     while stack:
         node = stack.pop()
         out.append(node)
-        stack.extend(a for a in reversed(node.inputs) if isinstance(a, engine._Node))
+        stack.extend(reversed(node.kids))
     return out
 
 
@@ -424,16 +444,17 @@ class TestPlans:
                 # the final node's support is the bound set; the nodes'
                 # entries add up to the plan's; the min-fill width is the
                 # largest table a summing step multiplies
-                got = (_tree(plan), plan.support,
-                       sum(node.entries for node in _nodes(plan)),
+                got = (_tree(net, plan), plan.support,
+                       sum(_entries(net, node) for node in _nodes(plan)),
                        max([math.prod(map(net.cardinality, node.scope)) for node in _nodes(plan)
                             if node.axis is not None], default=1))
                 assert got == _reference_plan(net, keep, bound)
 
     def test_plan_trees_and_shared_masks(self):
         # No node is reached twice from a plan's final node, and indicator
-        # plans of one network with overlapping indicators read one masked
-        # CPT per indicator and state, built when the first plan compiles.
+        # plans of one network with overlapping indicators read one stack of
+        # masked CPTs per indicator, built when the first plan compiles: a
+        # slice per state, then the CPT itself.
         net = random_network(random.Random(17), 20, max_parents=3, cards=(2, 3))
         ev = frozenset(range(14, 20))
         first = engine._plan(net, (), ev, frozenset({0, 1, 2, 3}))
@@ -446,13 +467,21 @@ class TestPlans:
         assert all(id(node) in shared for plan in plans for node in _nodes(plan))
         assert sorted(cpts.masks) == [0, 1, 2, 3, 4]
         assert all(cpts.masks[v] is masks[v] for v in masks)
-        for v, per_state in cpts.masks.items():
-            for state, masked in enumerate(per_state):
-                want = cpts.arrays[v] * (np.arange(net.cardinality(v)) == state)
-                assert masked.tobytes() == want.tobytes()
+        for v, stack in cpts.masks.items():
+            card = net.cardinality(v)
+            assert stack.shape == (card + 1, *cpts.arrays[v].shape)
+            for state in range(card):
+                want = cpts.arrays[v] * (np.arange(card) == state)
+                assert stack[state].tobytes() == want.tobytes()
+            assert stack[-1].tobytes() == cpts.arrays[v].tobytes()
+        inputs = _inputs(net)
         for plan in plans:
             nodes = _nodes(plan)
             assert len({id(node) for node in nodes}) == len(nodes)
+            for node in nodes:
+                for a, (read, *_) in zip(inputs[node], node.fetch):
+                    if not isinstance(a, engine._Node) and a[2]:
+                        assert read is cpts.masks[a[0]] or read.base is cpts.masks[a[0]]
 
     def test_pickle_leaves_compiled_plans_behind(self):
         net = random_network(random.Random(23), 60)
@@ -479,8 +508,9 @@ class TestPlans:
                               cpts)
         ev = Assignment({n - 1: 1})
         depth, node = 0, engine._plan(net, (0,), frozenset(ev))
-        while node.inputs and isinstance(node.inputs[-1], engine._Node):
-            depth, node = depth + 1, node.inputs[-1]
+        inputs = _inputs(net)
+        while inputs[node] and isinstance(inputs[node][-1], engine._Node):
+            depth, node = depth + 1, inputs[node][-1]
         assert depth == n - 2
         f = eliminate(net, (0,), ev)
         # beta[x] = p(e | X_v = x), normalised at every step, its log scale
@@ -591,7 +621,7 @@ def _evaluated(net, plan, context):
             out = out.sum(axis=axis)
         return out, log_scale
 
-    out, log_scale = run(_tree(plan))
+    out, log_scale = run(_tree(net, plan))
     return engine.Factor(plan.scope, np.array(out, order="C"), log_scale)
 
 
@@ -675,8 +705,9 @@ class TestStepReuse:
             # the same steps as the plain plan, which the indicators leave as
             # they are, with the MAP variables' CPTs taking indicators
             plain = engine._plan(net, (), frozenset(ev.keys()))
-            assert _tree(plan, plain=True) == _tree(plain, plain=True)
-            cpts = [a for node in _nodes(plan) for a in node.inputs
+            assert _tree(net, plan, plain=True) == _tree(net, plain, plain=True)
+            inputs = _inputs(net)
+            cpts = [a for node in _nodes(plan) for a in inputs[node]
                     if not isinstance(a, engine._Node)]
             assert sorted(a[0] for a in cpts if a[2]) == sorted(problem.map_vars)
             for y in ({}, {v: 0 for v in problem.map_vars}, {problem.map_vars[0]: 1}, {}):
@@ -749,7 +780,7 @@ class TestStepReuse:
         plan = engine._plan(net, (1,), frozenset())
         kid, = plan.kids
         assert kid.keeps and not plan.keeps
-        assert plan.fetch[0][3:] == (None, None) and not plan.copy
+        assert plan.fetch[0][2:] == (None, None) and not plan.copy
         for _ in range(3):
             f = eliminate(net, (1,), Assignment())
             _same_bits(f, want)
@@ -788,7 +819,8 @@ class TestStepReuse:
         nodes = list(net._plans[engine._CPTS].nodes.values())
         kept = [node for node in nodes if node.keeps]
         assert 0 < len(kept) < len(nodes)
-        assert sum(node.entries for node in kept) == net._plans[engine._CPTS].retained <= budget
+        assert (sum(_entries(net, node) for node in kept)
+                == net._plans[engine._CPTS].retained <= budget)
         assert all(node.output is None for node in nodes if not node.keeps)
 
     def test_budget_applies_per_component_network(self, monkeypatch):
@@ -915,12 +947,12 @@ def _maxima(net, plan, context):
     """(node, the maximum of its product) for every node of the network's
     plan, the products formed as `_evaluated` forms them, every rescale
     made."""
-    arrays, found = net._plans[engine._CPTS].arrays, []
+    arrays, inputs, found = net._plans[engine._CPTS].arrays, _inputs(net), []
 
     def run(node):
         out = np.ones([arrays[v].shape[-1] for v in node.scope])
         log_scale = 0.0
-        for a, perm, reshape in zip(node.inputs, node.perms, node.shapes):
+        for a, (_, _, perm, reshape) in zip(inputs[node], node.fetch):
             if isinstance(a, engine._Node):
                 a, scale = run(a)
                 log_scale += scale
