@@ -53,12 +53,13 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
 import numpy as np
 
-from .model import Assignment, BayesianNetwork, Cpt, MapProblem, Variable, check_context
+from .model import (Assignment, BayesianNetwork, Cpt, MapProblem, Variable, _unchecked,
+                    check_context)
 
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
@@ -182,14 +183,6 @@ class _Cpts:
     retained: int = 0
 
 
-def _bits(b: int) -> Iterator[int]:
-    """The positions of the set bits of `b`, lowest first."""
-    while b:
-        low = b & -b
-        yield low.bit_length() - 1
-        b ^= low
-
-
 def _getter(keys: Tuple[int, ...]) -> Callable[[Mapping[int, int]], Tuple[int, ...]]:
     """A function of a mapping m that holds every one of `keys`, returning
     `tuple(map(m.get, keys))`: one C-level `itemgetter` call for two keys or
@@ -227,8 +220,7 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
         adj[i] &= ~(1 << i)
 
     def fill(i: int) -> int:
-        # each edge among the neighbours is counted from both ends; the bit
-        # loop is _bits inlined, as this is min-fill's innermost loop
+        # each edge among the neighbours is counted from both ends
         nbrs = b = adj[i]
         present = 0
         while b:
@@ -257,11 +249,23 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
         outside = ~(nbrs | (1 << i))
         delta: Dict[int, int] = {}
         size = cards[ids[i]]
-        for a in _bits(nbrs):
+        # the bit loops below visit set bits lowest first, as `fill`'s does
+        rest = nbrs
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            a = bit.bit_length() - 1
             size *= cards[ids[a]]
-            new = nbrs & ~adj[a] & ~(1 << a)  # fill edges at a
-            for b in _bits(new & ~((2 << a) - 1)):  # each edge once, as a < b
-                for w in _bits(adj[a] & adj[b] & outside):
+            new = nbrs & ~adj[a] & ~bit  # fill edges at a
+            later = new & ~((bit << 1) - 1)  # each edge once, as a < b
+            while later:
+                b = later & -later
+                later ^= b
+                common = adj[a] & adj[b.bit_length() - 1] & outside
+                while common:
+                    w = common & -common
+                    common ^= w
+                    w = w.bit_length() - 1
                     delta[w] = delta.get(w, 0) + 1
             adj[a] = (adj[a] | new) & ~(1 << i)
         width = max(width, size)
@@ -269,7 +273,11 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
             if score[w] >= 0:
                 score[w] -= d
                 heapq.heappush(heap, (score[w], w))
-        for u in _bits(nbrs):
+        rest = nbrs
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
             if score[u] >= 0:
                 f = fill(u)
                 if f != score[u]:
@@ -303,7 +311,7 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
     low = high = 0.0
     check = False
     for a, sc in zip(inputs, scopes):
-        axes = [pos[u] for u in sc]
+        axes = list(map(pos.__getitem__, sc))
         ordered = sorted(axes)
         perm = None if ordered == axes else tuple(map(axes.index, ordered))
         # broadcasting already supplies leading unit axes, so a reshape is
@@ -325,19 +333,26 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
         s, sel, indicator = a
         low += cpts.floors[s]
         a = cpts.arrays[s]
-        # transposed only if a bound axis follows a free one, so that the
-        # bound axes lead and the key's integers select the free axes' view
-        sel = sel or (-1,) * a.ndim
-        order = sorted(range(len(sel)), key=lambda i: sel[i] < 0)
-        bound = tuple([u for u in sel if u >= 0])
-        support.update(bound)
+        bound: Tuple[int, ...] = ()
+        order = None
+        if sel is not None:
+            # transposed only if a bound axis follows a free one, so that the
+            # bound axes lead and the key's integers select the free axes' view
+            lead = [i for i, u in enumerate(sel) if u >= 0]
+            bound = tuple([sel[i] for i in lead])
+            support.update(bound)
+            order = lead + [i for i, u in enumerate(sel) if u < 0]
+            if order == sorted(order):
+                order = None
         key = _getter(bound)
         if indicator:
             # state card(s), while s is unbound, is the unmasked CPT
             support.add(s)
-            a, order = cpts.masks[s], [0] + [i + 1 for i in order]
+            a = cpts.masks[s]
             key = lambda m, s=s, c=cards[s], k=key: (m.get(s, c),) + k(m)
-        if order != sorted(order):
+            if order is not None:
+                order = [0] + [i + 1 for i in order]
+        if order is not None:
             a = a.transpose(order)
         fetch.append((a, key, perm, shape))
     check = check or low < _LOG_LO or high > _LOG_HI
@@ -370,13 +385,12 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
     plan = net._plans.get(key)
     if plan is not None:
         return plan
-    cards = [v.cardinality for v in net.variables]
+    cards = net._cards
     # per slot, its scope, and what node inputs hold for it: CPT s as (s,
     # selection pattern, takes-indicator), or a step's node
     scopes: List[Tuple[int, ...]] = []
     refs: List[object] = []
-    for s, cpt in enumerate(net.cpts):
-        full = cpt.parents + (cpt.child,)
+    for s, full in enumerate(net._scopes):
         sel = None if bound.isdisjoint(full) else tuple([v if v in bound else -1 for v in full])
         scopes.append(full if sel is None else tuple([v for v in full if v not in bound]))
         refs.append((s, sel, s in indicators))
@@ -391,15 +405,16 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
     cpts = net._plans.get(_CPTS)
     if cpts is None:
         cpts = net._plans[_CPTS] = _Cpts(tuple(
-            np.asarray(cpt.table, dtype=float).reshape(
-                tuple(cards[v] for v in cpt.parents + (cpt.child,)))
-            for cpt in net.cpts), tuple(
+            np.asarray(cpt.table, dtype=float).reshape([cards[v] for v in full])
+            for cpt, full in zip(net.cpts, net._scopes)), tuple(
             # every row sums to 1, so each CPT has a positive entry
             [math.log(min(filter(None, chain(*cpt.table)))) for cpt in net.cpts]))
     for v in indicators - cpts.masks.keys():
-        # CPT v's last axis is v's own column
-        cpts.masks[v] = np.array([cpts.arrays[v] * (np.arange(cards[v]) == s)
-                                  for s in range(cards[v])] + [cpts.arrays[v]])
+        # CPT v's last axis is v's own column: slice s of the product with
+        # the identity is the CPT masked to state s
+        a = cpts.arrays[v]
+        eye = np.eye(cards[v], dtype=bool).reshape((cards[v],) + (1,) * (a.ndim - 1) + (cards[v],))
+        cpts.masks[v] = np.concatenate((a * eye, a[np.newaxis]))
     # at[u]: the bucket of a slot whose first variable is u; kept ones file last
     at = dict.fromkeys(keep, len(order))
     at.update(zip(order, range(len(order))))
@@ -650,7 +665,15 @@ def prune(net: BayesianNetwork, problem: MapProblem) -> PrunedNetwork:
     components without MAP variables are discarded (their contribution to
     p(X|E) cancels in the normalization). A variable is barren unless it is
     a MAP or evidence variable or has a child that is not; visiting children
-    before parents settles every variable in one sweep."""
+    before parents settles every variable in one sweep.
+
+    The surviving set holds every parent of each of its variables, so a
+    component's CPTs, child lists and topological order are the network's,
+    restricted and renumbered in id order: each component is assembled
+    from them with no check re-run. A discarded component's evidence can
+    still be impossible only if one of its CPTs has a zero entry; such a
+    component is eliminated for its ln p(E), and InconsistentEvidenceError
+    raised if that is -inf (WidthCapError if it is too wide)."""
     problem.validate_for(net)
     protected = set(problem.map_vars) | set(problem.evidence.keys())
     alive: Set[int] = set()
@@ -677,13 +700,20 @@ def prune(net: BayesianNetwork, problem: MapProblem) -> PrunedNetwork:
         orig = tuple(sorted(group))
         remap = {old: new for new, old in enumerate(orig)}
         map_vars = tuple(remap[v] for v in problem.map_vars if v in remap)
-        if not map_vars:
+        evidence = {remap[v]: s for v, s in problem.evidence.items() if v in remap}
+        if not (map_vars or evidence and any(
+                0.0 in row for v in orig for row in net.cpts[v].table)):
             continue
-        variables = [Variable(new, net.var(old).name, net.var(old).states)
-                     for new, old in enumerate(orig)]
-        cpts = [Cpt(new, tuple(remap[p] for p in net.parents(old)), net.cpts[old].table)
-                for new, old in enumerate(orig)]
-        sub_problem = MapProblem(
-            map_vars, {remap[v]: s for v, s in problem.evidence.items() if v in remap})
-        components.append(Component(BayesianNetwork(net.name, variables, cpts), sub_problem, orig))
+        sub = BayesianNetwork._checked(
+            net.name,
+            tuple([_unchecked(Variable, new, net.variables[old].name, net.variables[old].states)
+                   for new, old in enumerate(orig)]),
+            tuple([_unchecked(Cpt, new, tuple([remap[p] for p in net.cpts[old].parents]),
+                              net.cpts[old].table) for new, old in enumerate(orig)]),
+            tuple([tuple([remap[c] for c in net.children(old) if c in remap]) for old in orig]),
+            tuple([remap[v] for v in net.order() if v in remap]))
+        if map_vars:
+            components.append(Component(sub, _unchecked(MapProblem, map_vars, evidence), orig))
+        elif _log_total(_plan(sub, (), frozenset(evidence)), evidence) == -math.inf:
+            raise InconsistentEvidenceError("evidence has probability zero")
     return PrunedNetwork(tuple(components), dropped)

@@ -11,6 +11,15 @@ parent-configuration order (last-listed parent varies fastest).
 
 A problem file holds one `map NAME+` line and one `evidence (NAME=STATE)*`
 line, in either order; evidence may be empty.
+
+The tokenizer reads a line that holds one `var` or `cpt` statement, and
+nothing else but blanks and a trailing comment, as one statement token
+carrying its names, their columns and its state names or rows of numbers.
+Any other line is read as fine tokens, one per name, number and
+punctuation mark, and so is a statement token the parser meets where it
+does not take a statement whole, so every error has the line, column and
+message the fine tokens give. The parser checks each CPT as it reads it and
+assembles the network from the checked parts.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .model import (
     CycleError,
     MapProblem,
     Variable,
+    _unchecked,
     check_table,
 )
 
@@ -45,22 +55,12 @@ class ParseError(Exception):
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+_NAME_RE = re.compile(_IDENT)
 
-# A brace body on one line is one token if it holds only ASCII digits,
-# `+-.eE`, blanks and `;` (`rows`), or only names separated by commas
-# (`states`). An item of either is delimited by a blank, `,`, `;` or `}`,
-# none of which a number or a name can hold, so a name is the one the fine
-# groups would read there. A rows body stays one token only if each of its
-# `;`-separated rows is a nonempty run of blank-separated items that
-# `float` converts: on these characters `float` accepts exactly the texts
-# `_NUMBER` matches, so those are the numbers the fine groups would read.
-# Any other body is read as fine tokens, from its `{` on.
-_TOKEN_RE = re.compile(
+# The fine groups: one token per name, number and punctuation mark of a line.
+_FINE_RE = re.compile(
     rf"""
-    (?P<rows>\{{[-+.0-9eE \t\r;]*\}})
-  | (?P<states>\{{[ \t\r]*{_IDENT}(?:[ \t\r]*,[ \t\r]*{_IDENT})*[ \t\r]*\}})
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
+    (?P<comment>\#.*)
   | (?P<number>{_NUMBER})
   | (?P<ident>{_IDENT})
   | (?P<punct>[{{}},;|=])
@@ -68,63 +68,86 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-_BODIES = ("rows", "states")
+# A line that holds one `var` or `cpt` statement, with nothing else but
+# blanks (space, tab, carriage return) and a trailing comment, is one token
+# if the statement's names are separated by blanks as the grammar allows,
+# with at least one parent after a `|`, and its rows body holds only ASCII
+# digits, `+-.eE`, blanks and `;`. A name ends at a blank or at one of
+# `{},|`, none of which a name can hold, so each is the name the fine
+# groups would read there. The rows stay one token only if each of their
+# `;`-separated rows is a nonempty run of blank-separated items that
+# `float` converts: on these characters `float` accepts exactly the texts
+# `_NUMBER` matches, so those are the numbers the fine groups would read.
+# Any other line is read as fine tokens.
+_B = r"[ \t\r]"
+_STATEMENT_RE = re.compile(
+    rf"""{_B}*(?:
+        var{_B}+(?P<name>{_IDENT}){_B}*
+            \{{{_B}*(?P<states>{_IDENT}(?:{_B}*,{_B}*{_IDENT})*){_B}*\}}
+      | cpt{_B}+(?P<child>{_IDENT})
+            (?:{_B}*\|{_B}*(?P<parents>{_IDENT}(?:{_B}+{_IDENT})*))?
+            {_B}*\{{(?P<rows>[-+.0-9eE \t\r;]*)\}}
+    ){_B}*(?:\#.*)?""",
+    re.VERBOSE,
+)
+_STATEMENTS = ("var", "cpt")
 
 # (kind, text, line, column); kind is "ident", "number", "punct", "eof", or
-# one of _BODIES, whose text runs from its `{` to its `}` and whose items
-# (`_items`) follow as a fifth element.
+# one of _STATEMENTS, whose text is its whole line, read from column 1,
+# and which carries two more elements: its names as ident tokens (the
+# variable's, or the child's then the parents') and its state names or
+# rows of numbers.
 _Token = Tuple[Any, ...]
 
 
 def _tokenize(text: str) -> List[_Token]:
-    """One scan of `text`. Blanks (space, tab, carriage return) match no
-    group, so the scan steps over them; any other character that starts no
-    token is `bad`."""
+    """The tokens of `text`, line by line: no token spans a newline."""
     tokens: List[_Token] = []
-    line, start = 1, 0  # start: offset of the current line's first character
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            start = m.end()
-        elif kind == "bad":
-            raise ParseError(line, m.start() - start + 1,
-                             f"unexpected character {m.group()!r}")
-        elif kind in _BODIES:
-            tok = (kind, m.group(), line, m.start() - start + 1)
-            items = _items(kind, tok[1][1:-1])
-            if items is None:
-                tokens += _fine(tok)
-            else:
-                tokens.append(tok + (items,))
-        elif kind != "comment":
-            tokens.append((kind, m.group(), line, m.start() - start + 1))
-    tokens.append(("eof", "", line, len(text) - start + 1))
+    lines = text.split("\n")
+    for line, body in enumerate(lines, start=1):
+        m = _STATEMENT_RE.fullmatch(body)
+        tok = m and _statement(m, line)
+        if tok:
+            tokens.append(tok)
+        else:
+            tokens += _fine(body, line)
+    tokens.append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
-def _items(kind: str, inside: str) -> Optional[list]:
-    """The state names or the rows of numbers inside a body of `kind`, or
-    None if a row is empty or holds an item that is not a number."""
-    if kind == "states":
-        return [name.strip() for name in inside.split(",")]
+def _statement(m: "re.Match[str]", line: int) -> Optional[_Token]:
+    """The token of the statement line `m` matched, or None if a row is
+    empty or holds an item that is not a number."""
+    name, states, child, parents, rows = m.group("name", "states", "child", "parents", "rows")
+    if name is not None:
+        return ("var", m.string, line, 1, [("ident", name, line, m.start("name") + 1)],
+                _NAME_RE.findall(states))
     try:
-        rows = [tuple(map(float, row.split())) for row in inside.split(";")]
+        rows = [tuple(map(float, row.split())) for row in rows.split(";")]
     except ValueError:
         return None
-    return rows if all(rows) else None
+    if not all(rows):
+        return None
+    names = [("ident", child, line, m.start("child") + 1)]
+    if parents is not None:
+        shift = m.start("parents") + 1
+        names += [("ident", p.group(), line, p.start() + shift)
+                  for p in _NAME_RE.finditer(parents)]
+    return ("cpt", m.string, line, 1, names, rows)
 
 
-def _fine(body: _Token) -> List[_Token]:
-    """The tokens the fine groups read from a body token: its `{`, then the
-    scan of the rest, which holds no `{` and no newline."""
-    text, line, column = body[1:4]
-    try:
-        rest = _tokenize(text[1:])[:-1]
-    except ParseError as exc:
-        raise ParseError(line, column + exc.column, exc.message) from None
-    return [("punct", "{", line, column)] + [
-        (kind, item, line, column + col) for kind, item, _, col in rest]
+def _fine(body: str, line: int) -> List[_Token]:
+    """The fine tokens of the line `body`. Blanks match no group, so the
+    scan steps over them; any other character that starts no token is
+    `bad`."""
+    tokens: List[_Token] = []
+    for m in _FINE_RE.finditer(body):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(line, m.start() + 1, f"unexpected character {m.group()!r}")
+        if kind != "comment":
+            tokens.append((kind, m.group(), line, m.start() + 1))
+    return tokens
 
 
 class _Parser:
@@ -133,34 +156,35 @@ class _Parser:
         self.pos = 0
 
     def peek(self) -> _Token:
-        """The next token; a body token, which only `body` takes whole, is
-        replaced by its fine tokens first."""
+        """The next token; a statement token, which only `take` takes whole,
+        is replaced by its fine tokens first."""
         tok = self.tokens[self.pos]
-        if tok[0] in _BODIES:
-            self.tokens[self.pos:self.pos + 1] = _fine(tok)
+        if tok[0] in _STATEMENTS:
+            self.tokens[self.pos:self.pos + 1] = _fine(tok[1], tok[2])
             tok = self.tokens[self.pos]
         return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        """Whether the next token is a `kind` token, reading `text` if given.
-        No caller asks for a `{`, so a body token is left whole."""
-        tok = self.tokens[self.pos]
+        """Whether the next token is a `kind` token, reading `text` if given."""
+        tok = self.peek()
         return tok[0] == kind and (text is None or tok[1] == text)
+
+    def starts(self, keyword: str) -> bool:
+        """Whether the next token is a `keyword` statement token or the
+        keyword itself; a statement token is left whole."""
+        tok = self.tokens[self.pos]
+        return tok[0] == keyword or tok[:2] == ("ident", keyword)
+
+    def take(self) -> _Token:
+        """The next token, which `starts` a statement, as it is."""
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def next(self) -> _Token:
         tok = self.peek()
         if tok[0] != "eof":
             self.pos += 1
         return tok
-
-    def body(self, kind: str) -> Optional[list]:
-        """The items of the next token if it is a `kind` body token, which
-        is then taken; otherwise None."""
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            return None
-        self.pos += 1
-        return tok[4]
 
     def error(self, tok: _Token, message: str) -> ParseError:
         return ParseError(tok[2], tok[3], message)
@@ -179,20 +203,24 @@ class _Parser:
 
 
 def parse_network(text: str) -> BayesianNetwork:
-    """Parse BNET text; raises ParseError on any malformed input."""
+    """Parse BNET text; raises ParseError on any malformed input. Each CPT
+    is checked once, where it is read, and the network is assembled from
+    the checked parts."""
     p = _Parser(text)
     p.expect("ident", "network")
     net_name = p.expect_ident("network name")
 
     variables: List[Variable] = []
     index: Dict[str, int] = {}
-    while p.at("ident", "var"):
-        p.next()
-        name_tok = p.expect("ident", what="variable name")
+    while p.starts("var"):
+        tok = p.take()
+        if tok[0] == "var":
+            (name_tok,), states = tok[4:]
+        else:
+            name_tok, states = p.expect("ident", what="variable name"), None
         name = name_tok[1]
         if name in index:
             raise p.error(name_tok, f"duplicate variable {name!r}")
-        states = p.body("states")
         if states is None:
             p.expect("punct", "{")
             states = [p.expect_ident("state name")]
@@ -203,29 +231,35 @@ def parse_network(text: str) -> BayesianNetwork:
         if len(set(states)) != len(states):
             raise p.error(name_tok, f"duplicate state name in variable {name!r}")
         index[name] = len(variables)
-        variables.append(Variable(len(variables), name, tuple(states)))
+        # the grammar and the check above are Variable's own checks
+        variables.append(_unchecked(Variable, len(variables), name, tuple(states)))
 
     cpts: Dict[int, Cpt] = {}
     child_toks: Dict[int, _Token] = {}
-    while p.at("ident", "cpt"):
-        p.next()
-        child_tok = p.expect("ident", what="variable name")
+    while p.starts("cpt"):
+        tok = p.take()
+        statement = tok[0] == "cpt"
+        child_tok = tok[4][0] if statement else p.expect("ident", what="variable name")
         if child_tok[1] not in index:
             raise p.error(child_tok, f"unknown variable {child_tok[1]!r}")
         child = index[child_tok[1]]
         if child in cpts:
             raise p.error(child_tok, f"duplicate cpt for {child_tok[1]!r}")
+        if statement:
+            par_toks, rows = tok[4][1:], tok[5]
+        else:
+            par_toks, rows = [], None
+            if p.at("punct", "|"):
+                p.next()
+                while p.at("ident"):
+                    par_toks.append(p.next())
+                if not par_toks:
+                    raise p.error(p.peek(), "expected at least one parent after '|'")
         parents: List[int] = []
-        if p.at("punct", "|"):
-            p.next()
-            while p.at("ident"):
-                par_tok = p.next()
-                if par_tok[1] not in index:
-                    raise p.error(par_tok, f"unknown parent {par_tok[1]!r}")
-                parents.append(index[par_tok[1]])
-            if not parents:
-                raise p.error(p.peek(), "expected at least one parent after '|'")
-        rows = p.body("rows")
+        for par_tok in par_toks:
+            if par_tok[1] not in index:
+                raise p.error(par_tok, f"unknown parent {par_tok[1]!r}")
+            parents.append(index[par_tok[1]])
         if rows is None:
             p.expect("punct", "{")
             rows = []
@@ -256,11 +290,10 @@ def parse_network(text: str) -> BayesianNetwork:
     if missing:
         raise p.error(tail, f"missing cpt for {missing[0]!r}")
     try:
-        return BayesianNetwork(net_name, variables, [cpts[i] for i in range(len(variables))])
+        return BayesianNetwork._checked(net_name, tuple(variables),
+                                        tuple([cpts[i] for i in range(len(variables))]))
     except CycleError as exc:
         raise p.error(child_toks[exc.variable], str(exc)) from None
-    except ValueError as exc:
-        raise p.error(tail, str(exc)) from None
 
 
 def _fmt(x: float) -> str:

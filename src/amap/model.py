@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 ROW_SUM_TOL = 1e-6
 
@@ -67,6 +67,15 @@ class Cpt:
                     raise ValueError(f"cpt entry {p} outside [0, 1]")
 
 
+def _unchecked(cls: type, *values: object) -> object:
+    """An instance of the frozen dataclass `cls` with `values` as its fields,
+    in order, made without `__post_init__`: for values taken from instances
+    that passed its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def check_table(cpt: Cpt, variables: Sequence[Variable]) -> None:
     """Check a CPT's parents, shape and rows against the variables it names:
     no parent listed twice, one row per parent configuration, one entry per
@@ -100,32 +109,62 @@ class BayesianNetwork:
     """Immutable DAG of discrete variables with one CPT per variable."""
 
     def __init__(self, name: str, variables: Sequence[Variable], cpts: Sequence[Cpt]) -> None:
-        self.name = name
-        self.variables: Tuple[Variable, ...] = tuple(variables)
-        n = len(self.variables)
-        for i, v in enumerate(self.variables):
+        variables = tuple(variables)
+        n = len(variables)
+        for i, v in enumerate(variables):
             if v.id != i:
                 raise ValueError(f"variable ids must be dense 0..{n - 1}; got {v.id} at {i}")
-        names = [v.name for v in self.variables]
-        if len(set(names)) != n:
+        if len({v.name for v in variables}) != n:
             raise ValueError("variable names must be unique")
         if len(cpts) != n:
             raise ValueError(f"expected {n} cpts, got {len(cpts)}")
         by_child = {c.child: c for c in cpts}
         if len(by_child) != n or set(by_child) != set(range(n)):
             raise ValueError("exactly one cpt per variable is required")
-        self.cpts: Tuple[Cpt, ...] = tuple(by_child[i] for i in range(n))
-        self._by_name = {v.name: v.id for v in self.variables}
-        children: Dict[int, list] = {i: [] for i in range(n)}
-        for cpt in self.cpts:
+        cpts = tuple(by_child[i] for i in range(n))
+        for cpt in cpts:
             for p in cpt.parents:
                 if not (0 <= p < n):
-                    raise ValueError(f"cpt for {self.variables[cpt.child].name!r} references unknown parent {p}")
-                children[p].append(cpt.child)
-        self._children = tuple(tuple(sorted(children[i])) for i in range(n))
-        for cpt in self.cpts:
-            check_table(cpt, self.variables)
-        self._order = topological_order(self)
+                    raise ValueError(f"cpt for {variables[cpt.child].name!r} references unknown parent {p}")
+        for cpt in cpts:
+            check_table(cpt, variables)
+        self._assemble(name, variables, cpts)
+
+    @classmethod
+    def _checked(cls, name: str, variables: Tuple[Variable, ...], cpts: Tuple[Cpt, ...],
+                 children: Optional[Tuple[Tuple[int, ...], ...]] = None,
+                 order: Optional[Tuple[int, ...]] = None) -> "BayesianNetwork":
+        """The network of variables and CPTs that already pass every check
+        of the constructor but the cycle search: dense ids, unique names,
+        CPT v at index v, parents in range and `check_table`."""
+        net = cls.__new__(cls)
+        net._assemble(name, variables, cpts, children, order)
+        return net
+
+    def _assemble(self, name: str, variables: Tuple[Variable, ...], cpts: Tuple[Cpt, ...],
+                  children: Optional[Tuple[Tuple[int, ...], ...]] = None,
+                  order: Optional[Tuple[int, ...]] = None) -> None:
+        """Set the fields of a network of checked variables and CPTs. The
+        child lists and the topological order, which raises CycleError, are
+        worked out unless given: a pruned component takes its parent's,
+        restricted and renumbered."""
+        self.name = name
+        self.variables = variables
+        self.cpts = cpts
+        self._by_name = {v.name: v.id for v in variables}
+        # engine's per-network invariants: each variable's cardinality and
+        # each CPT's full scope, its parents then its child
+        self._cards = tuple([len(v.states) for v in variables])
+        self._scopes = tuple([cpt.parents + (cpt.child,) for cpt in cpts])
+        if children is None:
+            # CPTs come in child order, so each list is sorted
+            lists: List[List[int]] = [[] for _ in variables]
+            for cpt in cpts:
+                for p in cpt.parents:
+                    lists[p].append(cpt.child)
+            children = tuple(map(tuple, lists))
+        self._children = children
+        self._order = topological_order(self) if order is None else order
         # engine's compiled elimination plans, each its final step node,
         # and the CPT arrays, masked indicator CPTs and graph of step nodes
         # they share
@@ -151,7 +190,7 @@ class BayesianNetwork:
         return name in self._by_name
 
     def cardinality(self, var_id: int) -> int:
-        return self.variables[var_id].cardinality
+        return self._cards[var_id]
 
     def parents(self, var_id: int) -> Tuple[int, ...]:
         return self.cpts[var_id].parents
@@ -175,7 +214,7 @@ class BayesianNetwork:
         """Row of var's CPT selected by the parent states in `assignment`."""
         idx = 0
         for p in self.cpts[var_id].parents:
-            idx = idx * self.variables[p].cardinality + assignment[p]
+            idx = idx * self._cards[p] + assignment[p]
         return idx
 
     def __repr__(self) -> str:
@@ -208,11 +247,14 @@ def check_context(net: BayesianNetwork, context: Assignment, free: Iterable[int]
     one of `net`'s and every state `context` binds is one of its variable's.
     Ids and states are Python or numpy integers; a bool is refused."""
     n = len(net)
+    # a plain int passes without the slower check against Integral
     for v in itertools.chain(free, context.keys()):
-        if isinstance(v, bool) or not (isinstance(v, Integral) and 0 <= v < n):
+        if not (type(v) is int or isinstance(v, Integral) and not isinstance(v, bool)) \
+                or not 0 <= v < n:
             raise ValueError(f"variable {v!r} not in network {net.name!r}")
     for v, s in context.items():
-        if isinstance(s, bool) or not (isinstance(s, Integral) and 0 <= s < net.cardinality(v)):
+        if not (type(s) is int or isinstance(s, Integral) and not isinstance(s, bool)) \
+                or not 0 <= s < net._cards[v]:
             raise ValueError(f"state {s!r} out of range for {net.var(v).name!r}")
 
 

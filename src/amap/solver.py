@@ -140,9 +140,18 @@ def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
     Each state is scored by one evaluation of the component's indicator
     plan, which re-runs only the steps above v's indicator."""
     problem.validate_for(net)
+    return _greedy(net, problem)[0]
+
+
+def _greedy(net: BayesianNetwork, problem: MapProblem) -> Tuple[Assignment, float, float]:
+    """`sequential_init`'s assignment x, unchecked, with ln p(E) and
+    ln p(E, x), both read from its own evaluations: the first, of E alone,
+    and the last MAP variable's winning score. Raises
+    InconsistentEvidenceError if p(E) = 0."""
     plan = _indicator_plan(net, problem)
     context = problem.evidence.copy()
-    if _log_total(plan, context) == -math.inf:
+    log_pe = score = _log_total(plan, context)
+    if log_pe == -math.inf:
         raise InconsistentEvidenceError("evidence has probability zero")
     map_set = set(problem.map_vars)
     for v in net.order():
@@ -152,22 +161,20 @@ def sequential_init(net: BayesianNetwork, problem: MapProblem) -> Assignment:
         for s in range(net.cardinality(v)):
             context[v] = s
             scores.append(_log_total(plan, context))
-        context[v] = scores.index(max(scores))
-    return {v: s for v, s in context.items() if v in map_set}
+        score = max(scores)
+        context[v] = scores.index(score)
+    return {v: s for v, s in context.items() if v in map_set}, log_pe, score
 
 
 def _one_variable(comp: Component) -> Optional[SolveReport]:
     """The exact answer of a component with one MAP variable, found with no
-    search; None for any other. sequential_init scores each state of that
+    search; None for any other. The greedy start scores each state of that
     variable on the indicator plan and keeps the first maximum, the exact
     MAP: the answer is that state and its score less ln p(E)."""
-    net, problem = comp.net, comp.problem
-    if len(problem.map_vars) != 1:
+    if len(comp.problem.map_vars) != 1:
         return None
-    x = sequential_init(net, problem)  # raises on zero-probability evidence
-    plan = _indicator_plan(net, problem)
-    logp = _log_total(plan, {**problem.evidence, **x}) - _log_total(plan, problem.evidence)
-    return SolveReport(best=x, logp=logp, restarts_used=0)
+    x, log_pe, score = _greedy(comp.net, comp.problem)
+    return SolveReport(best=x, logp=score - log_pe, restarts_used=0)
 
 
 # -- the annealed sampler ----------------------------------------------------
@@ -193,20 +200,20 @@ def _anneal(index: int, comp: Component, sweeps_before: int, schedule: AnnealSch
     net, problem = comp.net, comp.problem
     evidence = problem.evidence
     # every ln p(E, x) is scored on the indicator plan, as in hill climbing;
-    # zero-probability evidence raises in sequential_init, on this plan
+    # zero-probability evidence raises in the greedy start, on this plan
     indicator = _indicator_plan(net, problem)
-    log_p_evidence = _log_total(indicator, evidence)
     sites = _sites(net, problem)
+    first, log_p_evidence, first_score = _greedy(net, problem)
     map_set = set(problem.map_vars)
     out = SolveReport(best={}, logp=-math.inf, restarts_used=restarts)
     sweep = sweeps_before  # sweeps run so far, this component's included
     for restart in range(restarts):
         if restart == 0:
-            init = sequential_init(net, problem)
+            init = first
         else:
             init = {v: s for v, s in forward_sample(net, rng).items() if v in map_set}
         context = {**evidence, **init}  # E and the current assignment x
-        logp = _log_total(indicator, context) - log_p_evidence
+        logp = (_log_total(indicator, context) if restart else first_score) - log_p_evidence
         best, best_logp, best_found = init.copy(), logp, sweep
         t = schedule.t0
         no_improve = 0
@@ -417,10 +424,9 @@ def hill_climb_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
 def _climb(comp: Component) -> SolveReport:
     net, problem = comp.net, comp.problem
     plan = _indicator_plan(net, problem)
-    # zero-probability evidence raises in sequential_init, on this plan
-    log_pe = _log_total(plan, problem.evidence)
-    context = {**problem.evidence, **sequential_init(net, problem)}
-    score = _log_total(plan, context)
+    # zero-probability evidence raises in the greedy start, on this plan
+    x, log_pe, score = _greedy(net, problem)
+    context = {**problem.evidence, **x}
     steps = 0
     for _ in range(_MAX_CLIMB_STEPS):
         best_move: Optional[Tuple[int, int]] = None

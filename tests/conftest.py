@@ -62,6 +62,24 @@ cpt C | A { 1.0 0.0 ; 1.0 0.0 }
 
 ZERO_EVIDENCE_PROBLEM_TEXT = "map A\nevidence C=f\n"
 
+# Two components, A -> B and C -> D. With MAP set {A}, pruning discards the
+# C -> D component, whose evidence D=f is still impossible: C = t surely,
+# and p(D=f | C=t) = 0. With D=t instead, that component has zero entries
+# but p(D=t) = 1.
+DISCARDED_ZERO_TEXT = """\
+network split
+var A { t, f }
+var B { t, f }
+var C { t, f }
+var D { t, f }
+cpt A { 0.6 0.4 }
+cpt B | A { 0.7 0.3 ; 0.2 0.8 }
+cpt C { 1.0 0.0 }
+cpt D | C { 1.0 0.0 ; 0.5 0.5 }
+"""
+
+DISCARDED_ZERO_PROBLEM_TEXT = "map A\nevidence B=t D=f\n"
+
 
 @pytest.fixture
 def sprinkler():

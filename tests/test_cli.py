@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from amap import AnnealSchedule, SolveReport, cli, parse_network, parse_problem, solver
 from amap.cli import (ALGOS, build_parser, generate_problem, main, _mix_seed, _pool_size,
                       _schedule_from_args)
-from conftest import (CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_PROBLEM_TEXT, SPRINKLER_TEXT,
+from conftest import (CYCLE_TEXT, DISCARDED_ZERO_PROBLEM_TEXT, DISCARDED_ZERO_TEXT,
+                      REPEATED_PARENT_TEXT, SPRINKLER_PROBLEM_TEXT, SPRINKLER_TEXT,
                       ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT)
 from netgen import chain_network, random_network
 from amap.fileio import REPORT_COLUMNS, serialize_network, serialize_problem
@@ -192,6 +193,16 @@ class TestSolveCommand:
         net, problem = tmp_path / "zero.bnet", tmp_path / "zero.prob"
         net.write_text(ZERO_EVIDENCE_TEXT)
         problem.write_text(ZERO_EVIDENCE_PROBLEM_TEXT)
+        code = main(["solve", "--net", str(net), "--problem", str(problem), "--algo", algo])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error(captured.err, "error: evidence has probability zero")
+
+    @pytest.mark.parametrize("algo", ["anneal", "hillclimb", "oracle"])
+    def test_zero_probability_evidence_in_a_discarded_component(self, algo, tmp_path, capsys):
+        net, problem = tmp_path / "split.bnet", tmp_path / "split.prob"
+        net.write_text(DISCARDED_ZERO_TEXT)
+        problem.write_text(DISCARDED_ZERO_PROBLEM_TEXT)
         code = main(["solve", "--net", str(net), "--problem", str(problem), "--algo", algo])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""

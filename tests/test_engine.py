@@ -1563,6 +1563,17 @@ class TestDrawRule:
         assert scan_draw([0.0, 0.9, 1e-300], 0.95) == 2
 
 
+def _shuffled(net, rng):
+    """The same network with its variable ids permuted at random, so that
+    its topological order is not its id order."""
+    new = list(range(len(net)))
+    rng.shuffle(new)
+    variables = sorted((Variable(new[v.id], v.name, v.states) for v in net.variables),
+                       key=lambda v: v.id)
+    cpts = [Cpt(new[c.child], tuple(new[p] for p in c.parents), c.table) for c in net.cpts]
+    return BayesianNetwork(net.name, variables, cpts)
+
+
 class TestPrune:
     def test_sprinkler_nothing_pruned(self, sprinkler, sprinkler_problem):
         pr = prune(sprinkler, sprinkler_problem)
@@ -1605,6 +1616,38 @@ class TestPrune:
                 for other in comp_others:
                     assert not set(comp.orig_ids) & set(other.orig_ids)
             assert sorted(seen) == sorted(problem.map_vars)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    def test_components_equal_constructed_networks(self, seed, protocol):
+        # each component is assembled from its parent's checked parts; the
+        # constructor, given the same variables and CPTs, builds the same
+        # network, and so does a pickle round trip
+        rng = random.Random(seed)
+        net = _shuffled(random_network(rng, rng.randint(1, 14), max_parents=rng.randint(1, 3)),
+                        rng)
+        problem = (random_problem(rng, net) if protocol else
+                   generate_problem(net, rng.randint(1, 4), rng.randint(0, 4), rng))
+        for comp in prune(net, problem).components:
+            remap = {old: new for new, old in enumerate(comp.orig_ids)}
+            want = BayesianNetwork(
+                net.name,
+                [Variable(new, net.var(old).name, net.var(old).states)
+                 for new, old in enumerate(comp.orig_ids)],
+                [Cpt(new, tuple(remap[p] for p in net.parents(old)), net.cpts[old].table)
+                 for new, old in enumerate(comp.orig_ids)])
+            for got in (comp.net, pickle.loads(pickle.dumps(comp.net))):
+                assert type(got) is BayesianNetwork and got.name == want.name
+                assert got.variables == want.variables and got.cpts == want.cpts
+                assert all(type(v) is Variable for v in got.variables)
+                assert all(type(c) is Cpt for c in got.cpts)
+                assert [got.children(v) for v in range(len(got))] == \
+                    [want.children(v) for v in range(len(want))]
+                assert got.order() == want.order()
+                assert [got.by_name(v.name) for v in want.variables] == list(want.variables)
+                assert got._cards == want._cards and got._scopes == want._scopes
+                assert got._plans == {}
+            assert comp.problem == MapProblem(comp.problem.map_vars, comp.problem.evidence)
 
     def test_component_product_equals_unpruned_posterior(self):
         rng = random.Random(61)

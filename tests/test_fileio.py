@@ -18,6 +18,7 @@ from amap import (
     serialize_problem,
     write_report,
 )
+from amap import fileio
 from amap.model import check_table
 from conftest import CYCLE_TEXT, REPEATED_PARENT_TEXT, SPRINKLER_TEXT
 from netgen import random_network
@@ -463,3 +464,37 @@ class TestDifferentialParse:
                 parsed += got[0] != "error"
                 errors += got[0] == "error"
         assert parsed >= 300 and errors >= 2000
+
+    def test_statement_tokens_match_reference_parser_on_mutations(self):
+        # one-line statements with trailing comments, tabs and CRLF endings
+        # are read as statement tokens; a statement split over two lines and
+        # `cpt X | { ... }` are read as fine tokens from their keyword on
+        crlf = ("network tabs\r\n"
+                "var\tRain\t{ t,\tf }  # weather\r\n"
+                "var Sprinkler {t,f}\t# on or off\r\n"
+                "var WetGrass { t , f }\r\n"
+                "cpt Rain\t{ 0.2\t0.8 }# prior\r\n"
+                "cpt Sprinkler|Rain { 0.01 0.99 ; 0.4 0.6 } \r\n"
+                "cpt WetGrass | Sprinkler\tRain {0.99 0.01;0.9 0.1 ; 0.8 0.2 ; 0.0 1.0}  # t\r\n")
+        split = (SPRINKLER_TEXT.replace("var Rain { t, f }", "var Rain {\n  t, f }")
+                 .replace("Sprinkler Rain {", "Sprinkler Rain\n  {"))
+        no_parent = SPRINKLER_TEXT.replace("cpt Sprinkler | Rain", "cpt Sprinkler |")
+        bases = [crlf, _e_states(crlf.replace("t,\tf", "t, f")), split, no_parent]
+        for text in bases:
+            assert _outcome(parse_network, text) == _outcome(_reference_parse_network, text)
+        assert _outcome(parse_network, no_parent) == (
+            "error", 6, 17, "expected at least one parent after '|'")
+        kinds = [{tok[0] for tok in fileio._tokenize(text)} for text in bases]
+        assert all({"var", "cpt"} <= k for k in kinds[:2])
+        assert "var" in kinds[2] and "cpt" in kinds[2] and "number" in kinds[2]
+        assert "cpt" in kinds[3] and "number" in kinds[3]
+        rng = random.Random(2025)
+        alphabet = "0123456789.eE+-;{},|=#\n\r\t abzs_"
+        parsed = errors = 0
+        for _ in range(3000):
+            text = _mutate(rng, rng.choice(bases), alphabet)
+            got = _outcome(parse_network, text)
+            assert got == _outcome(_reference_parse_network, text), text
+            parsed += got[0] != "error"
+            errors += got[0] == "error"
+        assert parsed >= 80 and errors >= 2000

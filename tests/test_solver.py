@@ -37,7 +37,8 @@ from amap import (
 from amap import engine, solver
 from amap.cli import generate_problem
 from amap.engine import PrunedNetwork
-from conftest import ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT
+from conftest import (DISCARDED_ZERO_PROBLEM_TEXT, DISCARDED_ZERO_TEXT,
+                      ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT)
 from netgen import (chain_network, disjoint_union, enum_best, joint_size, random_network, random_problem,
                     relabelled, scan_draw)
 
@@ -769,6 +770,89 @@ class TestComponentPipeline:
         assert runs == sorted(runs)
         assert set(runs) == {(c, k) for c in chained for k in range(3)}
         assert 0 <= r.best_found_sweep <= r.sweeps
+
+
+def _solvers(net, problem):
+    """The answer of each of the three solvers, or the error it raised."""
+    out = []
+    for solve in (lambda: annealed_map(net, problem, rng=random.Random(1), restarts=2),
+                  lambda: brute_force_map(net, problem), lambda: hill_climb_map(net, problem)):
+        try:
+            report = solve()
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((report.best, report.logp.hex(), report.sweeps, report.reheats))
+    return out
+
+
+class TestDiscardedEvidence:
+    def test_impossible_evidence_raises_in_every_solver(self):
+        net = parse_network(DISCARDED_ZERO_TEXT)
+        problem = parse_problem(DISCARDED_ZERO_PROBLEM_TEXT, net)
+        with pytest.raises(InconsistentEvidenceError, match="probability zero"):
+            map_posterior(net, Assignment({0: 0}), problem.evidence)
+        with pytest.raises(InconsistentEvidenceError, match="probability zero"):
+            prune(net, problem)
+        assert _solvers(net, problem) == [
+            (InconsistentEvidenceError, "evidence has probability zero")] * 3
+
+    def test_possible_evidence_keeps_the_answer_bits(self):
+        # D=t has probability 1: the zero entries of the discarded component
+        # cost an elimination, and every answer is that of A -> B alone
+        net = parse_network(DISCARDED_ZERO_TEXT)
+        problem = parse_problem("map A\nevidence B=t D=t\n", net)
+        pruned = prune(net, problem)
+        assert [c.orig_ids for c in pruned.components] == [(0, 1)]
+        alone = parse_network("\n".join(line for line in DISCARDED_ZERO_TEXT.splitlines()
+                                         if "C" not in line and "D" not in line))
+        assert len(alone) == 2
+        got = _solvers(net, problem)
+        assert got == _solvers(alone, parse_problem("map A\nevidence B=t\n", alone))
+        assert all(isinstance(r[0], dict) for r in got)
+
+    def test_wide_discarded_component_raises_the_width_cap(self):
+        # every root of the 300-variable net made deterministic: p(E) > 0
+        # still, but each component holding evidence has a zero entry, and
+        # the widest needs a table of 2^38.7 entries for its ln p(E)
+        wide = random_network(random.Random(7), 300, max_parents=4)
+        cpts = [Cpt(c.child, c.parents, ((1.0,) + (0.0,) * (len(c.table[0]) - 1),))
+                if not c.parents else c for c in wide.cpts]
+        wide = BayesianNetwork(wide.name, wide.variables, cpts)
+        evidence = generate_problem(wide, 20, 20, random.Random(0)).evidence
+        lone = BayesianNetwork("lone", [Variable(0, "v0", ("t", "f"))], [Cpt(0, (), ((0.3, 0.7),))])
+        net = disjoint_union(lone, wide)
+        problem = MapProblem((0,), Assignment({v + 1: s for v, s in evidence.items()}))
+        with pytest.raises(WidthCapError, match=f"cap is {engine.MAX_TABLE_ENTRIES}") as exc:
+            prune(net, problem)
+        assert _solvers(net, problem) == [(WidthCapError, str(exc.value))] * 3
+
+
+class TestOneVariable:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_logp_bits_match_two_more_evaluations(self, seed):
+        # the answer reads ln p(E) and its winning score from the greedy
+        # start's own evaluations: the bits of the score re-evaluated less
+        # ln p(E) re-evaluated, on a fresh copy of the component
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(2, 8))
+        problem = generate_problem(net, 1, rng.randint(0, 3), rng)
+        for comp in prune(net, problem).components:
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "_log_total",
+                              lambda *a: calls.append(1) or engine._log_total(*a))
+                report = solver._one_variable(comp)
+            j, = comp.problem.map_vars
+            assert len(calls) == 1 + comp.net.cardinality(j)
+            fresh = BayesianNetwork(comp.net.name, comp.net.variables, comp.net.cpts)
+            x = sequential_init(fresh, comp.problem)
+            plan = engine._indicator_plan(fresh, comp.problem)
+            evidence = comp.problem.evidence
+            want = engine._log_total(plan, {**evidence, **x}) - engine._log_total(plan, evidence)
+            assert report.best == x
+            assert report.logp.hex() == want.hex()
 
 
 class TestLocalOptimumInstance:
