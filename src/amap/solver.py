@@ -170,7 +170,9 @@ def _one_variable(comp: Component) -> Optional[SolveReport]:
     """The exact answer of a component with one MAP variable, found with no
     search; None for any other. The greedy start scores each state of that
     variable on the indicator plan and keeps the first maximum, the exact
-    MAP: the answer is that state and its score less ln p(E)."""
+    MAP: the answer is that state and its score less ln p(E). The solvers
+    do not call it on a component of that variable alone, which
+    `_solve_components` answers from its CPT row with the same bits."""
     if len(comp.problem.map_vars) != 1:
         return None
     x, log_pe, score = _greedy(comp.net, comp.problem)
@@ -303,10 +305,24 @@ def _solve_components(pruned: PrunedNetwork,
     counts the sweeps of the components before it. Answers are mapped back
     to original ids and merged; ln p(x|E), sweeps and reheats add up over
     the components, and best_found_sweep and restarts_used are the largest
-    of theirs."""
+    of theirs.
+
+    A component of one variable, which `prune` keeps only for a MAP root
+    with no evidence and no child left, is answered here, with no plan and
+    no search: the first maximum of its one CPT row, whose ln less ln of
+    the row's `np.add.reduce` total is its ln p(x|E). Those are the bits
+    every solver's plan gives: a row masked to one state sums to that
+    state's entry, ln p(E) and the oracle's total are that same reduction,
+    and no rescale can fire at the largest entry of a row."""
     total = SolveReport(best={}, logp=0.0, restarts_used=0)
     for index, comp in enumerate(pruned.components):
-        part = solve(index, comp, total.sweeps)
+        if len(comp.net) == 1:
+            row = np.array(comp.net.cpts[0].table[0], dtype=float)
+            s = int(np.argmax(row))
+            part = SolveReport(best={0: s}, restarts_used=0, logp=(
+                math.log(row[s]) - math.log(np.add.reduce(row))))
+        else:
+            part = solve(index, comp, total.sweeps)
         total.best.update(comp.to_original(part.best))
         total.logp += part.logp
         total.sweeps += part.sweeps
@@ -326,9 +342,10 @@ def annealed_map(net: BayesianNetwork, problem: MapProblem,
 
     Restart 1 starts from the greedy sequential initialization; later
     restarts start from a prior forward sample restricted to the MAP set.
-    A pruned component with one MAP variable is answered exactly by its
-    greedy start: it runs no chain, draws no random number and counts no
-    sweep, reheat, restart or trace row.
+    A pruned component with one MAP variable is answered exactly, from its
+    CPT row if it has no other variable and by its greedy start otherwise:
+    it runs no chain, draws no random number and counts no sweep, reheat,
+    restart or trace row.
     """
     if schedule is None:
         schedule = AnnealSchedule()
@@ -382,7 +399,8 @@ def brute_force_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
     lexicographically lowest assignment in map-variable order. Like every
     elimination, raises WidthCapError, before any table is built, if that
     table or any table the elimination multiplies would exceed
-    MAX_TABLE_ENTRIES."""
+    MAX_TABLE_ENTRIES. A component of one variable, a lone MAP root, is
+    answered from its CPT row and compiles no plan."""
     return _solve_components(prune(net, problem), lambda _, comp, __: _brute_force(comp))
 
 
@@ -416,7 +434,8 @@ def hill_climb_map(net: BayesianNetwork, problem: MapProblem) -> SolveReport:
     becomes the current score, so the climb strictly ascends that one
     function; its final score less ln p(E) is the ln p(x|E) reported.
     `sweeps` counts the moves made. A pruned component with one MAP
-    variable starts at its exact MAP and tries no move."""
+    variable starts at its exact MAP and tries no move; if it has no other
+    variable, it is answered from its CPT row with no plan compiled."""
     return _solve_components(prune(net, problem),
                              lambda _, comp, __: _one_variable(comp) or _climb(comp))
 

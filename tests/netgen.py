@@ -6,7 +6,7 @@ against."""
 import itertools
 import math
 import random
-from typing import Iterator
+from typing import Iterator, Sequence, Tuple
 
 from amap import Assignment, BayesianNetwork, Cpt, MapProblem, Variable
 
@@ -79,6 +79,89 @@ def chain_network(rng: random.Random, n_roots: int) -> BayesianNetwork:
         rows = tuple((p, 1.0 - p) for p in (rng.uniform(0.05, 0.95) for _ in range(4)))
         cpts.append(Cpt(n_roots + i, (i, i + 1), rows))
     return BayesianNetwork("chain", variables, cpts)
+
+
+def _binary_cpt(rng: random.Random, child: int, parents: Tuple[int, ...]) -> Cpt:
+    """A binary child's CPT over binary parents, each row (p, 1 - p) with p
+    drawn from U(0.1, 0.9)."""
+    rows = tuple((p, 1.0 - p) for p in (rng.uniform(0.1, 0.9) for _ in range(2 ** len(parents))))
+    return Cpt(child, parents, rows)
+
+
+def _binary_network(name: str, names: Sequence[str], parents: Sequence[Tuple[int, ...]],
+                    rng: random.Random) -> BayesianNetwork:
+    """Binary variables `names[i]` with parents `parents[i]`, CPTs drawn in id
+    order by `_binary_cpt`."""
+    variables = [Variable(i, n, ("t", "f")) for i, n in enumerate(names)]
+    return BayesianNetwork(name, variables,
+                           [_binary_cpt(rng, i, ps) for i, ps in enumerate(parents)])
+
+
+def _sampled_problem(rng: random.Random, net: BayesianNetwork, map_vars: Sequence[int],
+                     evid_vars: Sequence[int]) -> MapProblem:
+    """MAP set `map_vars`, evidence on `evid_vars` set from one prior
+    forward sample, drawn after everything else."""
+    from amap import forward_sample
+
+    sample = forward_sample(net, rng)
+    return MapProblem(tuple(map_vars), Assignment({v: sample[v] for v in evid_vars}))
+
+
+def coupled_chain_network(rng: random.Random, n: int) -> BayesianNetwork:
+    """`n` binary roots r_i (ids 0 .. n - 1) and a binary hidden chain h_i
+    (id n + i) with parents (h_{i-1}, r_i), h_0's parent r_0 alone. With
+    every root MAP and the last h observed (`coupled_chain_problem`),
+    summing out the chain leaves a table over all n roots, so the oracle's
+    table has 2^n entries, while a site conditional stays narrow."""
+    parents = [()] * n + [(n + i - 1, i) if i else (0,) for i in range(n)]
+    return _binary_network("coupled", [f"r{i}" for i in range(n)] + [f"h{i}" for i in range(n)],
+                           parents, rng)
+
+
+def coupled_chain_problem(rng: random.Random, net: BayesianNetwork) -> MapProblem:
+    """Every root MAP, the last chain variable observed."""
+    n = len(net) // 2
+    return _sampled_problem(rng, net, range(n), [2 * n - 1])
+
+
+def bip_network(rng: random.Random, n: int) -> BayesianNetwork:
+    """bip-n: `n` binary roots (ids 0 .. n - 1) and 1.5·n binary leaves,
+    each with two distinct root parents."""
+    leaves = 3 * n // 2
+    parents = [()] * n + [tuple(sorted(rng.sample(range(n), 2))) for _ in range(leaves)]
+    return _binary_network(f"bip{n}", [f"r{i}" for i in range(n)] + [f"l{i}" for i in range(leaves)],
+                           parents, rng)
+
+
+def bip_problem(rng: random.Random, net: BayesianNetwork) -> MapProblem:
+    """Half the roots MAP, two thirds of the 1.5·n leaves evidence (a root
+    that no leaf reads is a leaf of the DAG too, but never evidence)."""
+    roots = [v for v in range(len(net)) if not net.parents(v)]
+    leaves = [v for v in range(len(net)) if net.parents(v)]
+    map_vars = sorted(rng.sample(roots, len(roots) // 2))
+    evid_vars = sorted(rng.sample(leaves, 2 * len(leaves) // 3))
+    return _sampled_problem(rng, net, map_vars, evid_vars)
+
+
+def layered_network(rng: random.Random, n: int) -> BayesianNetwork:
+    """layered-n: `n` binary roots (ids 0 .. n - 1), `n` binary hidden middle
+    variables, each with two distinct root parents, and 1.5·n binary
+    leaves, each with two distinct middle parents. Summing out the middle
+    layer couples the roots."""
+    leaves = 3 * n // 2
+    parents = ([()] * n + [tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)] +
+               [tuple(sorted(rng.sample(range(n, 2 * n), 2))) for _ in range(leaves)])
+    names = ([f"r{i}" for i in range(n)] + [f"m{i}" for i in range(n)] +
+             [f"l{i}" for i in range(leaves)])
+    return _binary_network(f"layered{n}", names, parents, rng)
+
+
+def layered_problem(rng: random.Random, net: BayesianNetwork) -> MapProblem:
+    """Every root MAP, each of the 1.5·n leaves evidence (a root or middle
+    variable that nothing reads is a leaf of the DAG too, but never
+    evidence)."""
+    n = len(net.roots())
+    return _sampled_problem(rng, net, range(n), range(2 * n, len(net)))
 
 
 def disjoint_union(a: BayesianNetwork, b: BayesianNetwork) -> BayesianNetwork:

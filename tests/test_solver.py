@@ -39,8 +39,8 @@ from amap.cli import generate_problem
 from amap.engine import PrunedNetwork
 from conftest import (DISCARDED_ZERO_PROBLEM_TEXT, DISCARDED_ZERO_TEXT,
                       ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT)
-from netgen import (chain_network, disjoint_union, enum_best, joint_size, random_network, random_problem,
-                    relabelled, scan_draw)
+from netgen import (chain_network, coupled_chain_network, coupled_chain_problem, disjoint_union,
+                    enum_best, joint_size, random_network, random_problem, relabelled, scan_draw)
 
 
 def _reference_site(net, j, x, evidence):
@@ -633,8 +633,9 @@ class TestSiteContext:
     def test_plans_compiled_per_component(self, monkeypatch):
         # hill climbing: the indicator plan alone, on which map_posterior
         # scores a full MAP assignment; anneal: it and one site plan per MAP
-        # variable, except on a one-variable component, which runs no chain
-        # and compiles the indicator plan alone
+        # variable, except on a component with one MAP variable, which runs
+        # no chain and compiles the indicator plan alone; a component of
+        # one variable is answered from its CPT row and compiles no plan
         net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
         problem = generate_problem(net, 20, 20, random.Random(7))
         for k in range(len(prune(net, problem).components)):
@@ -648,6 +649,8 @@ class TestSiteContext:
                     annealed_map(net, problem, rng=random.Random(k), restarts=2)
                     n_map = len(comp.problem.map_vars)
                     want = 1 if n_map == 1 else n_map + 1
+                if len(comp.net) == 1:
+                    want = 0
                 plans = [p for p in comp.net._plans.values() if isinstance(p, engine._Node)]
                 assert len(plans) == want
 
@@ -853,6 +856,124 @@ class TestOneVariable:
             want = engine._log_total(plan, {**evidence, **x}) - engine._log_total(plan, evidence)
             assert report.best == x
             assert report.logp.hex() == want.hex()
+
+
+def _plan_answer(net, problem, solve):
+    """`solve(index, component, sweeps_before)` on each component of a fresh
+    pruning, the answers merged and their ln p(x|E) and sweeps added up in
+    component order, as the solvers' shared pipeline does."""
+    total = solver.SolveReport(best={}, logp=0.0)
+    for index, comp in enumerate(prune(net, problem).components):
+        part = solve(index, comp, total.sweeps)
+        total.best.update(comp.to_original(part.best))
+        total.logp += part.logp
+        total.sweeps += part.sweeps
+    return total
+
+
+class TestLoneRoot:
+    """A component of one variable, a MAP root that pruning leaves with no
+    evidence and no child, is answered from its CPT row with no plan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_bits_equal_the_plan_answers(self, seed, restarts):
+        # cardinalities up to 9, so that some rows sum pairwise (numpy
+        # does from 8 entries on); the last variable is an isolated MAP root
+        rng = random.Random(seed)
+        cards = tuple(range(2, 10))
+        net = disjoint_union(random_network(rng, rng.randint(2, 8), cards=cards),
+                             random_network(rng, 1, cards=cards))
+        lone = len(net) - 1
+        drawn = generate_problem(net, rng.randint(1, len(net.roots())), rng.randint(0, 3), rng)
+        problem = MapProblem(tuple(sorted(set(drawn.map_vars) | {lone})),
+                             Assignment({v: s for v, s in drawn.evidence.items() if v != lone}))
+        assert any(len(c.net) == 1 for c in prune(net, problem).components)
+        # the reference answers each lone root by its plans: the greedy
+        # start's for anneal and hill climbing, the oracle's own table
+        anneal_rng = random.Random(seed)
+        cases = [
+            (annealed_map(net, problem, rng=random.Random(seed), restarts=restarts),
+             lambda i, comp, before: solver._one_variable(comp) or solver._anneal(
+                 i, comp, before, AnnealSchedule(), anneal_rng, restarts, None, False)),
+            (hill_climb_map(net, problem),
+             lambda i, comp, before: solver._one_variable(comp) or solver._climb(comp)),
+            (brute_force_map(net, problem), lambda i, comp, before: solver._brute_force(comp)),
+        ]
+        for report, solve in cases:
+            want = _plan_answer(net, problem, solve)
+            assert report.best == want.best
+            assert report.logp.hex() == want.logp.hex()
+            assert report.sweeps == want.sweeps
+
+    @pytest.mark.parametrize("row", [(0.25,) * 4, (1.0 / 9.0,) * 9])
+    def test_uniform_lone_root_answers_state_zero(self, row):
+        net = BayesianNetwork("u", [Variable(0, "A", tuple(f"s{i}" for i in range(len(row))))],
+                              [Cpt(0, (), (row,))])
+        problem = MapProblem((0,), Assignment())
+        for report in (annealed_map(net, problem), hill_climb_map(net, problem),
+                       brute_force_map(net, problem)):
+            assert report.best == {0: 0}
+            assert report.logp == pytest.approx(-math.log(len(row)), rel=0.0, abs=1e-12)
+            assert (report.sweeps, report.reheats, report.restarts_used) == (0, 0, 0)
+
+    def test_compiles_no_plan(self, monkeypatch, sprinkler):
+        # map Rain with no evidence: Sprinkler and WetGrass are barren, and
+        # Rain is a component of its own
+        problem = parse_problem("map Rain\nevidence\n", sprinkler)
+        comp, = prune(sprinkler, problem).components
+        assert len(comp.net) == 1
+        monkeypatch.setattr(solver, "prune", lambda n, p: PrunedNetwork((comp,), ()))
+        for solve in (annealed_map, hill_climb_map, brute_force_map):
+            report = solve(sprinkler, problem)
+            assert report.best == {sprinkler.by_name("Rain").id: 1}
+            assert report.logp == math.log(0.8)
+            assert comp.net._plans == {}
+
+
+class TestCoupledChain:
+    """Binary MAP roots r_i feeding a hidden chain h_i with parents
+    (h_{i-1}, r_i), the last h observed: the oracle's table spans every
+    root, while each site conditional stays narrow."""
+
+    @staticmethod
+    def _instance(seed, n):
+        rng = random.Random(seed)
+        net = coupled_chain_network(rng, n)
+        return net, coupled_chain_problem(rng, net)
+
+    def test_shape(self):
+        net, problem = self._instance(5, 28)
+        assert len(net) == 56
+        assert [net.parents(v) for v in range(28)] == [()] * 28
+        assert net.parents(28) == (0,)
+        assert [net.parents(28 + i) for i in range(1, 28)] == [(27 + i, i) for i in range(1, 28)]
+        assert problem.map_vars == tuple(range(28))
+        assert list(problem.evidence) == [55]
+        assert all(0.1 <= p <= 0.9 for cpt in net.cpts for row in cpt.table for p in row)
+
+    def test_oracle_refuses_28_roots(self):
+        net, problem = self._instance(5, 28)
+        with pytest.raises(WidthCapError, match=(
+                "elimination needs a table of 536870912 entries \\(2\\^29.0\\), "
+                f"cap is {engine.MAX_TABLE_ENTRIES}")):
+            brute_force_map(net, problem)
+
+    def test_search_solves_28_roots(self):
+        net, problem = self._instance(5, 28)
+        for report in (hill_climb_map(net, problem),
+                       annealed_map(net, problem, rng=random.Random(1))):
+            assert sorted(report.best) == list(range(28))
+            assert report.logp == pytest.approx(
+                map_posterior(net, report.best, problem.evidence), rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_matches_enumeration_at_6_roots(self, seed):
+        net, problem = self._instance(seed, 6)
+        report = brute_force_map(net, problem)
+        want, want_logp = enum_best(net, problem)
+        assert tuple(map(report.best.__getitem__, problem.map_vars)) == want
+        assert report.logp == pytest.approx(want_logp, rel=0.0, abs=1e-9)
 
 
 class TestLocalOptimumInstance:
