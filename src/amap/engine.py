@@ -2,7 +2,10 @@
 plus prior forward sampling.
 
 Each elimination is compiled once per network, kept variables, set of
-bound variables and set of indicator variables into a plan. The steps of
+bound variables and set of indicator variables into a plan, on the
+min-fill order of its own graph, save that the site plans of a MAP
+problem (keep one MAP variable, bind the evidence and the others) all
+share one order, found by one min-fill run (see `_site_plans`). The steps of
 all of a network's plans form one graph: a step is a node keyed by the
 CPTs and nodes it multiplies and the variable it sums out, identical steps
 are one node, and a plan is its final node, the root of a tree, which the
@@ -286,6 +289,45 @@ def _min_fill_order(scopes: Sequence[Tuple[int, ...]], elim: Set[int],
     return order, width
 
 
+def _site_widths(scopes: Sequence[Tuple[int, ...]], order: Sequence[int],
+                 map_vars: Sequence[int], cards: Sequence[int]) -> List[int]:
+    """The width of each MAP variable j's site plan on `order`, an order of
+    every variable of `scopes` that is not a MAP variable: the entries of
+    the largest table the plan multiplies, or of its final product, card(j).
+
+    One elimination along `order`, with the MAP variables kept, gives every
+    plan's: a site plan has no other MAP variable and so no path through
+    one, so at each eliminated v it multiplies v, the same neighbours that
+    are not MAP variables, and j only if j is a neighbour then.
+    Neighbourhoods are int bitsets indexed by variable id."""
+    adj: Dict[int, int] = {}
+    for scope in scopes:
+        clique = sum([1 << v for v in scope])
+        for v in scope:
+            adj[v] = adj.get(v, 0) | clique
+    mask = sum([1 << j for j in map_vars])
+    widths = {j: cards[j] for j in map_vars}
+    common = 1
+    for v in order:
+        nbrs = adj.pop(v) & ~(1 << v)
+        size = cards[v]
+        rest = nbrs & ~mask  # no MAP variable's neighbours are read
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            size *= cards[u]
+            adj[u] = (adj[u] | nbrs) & ~(1 << v)
+        common = max(common, size)
+        rest = nbrs & mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            widths[u] = max(widths[u], size * cards[u])
+    return [max(common, widths[j]) for j in map_vars]
+
+
 def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
           scopes: Sequence[Tuple[int, ...]], v: Optional[int], keep: Tuple[int, ...]) -> _Node:
     """A new node multiplying `inputs`, of `scopes`, and summing out `v`, or
@@ -369,19 +411,22 @@ def _step(cpts: _Cpts, cards: Sequence[int], inputs: Tuple[object, ...],
 
 
 def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
-          indicators: FrozenSet[int] = frozenset()) -> _Node:
+          indicators: FrozenSet[int] = frozenset(),
+          order: Optional[Tuple[int, ...]] = None) -> _Node:
     """The network's compiled plan, its final node, for eliminating all but
     `keep` with the variables in `bound` fixed, compiled on first use. Each
     variable in `indicators` (disjoint from both) is eliminated, its CPT
     column masked to the state an evaluation's context binds it to, if
-    any; the indicators do not change the order or the steps. Raises
-    WidthCapError, before any array is built or step interned, if the
-    order's width or the final product, laid out in `keep` order, exceeds
-    MAX_TABLE_ENTRIES.
+    any; the indicators do not change the order or the steps. The order is
+    min-fill's, and WidthCapError is raised, before any array is built or
+    step interned, if its width or the final product, laid out in `keep`
+    order, exceeds MAX_TABLE_ENTRIES. A given `order`, which must list
+    every variable eliminated, is taken as it is, its width checked by the
+    caller, and the plan is held under a key of its own that holds it.
     Each slot, a CPT or a step's output, goes into the bucket of its first
     variable in the order, or the final product's if it has none, and the
     step for v multiplies v's bucket in slot order."""
-    key = (keep, bound, indicators)
+    key = (keep, bound, indicators) if order is None else (keep, bound, indicators, order)
     plan = net._plans.get(key)
     if plan is not None:
         return plan
@@ -394,13 +439,13 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
         sel = None if bound.isdisjoint(full) else tuple([v if v in bound else -1 for v in full])
         scopes.append(full if sel is None else tuple([v for v in full if v not in bound]))
         refs.append((s, sel, s in indicators))
-    elim = set(range(len(cards))) - set(keep) - bound
-    order, width = _min_fill_order(scopes, elim, cards)
-    width = max(width, math.prod([cards[v] for v in keep]))
-    if width > MAX_TABLE_ENTRIES:
-        raise WidthCapError(
-            f"elimination needs a table of {width} entries "
-            f"(2^{math.log2(width):.1f}), cap is {MAX_TABLE_ENTRIES}")
+    if order is None:
+        order, width = _min_fill_order(scopes, set(range(len(cards))) - set(keep) - bound, cards)
+        width = max(width, math.prod([cards[v] for v in keep]))
+        if width > MAX_TABLE_ENTRIES:
+            raise WidthCapError(
+                f"elimination needs a table of {width} entries "
+                f"(2^{math.log2(width):.1f}), cap is {MAX_TABLE_ENTRIES}")
 
     cpts = net._plans.get(_CPTS)
     if cpts is None:
@@ -421,7 +466,7 @@ def _plan(net: BayesianNetwork, keep: Tuple[int, ...], bound: FrozenSet[int],
     buckets: List[List[int]] = [[] for _ in range(len(order) + 1)]
     for s, sc in enumerate(scopes):
         buckets[min(map(at.__getitem__, sc)) if sc else len(order)].append(s)
-    for i, v in enumerate(order + [None]):
+    for i, v in enumerate([*order, None]):
         slots = buckets[i]
         inputs = tuple([refs[s] for s in slots])
         node_key = (inputs, keep if v is None else v)
@@ -579,10 +624,23 @@ def _conditional(net: BayesianNetwork, target: int, plan: _Node,
 
 
 def _site_plans(net: BayesianNetwork, problem: MapProblem) -> Tuple[_Node, ...]:
-    """`conditional`'s plan for each MAP variable, in map-variable order,
-    given the evidence and every other MAP variable."""
-    bound = frozenset(problem.evidence.keys()).union(problem.map_vars)
-    return tuple(_plan(net, (j,), bound - {j}) for j in problem.map_vars)
+    """The site plan of each MAP variable j, in map-variable order: p(x_j)
+    given the evidence and every other MAP variable, all compiled on one
+    order of the hidden variables. That order is min-fill's over the CPT
+    scopes with the evidence selected away and the MAP variables as one
+    more clique: a site plan binds every MAP variable but its own, so a
+    fill edge between two of them never adds a table axis. A site plan
+    whose width on that order (`_site_widths`) exceeds MAX_TABLE_ENTRIES
+    is compiled on its own min-fill order, as `conditional`'s plan, which
+    alone may then raise WidthCapError."""
+    evidence = frozenset(problem.evidence.keys())
+    bound = evidence.union(problem.map_vars)
+    scopes = [tuple([v for v in full if v not in evidence]) for full in net._scopes]
+    order = tuple(_min_fill_order(scopes + [problem.map_vars], set(range(len(net))) - bound,
+                                  net._cards)[0])
+    widths = _site_widths(scopes, order, problem.map_vars, net._cards)
+    return tuple(_plan(net, (j,), bound - {j}, order=order if width <= MAX_TABLE_ENTRIES else None)
+                 for j, width in zip(problem.map_vars, widths))
 
 
 def _indicator_plan(net: BayesianNetwork, problem: MapProblem) -> _Node:

@@ -1,6 +1,6 @@
 import pytest
 
-from amap import parse_network, parse_problem
+from amap import BayesianNetwork, ImpossibleContextError, engine, parse_network, parse_problem
 
 SPRINKLER_TEXT = """\
 network sprinkler
@@ -99,3 +99,31 @@ def trap_net():
 @pytest.fixture
 def trap_problem(trap_net):
     return parse_problem(LOCAL_OPT_PROBLEM_TEXT, trap_net)
+
+
+def shared_order(net, problem):
+    """The one order of the hidden variables that the problem's site plans
+    share, from its definition: min-fill over the variables neither MAP nor
+    evidence, on the CPT scopes without the evidence and the MAP variables
+    as one more clique."""
+    ev = problem.evidence
+    scopes = [tuple(v for v in cpt.parents + (cpt.child,) if v not in ev) for cpt in net.cpts]
+    hidden = set(range(len(net))) - set(ev) - set(problem.map_vars)
+    order, _ = engine._min_fill_order(scopes + [problem.map_vars], hidden,
+                                      [v.cardinality for v in net.variables])
+    return tuple(order)
+
+
+def reference_site(net, problem, j, context):
+    """p(x_j | context), for a context that binds the evidence and every MAP
+    variable (j too, or not), computed from scratch with the bits a site
+    record's `dist` must have: on a rebuilt copy of `net`, by j's plan on
+    `shared_order`, normalised by its total. Raises ImpossibleContextError
+    if that total is zero."""
+    rebuilt = BayesianNetwork(net.name, net.variables, net.cpts)
+    context = {v: s for v, s in context.items() if v != j}
+    plan = engine._plan(rebuilt, (j,), frozenset(context), order=shared_order(net, problem))
+    f = engine._factor(plan, context)
+    if f.total() <= 0.0:
+        raise ImpossibleContextError("context has probability zero")
+    return f.values / f.total()

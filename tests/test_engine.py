@@ -28,6 +28,7 @@ from amap import (
 from amap import engine, solver
 from amap.cli import generate_problem
 from amap.engine import MAX_TABLE_ENTRIES, _min_fill_order
+from conftest import reference_site, shared_order
 from netgen import (
     disjoint_union,
     enum_conditional,
@@ -263,13 +264,14 @@ def _nodes(plan):
     return out
 
 
-def _reference_plan(net, keep, bound):
+def _reference_plan(net, keep, bound, order=None):
     """(tree, bound, entries, width) of the plan `engine._plan` compiles,
     its tree rendered as `_tree` renders it, assembled as the engine did
     before it indexed live slots by variable: two scans of every live slot
     per eliminated variable, and each input's permutation and shape found
-    by list searches. The final product is laid out in `keep` order, and
-    width is the min-fill order's."""
+    by list searches. The final product is laid out in `keep` order. The
+    order is `order` if given, and width the largest table a summing step
+    multiplies; else the min-fill order and its width."""
     cards = [v.cardinality for v in net.variables]
     scopes, select = [], []
     for cpt in net.cpts:
@@ -278,7 +280,11 @@ def _reference_plan(net, keep, bound):
         select.append(tuple(v if v in bound else -1 for v in full)
                       if len(scopes[-1]) < len(full) else None)
     elim = set(range(len(cards))) - set(keep) - bound
-    order, width = _min_fill_order(scopes, elim, cards)
+    order_given = order is not None
+    if order_given:
+        order, width = list(order), 1
+    else:
+        order, width = _min_fill_order(scopes, elim, cards)
 
     live = list(range(len(scopes)))
     trees = [(s, sel, False) for s, sel in enumerate(select)]  # per slot
@@ -304,6 +310,8 @@ def _reference_plan(net, keep, bound):
             shapes.append(None if shape[lead:] == tuple(cards[u] for u in present)
                           else shape)
         entries += math.prod(cards[u] for u in scope) // (1 if v is None else cards[v])
+        if v is not None and order_given:
+            width = max(width, math.prod(cards[u] for u in scope))
         axis = None if v is None else scope.index(v)
         trees.append((tuple(trees[s] for s in related), tuple(perms), tuple(shapes),
                       tuple(scope), axis))
@@ -1164,12 +1172,14 @@ def _reference_cum(probs):
 
 def _memo_calls(seed, calls):
     """Interleaved site updates, as anneal and Gibbs make them with
-    `engine._conditional` on a context that still binds the target, and
-    `conditional` calls on one network with
-    zeros in its CPTs, each checked against a rebuilt network; returns how
-    many calls repeated an earlier context and how many had probability
-    zero. Each call draws its site from `pick` and, by `move`, first keeps
-    x, moves another site or returns to an earlier x."""
+    `engine._conditional` on the site plan and a context that still binds
+    the target, and `conditional` calls on one network with zeros in its
+    CPTs, each checked against a rebuilt network: a site update against
+    `reference_site`, on the site plans' shared order, and `conditional`
+    against itself, on its own min-fill plan, which memoises its own
+    records. Returns how many calls repeated an earlier context and how many
+    had probability zero. Each call draws its site from `pick` and, by
+    `move`, first keeps x, moves another site or returns to an earlier x."""
     rng = random.Random(seed)
     net = _zeroed(random_network(rng, rng.randint(5, 12), max_parents=3), rng)
     problem = random_problem(rng, net)
@@ -1181,7 +1191,7 @@ def _memo_calls(seed, calls):
     for pick, via_site, move, r in calls:
         draw = random.Random(r)
         i = pick % len(map_vars)
-        j, final = map_vars[i], plans[i]
+        j = map_vars[i]
         if move == "other":
             v = draw.choice(map_vars)
             x[v] = draw.randrange(net.cardinality(v))
@@ -1201,9 +1211,14 @@ def _memo_calls(seed, calls):
                 return engine._conditional(net, j, plans[i], full)
             return conditional(net, j, context)
 
+        if via_site:
+            final, reference = plans[i], lambda: reference_site(net, problem, j, context)
+        else:
+            final = engine._plan(net, (j,), frozenset(context))
+            reference = lambda: conditional(_rebuilt(net), j, context)
         values = tuple(map(context.get, final.support))
         try:
-            want = conditional(_rebuilt(net), j, context)
+            want = reference()
         except ImpossibleContextError:
             impossible += 1
             for _ in range(2):  # raises on every call, and is never kept
@@ -1316,7 +1331,7 @@ class TestSiteMemo:
                 context = {**problem.evidence, **x}
                 context.pop(j, None)
                 contexts.append((j, context))
-        want = [conditional(_rebuilt(net), j, context).tobytes() for j, context in contexts]
+        want = [reference_site(net, problem, j, context).tobytes() for j, context in contexts]
         schedule = solver.AnnealSchedule(wait=3, stop=6)
         anneal = solver.annealed_map(_rebuilt(net), problem, schedule, random.Random(3),
                                      restarts=3, collect_trace=True)
@@ -1328,9 +1343,10 @@ class TestSiteMemo:
         budget = nodes_kept + 3 * (3 * 2 + len(plans[0].support))
         monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", budget)
         sizes = []
+        plan = dict(zip(problem.map_vars, plans))
         for _ in range(2):  # the second pass finds the memo full
             for (j, context), dist in zip(contexts, want):
-                assert conditional(net, j, context).tobytes() == dist
+                assert engine._conditional(net, j, plan[j], context).dist.tobytes() == dist
             sizes.append([len(node.memo) for node in plans])
         assert sizes[0] == sizes[1]
         assert 0 < sum(sizes[0]) < len(contexts)
@@ -1340,6 +1356,289 @@ class TestSiteMemo:
         monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 16)
         assert solver.annealed_map(_rebuilt(net), problem, schedule, random.Random(3),
                                    restarts=3, collect_trace=True) == anneal
+
+
+def _reference_width(scopes, order, cards):
+    """The largest table that eliminating `order` multiplies, by sets of
+    neighbours: an eliminated vertex and its neighbours then."""
+    adjacency = {}
+    for scope in scopes:
+        for v in scope:
+            adjacency.setdefault(v, set()).update(u for u in scope if u != v)
+    width = 1
+    for v in order:
+        nbrs = adjacency.pop(v)
+        width = max(width, cards[v] * math.prod(cards[u] for u in nbrs))
+        for u in nbrs:
+            adjacency[u] |= nbrs - {u}
+            adjacency[u].discard(v)
+    return width
+
+
+def _site_cases():
+    """(network, problem) pairs with two MAP variables or more: the
+    components of r120-shaped problems at two seeds, and small random
+    networks under `random_problem`."""
+    cases = []
+    for seed in (7, 11):
+        net = random_network(random.Random(seed), 120, max_parents=3, cards=(2, 3))
+        problem = generate_problem(net, 20, 20, random.Random(seed))
+        cases += [(c.net, c.problem) for c in prune(net, problem).components
+                  if len(c.problem.map_vars) > 1]
+    rng = random.Random(29)
+    while len(cases) < 16:
+        net = random_network(rng, rng.randint(5, 15), max_parents=3)
+        problem = random_problem(rng, net)
+        if len(problem.map_vars) > 1:
+            cases.append((net, problem))
+    return cases
+
+
+def _capped_instance():
+    """A component of three MAP variables (4, 5 and 10) whose site plan of
+    5 needs a table of 72 entries on the shared order and 54 on its own
+    min-fill order. Every other site plan needs 54 on either order, and so
+    does the indicator plan, while the oracle's MAP-space elimination needs
+    72. The network's other component is a lone MAP root."""
+    net = random_network(random.Random(21), 20, max_parents=3, cards=(2, 3))
+    problem = generate_problem(net, 4, 4, random.Random(21))
+    return net, problem, max(prune(net, problem).components, key=lambda c: len(c.net))
+
+
+# `conditional` on the largest component of the golden r120 problem (network
+# seed 7, problem seed 0), each variable's context the evidence and every
+# other MAP variable at state 0: the bits recorded when every site plan still
+# ran its own min-fill order. The site records of these contexts, on the
+# shared order, differ from them in their last bits.
+_CONDITIONAL_BITS = {
+    1: ("0x1.3ce5b0d818f02p-1", "0x1.86349e4fce1fcp-2"),
+    12: ("0x1.5fec9f7e845a7p-1", "0x1.76a1b3320e610p-5", "0x1.11528a9cb57f0p-2"),
+    58: ("0x1.7b21f119203cbp-1", "0x1.09bc1dcdbf86cp-2"),
+}
+
+
+class TestSharedSiteOrder:
+    """A MAP problem's site plans are compiled on one order of its hidden
+    variables (`shared_order` finds it from its definition); every other
+    plan, `conditional`'s included, keeps its own min-fill order and its
+    bits."""
+
+    def test_site_widths_match_references(self):
+        # on random graphs, against eliminating each site plan's own graph,
+        # the scopes without the other MAP variables, by sets; on the site
+        # plans of real problems, against the largest table each multiplies
+        rng = random.Random(10)
+        for _ in range(300):
+            n = rng.randint(2, 30)
+            scopes = [tuple(rng.sample(range(n), rng.randint(1, min(5, n))))
+                      for _ in range(rng.randint(1, 30))]
+            present = sorted(set().union(*scopes))
+            map_vars = tuple(rng.sample(present, rng.randint(1, len(present))))
+            order = [v for v in present if v not in map_vars]
+            rng.shuffle(order)
+            cards = [2 + v % 3 for v in range(n)]
+            want = [max(cards[j], _reference_width(
+                [tuple(u for u in sc if u == j or u not in map_vars) for sc in scopes],
+                order, cards)) for j in map_vars]
+            assert engine._site_widths(scopes, order, map_vars, cards) == want
+        for net, problem in _site_cases():
+            order = shared_order(net, problem)
+            bound = frozenset(problem.evidence).union(problem.map_vars)
+            scopes = [tuple(v for v in cpt.parents + (cpt.child,) if v not in problem.evidence)
+                      for cpt in net.cpts]
+            want = [max(net.cardinality(j), _reference_plan(net, (j,), bound - {j}, order)[3])
+                    for j in problem.map_vars]
+            cards = [v.cardinality for v in net.variables]
+            assert engine._site_widths(scopes, order, problem.map_vars, cards) == want
+
+    def test_site_plans_compile_on_one_order(self):
+        for net, problem in _site_cases():
+            order = shared_order(net, problem)
+            bound = frozenset(problem.evidence).union(problem.map_vars)
+            assert sorted(order) == sorted(set(range(len(net))) - bound)
+            for j, plan in zip(problem.map_vars, engine._site_plans(net, problem)):
+                site = bound - {j}
+                assert net._plans[((j,), site, frozenset(), order)] is plan
+                assert ((j,), site, frozenset()) not in net._plans
+                got = (_tree(net, plan), plan.support,
+                       sum(_entries(net, node) for node in _nodes(plan)),
+                       max([math.prod(map(net.cardinality, node.scope)) for node in _nodes(plan)
+                            if node.axis is not None], default=1))
+                assert got == _reference_plan(net, (j,), site, order)
+
+    def test_min_fill_runs_once_per_component(self, monkeypatch):
+        calls = []
+        real = engine._min_fill_order
+        monkeypatch.setattr(engine, "_min_fill_order", lambda *a: calls.append(a) or real(*a))
+        for net, problem in _site_cases():
+            before = len(calls)
+            engine._site_plans(net, problem)
+            assert len(calls) == before + 1
+        # an annealing solve orders each component's indicator plan, and then
+        # all of its site plans at once if it runs a chain
+        net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
+        problem = generate_problem(net, 20, 20, random.Random(7))
+        comps = prune(net, problem).components
+        calls.clear()
+        solver.annealed_map(net, problem, rng=random.Random(1))
+        chains = sum(len(c.problem.map_vars) > 1 for c in comps)
+        assert chains
+        assert len(calls) == 2 * chains + sum(len(c.problem.map_vars) == 1 < len(c.net)
+                                              for c in comps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 32)),
+                                             max_size=8))
+    def test_site_plans_do_not_depend_on_call_history(self, seed, calls):
+        # site plans compiled before arbitrary `conditional` and `eliminate`
+        # calls, after them, and on a network that has run nothing else have
+        # the same node trees and give records of the same bits
+        rng = random.Random(seed)
+        net = _zeroed(random_network(rng, rng.randint(4, 14), max_parents=3), rng)
+        problem = random_problem(rng, net)
+        early, late, fresh = net, _rebuilt(net), _rebuilt(net)
+
+        def history(target_net):
+            for use_conditional, r in calls:
+                draw = random.Random(r)
+                j = draw.randrange(len(net))
+                others = [v for v in range(len(net)) if v != j]
+                context = {v: draw.randrange(net.cardinality(v))
+                           for v in draw.sample(others, draw.randint(0, len(others)))}
+                if use_conditional:
+                    try:
+                        conditional(target_net, j, context)
+                    except ImpossibleContextError:
+                        pass
+                else:
+                    eliminate(target_net, draw.choice(((), (j,))), context)
+
+        want = engine._site_plans(fresh, problem)
+        got_early = engine._site_plans(early, problem)
+        for target_net in (early, late):
+            history(target_net)
+        got_late = engine._site_plans(late, problem)
+        contexts = [{**problem.evidence, **{v: rng.randrange(net.cardinality(v))
+                                            for v in problem.map_vars}} for _ in range(3)]
+        for i, j in enumerate(problem.map_vars):
+            for target_net, plans in ((early, got_early), (late, got_late)):
+                assert _tree(target_net, plans[i]) == _tree(fresh, want[i])
+                for context in contexts:
+                    try:
+                        site = engine._conditional(fresh, j, want[i], context)
+                    except ImpossibleContextError:
+                        with pytest.raises(ImpossibleContextError):
+                            engine._conditional(target_net, j, plans[i], context)
+                        continue
+                    got = engine._conditional(target_net, j, plans[i], context)
+                    assert got.dist.tobytes() == site.dist.tobytes()
+
+    def test_conditional_keeps_its_own_order_and_bits(self):
+        net = random_network(random.Random(7), 120, max_parents=3, cards=(2, 3))
+        problem = generate_problem(net, 20, 20, random.Random(0))
+        for sites_first in (False, True):
+            comp = max(prune(net, problem).components, key=lambda c: len(c.net))
+            map_vars = comp.problem.map_vars
+            plans = dict(zip(map_vars, engine._site_plans(comp.net, comp.problem)))
+            for j, want in _CONDITIONAL_BITS.items():
+                context = {**comp.problem.evidence, **{v: 0 for v in map_vars if v != j}}
+                if sites_first:
+                    site = engine._conditional(comp.net, j, plans[j], context)
+                got = conditional(comp.net, j, context)
+                assert [p.hex() for p in got.tolist()] == list(want)
+                if not sites_first:
+                    site = engine._conditional(comp.net, j, plans[j], context)
+                assert site.dist.tobytes() != got.tobytes()
+                plan = comp.net._plans[((j,), frozenset(context), frozenset())]
+                assert _tree(comp.net, plan) == _reference_plan(comp.net, (j,),
+                                                                frozenset(context))[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+    def test_site_records_are_exact(self, seed, zeroed, protocol):
+        # every record within 1e-12 of enumeration and of `conditional`, and
+        # ImpossibleContextError raised exactly where `conditional` raises it
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(3, 9), max_parents=3)
+        if zeroed:
+            net = _zeroed(net, rng)
+        if protocol:
+            problem = random_problem(rng, net)
+        else:
+            map_vars = tuple(rng.sample(range(len(net)), rng.randint(1, min(4, len(net)))))
+            rest = [v for v in range(len(net)) if v not in map_vars]
+            sample = forward_sample(net, rng)
+            problem = MapProblem(map_vars, Assignment(
+                {v: sample[v] for v in rng.sample(rest, rng.randint(0, len(rest)))}))
+        plans = engine._site_plans(net, problem)
+        for _ in range(3):
+            context = {**problem.evidence, **{v: rng.randrange(net.cardinality(v))
+                                              for v in problem.map_vars}}
+            for j, plan in zip(problem.map_vars, plans):
+                without = {v: s for v, s in context.items() if v != j}
+                exact = enum_conditional(net, j, without)
+                try:
+                    old = conditional(net, j, without)
+                except ImpossibleContextError:
+                    old = None
+                try:
+                    site = engine._conditional(net, j, plan, context)
+                except ImpossibleContextError:
+                    site = None
+                assert (site is None) == (old is None) == (exact is None)
+                if site is not None:
+                    assert np.allclose(site.dist, exact, rtol=0.0, atol=1e-12)
+                    assert np.allclose(site.dist, old, rtol=0.0, atol=1e-12)
+        schedule = solver.AnnealSchedule(wait=3, stop=6)
+        try:
+            report = solver.annealed_map(net, problem, schedule, random.Random(seed),
+                                         debug_check=True)
+        except InconsistentEvidenceError:
+            with pytest.raises(InconsistentEvidenceError):
+                solver.gibbs_chain(net, problem, 5, random.Random(seed))
+            return
+        assert report.logp == pytest.approx(
+            map_posterior(net, report.best, problem.evidence), abs=1e-9)
+        for states in solver.gibbs_chain(net, problem, 20, random.Random(seed)):
+            x = Assignment(zip(problem.map_vars, states))
+            assert map_posterior(net, x, problem.evidence) > -math.inf
+
+    def test_cap_falls_back_to_the_own_order(self, monkeypatch):
+        net, problem, comp = _capped_instance()
+        order = shared_order(comp.net, comp.problem)
+        bound = frozenset(comp.problem.evidence).union(comp.problem.map_vars)
+        assert comp.problem.map_vars == (4, 5, 10)
+        assert [(_reference_plan(comp.net, (j,), bound - {j})[3],
+                 _reference_plan(comp.net, (j,), bound - {j}, order)[3])
+                for j in comp.problem.map_vars] == [(54, 54), (54, 72), (54, 54)]
+        want = solver.brute_force_map(net, problem)
+        monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 54)
+        with pytest.raises(WidthCapError):
+            solver.brute_force_map(net, problem)
+        got = solver.annealed_map(net, problem, rng=random.Random(3), debug_check=True)
+        assert got.best == want.best
+        assert got.logp == pytest.approx(want.logp, abs=1e-9)
+        plans = engine._site_plans(comp.net, comp.problem)
+        keys = {id(plan): key for key, plan in comp.net._plans.items()}
+        assert [keys[id(plan)] for plan in plans] == [
+            ((4,), bound - {4}, frozenset(), order), ((5,), bound - {5}, frozenset()),
+            ((10,), bound - {10}, frozenset(), order)]
+
+    def test_cap_over_both_orders_raises_as_before(self, monkeypatch):
+        # variable 4's site plan needs 54 entries on either order, so under a
+        # cap of 53 the site plans raise the error its own min-fill plan
+        # raises, before any array is built
+        _, _, comp = _capped_instance()
+        bound = frozenset(comp.problem.evidence).union(comp.problem.map_vars)
+        monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 53)
+        with pytest.raises(WidthCapError) as own:
+            engine._plan(_rebuilt(comp.net), (4,), bound - {4})
+        assert str(own.value) == "elimination needs a table of 54 entries (2^5.8), cap is 53"
+        net = _rebuilt(comp.net)
+        with pytest.raises(WidthCapError) as shared:
+            engine._site_plans(net, comp.problem)
+        assert str(shared.value) == str(own.value)
+        assert not net._plans
 
 
 class TestMapPosterior:

@@ -12,7 +12,7 @@ import pytest
 
 from amap.cli import generate_problem, main
 from amap.fileio import serialize_network, serialize_problem
-from netgen import random_network
+from netgen import layered_network, layered_problem, random_network
 
 # (network seed, variables, MAP count, evidence count, problem seed)
 NETWORKS = {
@@ -23,6 +23,11 @@ NETWORKS = {
     "r45": (47, 45, 9, 15, 48),
     "r30": (82, 30, 6, 10, 83),
     "r20": (224, 20, 4, 6, 225),
+}
+# layered-n, the classic hard shape for MAP, drawn with its problem from one
+# Random(seed): (seed, n)
+LAYERED = {
+    "layered30": (0, 30),
 }
 
 # (network, algorithm, solver seed, restarts) -> (the state index of each
@@ -47,13 +52,25 @@ GOLDEN = {
     ('r20', 'anneal', 11, 1): ('0100', '-1.02322756134', 25, 1),
     ('r20', 'anneal', 5, 3): ('0100', '-1.02322756134', 64, 3),
     ('r20', 'hillclimb', 0, 1): ('0100', '-1.02322756134', 1, 0),
+    ('layered30', 'anneal', 11, 1): ('001000000001000010100101101011', '-4.4830329232', 21, 1),
+    ('layered30', 'anneal', 5, 3): ('001000000001000010100101101011', '-4.4830329232', 92, 3),
+    ('layered30', 'hillclimb', 0, 1): ('001000000001000010100101101011', '-4.4830329232', 1, 0),
 }
 
 
-def _solve(tmp_path, capsys, name, algo, seed, restarts):
+def _instance(name):
+    if name in LAYERED:
+        seed, n = LAYERED[name]
+        rng = random.Random(seed)
+        net = layered_network(rng, n)
+        return net, layered_problem(rng, net)
     net_seed, n_vars, n_map, n_evid, problem_seed = NETWORKS[name]
     net = random_network(random.Random(net_seed), n_vars, max_parents=3, cards=(2, 3))
-    problem = generate_problem(net, n_map, n_evid, random.Random(problem_seed))
+    return net, generate_problem(net, n_map, n_evid, random.Random(problem_seed))
+
+
+def _solve(tmp_path, capsys, name, algo, seed, restarts):
+    net, problem = _instance(name)
     net_path, prob_path = tmp_path / f"{name}.bnet", tmp_path / f"{name}.prob"
     net_path.write_text(serialize_network(net))
     prob_path.write_text(serialize_problem(problem, net))
@@ -61,7 +78,8 @@ def _solve(tmp_path, capsys, name, algo, seed, restarts):
     assert main(["solve", "--net", str(net_path), "--problem", str(prob_path),
                  "--algo", algo, "--seed", str(seed), "--restarts", str(restarts)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    states = "".join(line.rsplit("=s", 1)[1] for line in lines[:len(problem.map_vars)])
+    states = "".join(str(net.variables[v].states.index(line.rsplit("=", 1)[1]))
+                     for v, line in zip(problem.map_vars, lines))
     tail = dict(line.split(" = ") for line in lines[len(problem.map_vars):])
     return states, tail["log10_p"], int(tail["sweeps"]), int(tail["reheats"])
 

@@ -38,14 +38,16 @@ from amap import engine, solver
 from amap.cli import generate_problem
 from amap.engine import PrunedNetwork
 from conftest import (DISCARDED_ZERO_PROBLEM_TEXT, DISCARDED_ZERO_TEXT,
-                      ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT)
+                      ZERO_EVIDENCE_PROBLEM_TEXT, ZERO_EVIDENCE_TEXT, reference_site)
 from netgen import (chain_network, coupled_chain_network, coupled_chain_problem, disjoint_union,
                     enum_best, joint_size, random_network, random_problem, relabelled, scan_draw)
 
 
 def _reference_site(net, j, x, evidence):
     """p(x_j | E, x without j) computed from scratch: E and x merged into a
-    new context, eliminated on a freshly built network, then normalised."""
+    new context, eliminated on a freshly built network on `eliminate`'s
+    min-fill order, then normalised; x may bind any of the MAP variables, as
+    the greedy start's prefixes do."""
     context = {**evidence, **x}
     context.pop(j, None)
     f = eliminate(BayesianNetwork(net.name, net.variables, net.cpts), (j,), context)
@@ -54,14 +56,15 @@ def _reference_site(net, j, x, evidence):
     return f.values / f.total()
 
 
-def _reference_kernel(net, j, plan, context):
-    """The site update's contract on top of _reference_site, which does not
+def _reference_kernel(problems, net, j, plan, context):
+    """The site update's contract on top of `reference_site`, which does not
     read `plan`: the caller's context, E together with x, still binds j,
     which is dropped before computing, and the conditional comes back as a
-    site record whose floats and logs are computed here. It fills no memo,
-    so a chain that reads the memo first still calls it at every site."""
+    site record whose floats and logs are computed here. `problems` maps
+    each component network, by id, to its MAP problem. It fills no memo, so
+    a chain that reads the memo first still calls it at every site."""
     assert j in context
-    dist = _reference_site(net, j, context, Assignment())
+    dist = reference_site(net, problems[id(net)], j, context)
     probs = tuple(dist.tolist())
     return engine._Site(dist, engine._running_sums(probs),
                         tuple(math.log(p) if p > 0.0 else -math.inf for p in probs))
@@ -495,7 +498,8 @@ class TestGibbsChain:
         for _ in range(300):
             for j in sprinkler_problem.map_vars:
                 rng.random()
-                dist = _reference_site(sprinkler, j, x, sprinkler_problem.evidence)
+                dist = reference_site(sprinkler, sprinkler_problem, j,
+                                      {**sprinkler_problem.evidence, **x})
                 x[j] = scan_draw(dist.tolist(), rng.random())
             want.append(tuple(map(x.__getitem__, sprinkler_problem.map_vars)))
         assert chain == want
@@ -519,7 +523,7 @@ class TestGibbsChain:
         for _ in range(sweeps):
             for j in map_vars:
                 draws.random()
-                dist = _reference_site(net, j, x, problem.evidence)
+                dist = reference_site(net, problem, j, {**problem.evidence, **x})
                 x[j] = scan_draw(dist.tolist(), draws.random())
             want.append(tuple(map(x.__getitem__, map_vars)))
         assert chain == want
@@ -602,7 +606,16 @@ class TestSiteContext:
                     for net, problem, seed in runs]
 
         got = anneal_all()
-        monkeypatch.setattr(solver, "_conditional", _reference_kernel)
+        problems = {}
+
+        def pruned(net, problem):
+            out = prune(net, problem)
+            problems.update((id(c.net), c.problem) for c in out.components)
+            return out
+
+        monkeypatch.setattr(solver, "prune", pruned)
+        monkeypatch.setattr(solver, "_conditional",
+                            lambda *args: _reference_kernel(problems, *args))
         want = anneal_all()
         assert got == want
         # a chain runs, and leaves trace rows, exactly on each component with
